@@ -21,6 +21,7 @@ from .fpls import HampelConfig
 from .functional import FunctionalDataset
 from .mscale import MScaleConfig
 from .pipeline import (
+    SCHEMA_VERSION,
     BasisSpec,
     fit,
     model_from_json,
@@ -33,9 +34,6 @@ from .simulation import SimSpec, simulate
 from .weights import from_matrix, grid_contiguity, inverse_distance_weights
 
 DEFAULT_TRIM_GRID = (0.0, 0.05, 0.10)
-
-
-SCHEMA_VERSION = 1
 
 
 def _json_dump(obj) -> str:

@@ -62,8 +62,6 @@ class PlsState:
     loadings_q: np.ndarray       # K response loadings
     weights: np.ndarray          # n case weights in [0, 1]
     y_center: float
-    d_work: np.ndarray = None    # predictor block after the last deflation
-    y_work: np.ndarray = None    # response after the last deflation
     iterations: int = 1
     converged: bool = True
     residual_scale: float = np.nan
@@ -105,13 +103,12 @@ def _nipals(d: np.ndarray, y: np.ndarray, K: int):
         raise NumericalError("response has no covariance with the curves")
     return (
         np.column_stack(ws), np.column_stack(ts), np.column_stack(ps),
-        np.array(qs), np.array(covs), truncated, d, y,
+        np.array(qs), np.array(covs), truncated,
     )
 
 
 def _assemble(coeffs, basis, W, T, P, q, covs, truncated, method,
-              center, weights, y_center, d_work=None, y_work=None,
-              iterations=1, converged=True,
+              center, weights, y_center, iterations=1, converged=True,
               residual_scale=np.nan) -> Decomposition:
     # sign convention: largest-magnitude entry of each direction positive
     signs = np.sign(W[np.argmax(np.abs(W), axis=0), np.arange(W.shape[1])])
@@ -124,9 +121,8 @@ def _assemble(coeffs, basis, W, T, P, q, covs, truncated, method,
     scores = (coeffs - center) @ basis.gram @ phi
     state = PlsState(
         directions=W, components=T, loadings_p=P, loadings_q=q,
-        weights=weights, y_center=y_center, d_work=d_work, y_work=y_work,
-        iterations=iterations, converged=converged,
-        residual_scale=residual_scale,
+        weights=weights, y_center=y_center, iterations=iterations,
+        converged=converged, residual_scale=residual_scale,
     )
     return Decomposition(
         phi=phi, lambdas=covs**2, scores=scores, method=method,
@@ -145,10 +141,10 @@ def fpls(coeff_matrix: CoefficientMatrix, basis: BasisSystem, Y, K: int) -> Deco
     center = a.mean(axis=0)
     y_center = float(y.mean())
     d = (a - center) @ basis.gram_sqrt
-    W, T, P, q, covs, truncated, d_w, y_w = _nipals(d, y - y_center, K)
+    W, T, P, q, covs, truncated = _nipals(d, y - y_center, K)
     return _assemble(
         a, basis, W, T, P, q, covs, truncated, "FPLS",
-        center, np.ones(n), y_center, d_work=d_w, y_work=y_w,
+        center, np.ones(n), y_center,
     )
 
 
@@ -213,7 +209,7 @@ def rfpls(
         d = (a - center) @ basis.gram_sqrt
         yc = y - y_center
         s = np.sqrt(r)
-        W, T, P, q, covs, truncated, d_w, y_w = _nipals(s[:, None] * d, s * yc, K)
+        W, T, P, q, covs, truncated = _nipals(s[:, None] * d, s * yc, K)
         scores = d @ W
 
         # weighted regression of the response on the scores
@@ -228,7 +224,7 @@ def rfpls(
         r = _case_weights(e, scores, sigma, hampel_config)
 
         beta = basis.gram_inv_sqrt @ W @ gamma
-        out = (W, T, P, q, covs, truncated, center, y_center, d_w, y_w)
+        out = (W, T, P, q, covs, truncated, center, y_center)
         if beta_prev is not None and beta_prev.shape == beta.shape:
             denom = max(float(np.abs(beta_prev).max()), 1e-300)
             if float(np.abs(beta - beta_prev).max()) / denom < tol:
@@ -236,11 +232,10 @@ def rfpls(
                 break
         beta_prev = beta
 
-    W, T, P, q, covs, truncated, center, y_center, d_w, y_w = out
+    W, T, P, q, covs, truncated, center, y_center = out
     return _assemble(
         a, basis, W, T, P, q, covs, truncated, "RFPLS",
-        center, r, y_center, d_work=d_w, y_work=y_w,
-        iterations=it, converged=converged, residual_scale=sigma,
+        center, r, y_center, iterations=it, converged=converged, residual_scale=sigma,
     )
 
 

@@ -3,6 +3,11 @@
 The raw biweight loss saturates at c^2/6, which is below the usual target
 delta = 0.5, so the estimating equation is solved with the loss normalized
 to supremum 1. With delta = 0.5 this gives the 50% breakdown point.
+
+One solver serves the single-sample and the column-wise estimators: safeguarded
+Newton steps on the closed-form derivative of the clipped-polynomial loss,
+falling back to the multiplicative fixed-point step when a Newton step would
+leave (sigma/2, 2 sigma).
 """
 
 from __future__ import annotations
@@ -17,22 +22,26 @@ from .exceptions import NonConvergenceError, ValidationError
 MAD_SCALE = 1.4826022185056018
 
 
+def _biweight(t):
+    """Normalized biweight loss 3t - 3t^2 + t^3 of t = min((u/c)^2, 1).
+
+    It is exactly 0 at t = 0 and exactly 1 from the cutoff t = 1 on.
+    """
+    return t * (3.0 - t * (3.0 - t))
+
+
 def tukey_loss(u, c: float = 1.56):
     """Tukey biweight loss: u^2/2 (1 - u^2/c^2 + u^4/(3 c^4)) for |u| <= c,
     exactly c^2/6 beyond the cutoff."""
-    if c <= 0:
-        raise ValidationError("tuning constant c must be positive")
-    u = np.asarray(u, dtype=float)
-    u2 = u * u
-    c2 = c * c
-    inner = 0.5 * u2 * (1.0 - u2 / c2 + u2 * u2 / (3.0 * c2 * c2))
-    val = np.where(u2 <= c2, inner, c**2 / 6.0)
-    return val if val.ndim else float(val)
+    return tukey_loss_norm(u, c) * (c**2 / 6.0)
 
 
 def tukey_loss_norm(u, c: float = 1.56):
     """Biweight loss rescaled to supremum 1."""
-    return tukey_loss(u, c) * (6.0 / c**2)
+    if c <= 0:
+        raise ValidationError("tuning constant c must be positive")
+    val = _biweight(np.minimum((np.asarray(u, dtype=float) / c) ** 2, 1.0))
+    return val if val.ndim else float(val)
 
 
 def tukey_weight(u, c: float = 1.56):
@@ -93,39 +102,90 @@ class MScaleResult:
 DEFAULT_MSCALE = MScaleConfig()
 
 
-def m_scale_info(x, config: MScaleConfig = DEFAULT_MSCALE) -> MScaleResult:
-    """Solve (1/n) sum rho_norm((x_i - mu)/sigma) = delta by fixed point.
+def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
+    """Location, residuals, degenerate flags and start scales of the columns
+    of x.
 
-    The iteration sigma_{k+1}^2 = sigma_k^2 * (n delta)^{-1} sum rho_norm(u_k)
-    starts from the normalized MAD and keeps every iterate positive. Samples
+    A column is degenerate when more than (1 - delta) n of its values
+    coincide with the location estimate. The start scale is the normalized
+    MAD, or the root mean square where the MAD collapses on a column that is
+    not degenerate, whose equation is still solvable.
+    """
+    n = x.shape[0]
+    if cfg.location == "median":
+        mu = np.median(x, axis=0)
+    else:
+        mu = np.array([m_location(col) for col in x.T])
+    resid = x - mu
+    degenerate = np.sum(resid == 0.0, axis=0) > (1.0 - cfg.delta) * n
+    sigma = MAD_SCALE * np.median(np.abs(resid), axis=0)
+    rms = np.sqrt(np.mean(resid**2, axis=0))
+    sigma = np.where(sigma == 0.0, rms, sigma)
+    return mu, resid, degenerate, sigma
+
+
+def _solve(resid: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
+           history: list | None = None) -> tuple:
+    """Solve mean_i rho_norm(resid[i, j] / sigma_j) = delta for every column.
+
+    With t = min((r/(c sigma))^2, 1), f(sigma) = mean rho_norm - delta has
+    the closed-form derivative f'(sigma) = -mean 6 t (1 - t)^2 / sigma. A
+    Newton step is taken when that derivative is nonzero and the step lands
+    in (sigma/2, 2 sigma); otherwise the multiplicative fixed-point step
+    sigma * sqrt(mean rho_norm / delta), which keeps every iterate positive
+    and converges from any start. A column stops once |step| <= tol sigma.
+    Returns (sigma, iterations); history, if given, receives every iterate.
+    """
+    n = resid.shape[0]
+    r2 = (resid / cfg.c) ** 2
+    sigma = np.array(sigma, dtype=float)
+    cols = np.arange(sigma.size)
+    if history is not None:
+        history.append(sigma.copy())
+    for it in range(1, cfg.max_iter + 1):
+        s = sigma[cols]
+        t = np.minimum(r2 / (s * s), 1.0)
+        mean_rho = _biweight(t).sum(axis=0) / n
+        slope = 6.0 / n * (t * (1.0 - t) ** 2).sum(axis=0)  # -sigma f'(sigma)
+        gap = mean_rho - cfg.delta
+        # the Newton iterate s (1 + gap / slope) must lie in (s/2, 2s)
+        newton = (-0.5 * slope < gap) & (gap < slope)
+        ratio = np.divide(gap, slope, out=np.zeros_like(gap), where=newton)
+        new = np.where(newton, s * (1.0 + ratio),
+                       s * np.sqrt(mean_rho / cfg.delta))
+        sigma[cols] = new
+        if history is not None:
+            history.append(sigma.copy())
+        going = np.abs(new - s) > cfg.tol * s
+        if not going.any():
+            return sigma, it
+        if not going.all():
+            cols = cols[going]
+            r2 = r2[:, going]
+    raise NonConvergenceError(f"m_scale did not converge in {cfg.max_iter} iterations")
+
+
+def m_scale_info(x, config: MScaleConfig = DEFAULT_MSCALE) -> MScaleResult:
+    """Solve (1/n) sum rho_norm((x_i - mu)/sigma) = delta by safeguarded Newton.
+
+    Newton steps on the closed-form derivative, with the multiplicative
+    fixed-point step sigma^2 * (n delta)^{-1} sum rho_norm(u) as fallback,
+    start from the normalized MAD and keep every iterate positive. Samples
     where more than (1 - delta) n values coincide with the location estimate
     are degenerate and return sigma = 0.
     """
     x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    if n < 2:
+    if x.size < 2:
         raise ValidationError("m_scale needs at least 2 observations")
-    cfg = config
-    mu = float(np.median(x)) if cfg.location == "median" else m_location(x)
-    resid = x - mu
-    n_at_mu = int(np.sum(resid == 0.0))
-    if n_at_mu > (1.0 - cfg.delta) * n:
+    mu, resid, degenerate, sigma = _start(x[:, None], config)
+    mu = float(mu[0])
+    if degenerate[0]:
         return MScaleResult(0.0, mu, True, True, 0, [0.0])
-
-    sigma = MAD_SCALE * float(np.median(np.abs(resid)))
-    if sigma == 0.0:
-        # exactly-half ties: MAD collapses but the equation is still solvable
-        sigma = float(np.sqrt(np.mean(resid**2)))
-    history = [sigma]
-    for it in range(1, cfg.max_iter + 1):
-        mean_rho = float(np.mean(tukey_loss_norm(resid / sigma, cfg.c)))
-        sigma_new = sigma * np.sqrt(mean_rho / cfg.delta)
-        history.append(sigma_new)
-        if abs(sigma_new - sigma) <= cfg.tol * sigma:
-            return MScaleResult(float(sigma_new), mu, False, True, it, history)
-        sigma = sigma_new
-    raise NonConvergenceError(
-        f"m_scale did not converge in {cfg.max_iter} iterations"
+    history = []
+    sigma, iterations = _solve(resid, sigma, config, history)
+    return MScaleResult(
+        float(sigma[0]), mu, False, True, iterations,
+        [float(h[0]) for h in history],
     )
 
 
@@ -134,41 +194,18 @@ def m_scale(x, config: MScaleConfig = DEFAULT_MSCALE) -> float:
 
 
 def m_scale_columns(x: np.ndarray, config: MScaleConfig = DEFAULT_MSCALE) -> np.ndarray:
-    """Column-wise M-scales of a 2-D array, vectorized fixed point.
+    """Column-wise M-scales of a 2-D array.
 
-    Same estimator as m_scale applied to each column; used where many
-    candidate projections must be scored at once. Degenerate columns get 0.
+    Same estimator and solver as m_scale applied to each column; used where
+    many candidate projections must be scored at once. Degenerate columns
+    get 0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("m_scale_columns needs an (n >= 2) x m array")
-    cfg = config
-    n = x.shape[0]
-    if cfg.location == "median":
-        mu = np.median(x, axis=0)
-    else:
-        mu = np.array([m_location(col) for col in x.T])
-    resid = x - mu
-    degenerate = np.sum(resid == 0.0, axis=0) > (1.0 - cfg.delta) * n
-
-    sigma = MAD_SCALE * np.median(np.abs(resid), axis=0)
-    rms = np.sqrt(np.mean(resid**2, axis=0))
-    sigma = np.where(sigma == 0.0, rms, sigma)
-    sigma = np.where(degenerate, 1.0, sigma)  # placeholder, masked at the end
-
-    active = ~degenerate
-    for _ in range(cfg.max_iter):
-        if not active.any():
-            break
-        u = resid[:, active] / sigma[active]
-        mean_rho = np.mean(tukey_loss_norm(u, cfg.c), axis=0)
-        new = sigma[active] * np.sqrt(mean_rho / cfg.delta)
-        conv = np.abs(new - sigma[active]) <= cfg.tol * sigma[active]
-        sigma[active] = new
-        still = active.copy()
-        still[active] = ~conv
-        active = still
-    if active.any():
-        raise NonConvergenceError("m_scale_columns did not converge")
-    sigma[degenerate] = 0.0
-    return sigma
+    _, resid, degenerate, sigma = _start(x, config)
+    out = np.zeros(x.shape[1])
+    keep = ~degenerate
+    if keep.any():
+        out[keep], _ = _solve(resid[:, keep], sigma[keep], config)
+    return out
