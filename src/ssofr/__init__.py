@@ -48,7 +48,6 @@ from .sar import (
     eta_ml,
     eta_robust,
     huber_psi,
-    lad_init,
     log_likelihood,
     m_fit,
     ml_fit,

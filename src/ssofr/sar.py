@@ -6,7 +6,10 @@ with Z = [1_n, A] built from decomposition scores. Provides the exact
 Gaussian log-likelihood with profile maximization over rho, the robust
 estimating equations with Huber-transformed standardized residuals, and the
 iterative M-estimator (weighted least squares for theta, a multiplicative
-scale update, and a 1-D line search for rho).
+scale update, and a rho step: the bracketed Brent root of the rho block;
+golden-section on its square only when the bracket has no sign change). One
+evaluator, vectorized over rho, computes the rho block in the eigenbasis of W
+(Ord 1975) for the estimating equations and for every rho step.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .exceptions import NumericalError, ValidationError
@@ -122,9 +126,10 @@ class MTuning:
 class ResolventCache:
     """Cached spectral machinery for (I - rho W)^{-1} along a rho path.
 
-    A one-time eigendecomposition of W gives O(n^2) resolvent solves and O(n)
-    log-determinants and traces for every rho in the line searches. When W is
-    too defective for a reliable eigenbasis, solves fall back to dense LU.
+    A one-time eigendecomposition of W gives O(n) log-determinants and traces
+    for every rho in the line searches, and the basis V, V^{-1} that the rho
+    block is evaluated in (see `_rho_block`). When W is too defective for a
+    reliable eigenbasis, `_V` is None and the rho block falls back to dense LU.
     """
 
     def __init__(self, weights: SpatialWeights):
@@ -171,46 +176,6 @@ class ResolventCache:
             return float(np.sum(self.eigvals / self._denom(rho, ridge)).real)
         a = np.eye(self.n) * (1.0 + ridge) - rho * self.w
         return float(np.trace(np.linalg.solve(a.T, self.w.T).T))
-
-    def solve(self, rho: float, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-        """(I - rho W)^{-1} b."""
-        if self._V is not None:
-            y = self._Vinv @ b
-            x = self._V @ (y / self._denom(rho, ridge))
-            return x.real if np.isrealobj(b) else x
-        a = np.eye(self.n) * (1.0 + ridge) - rho * self.w
-        return np.linalg.solve(a, b)
-
-    def g_dot(self, rho: float, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-        """W (I - rho W)^{-1} b."""
-        return self.w @ self.solve(rho, b, ridge)
-
-    def g_dot_grid(self, rhos: np.ndarray, b: np.ndarray, ridge: float = 0.0):
-        """Columns W (I - rho_g W)^{-1} b_g for a grid of rhos.
-
-        b is either a single vector used for every rho or an n x G matrix of
-        per-rho right-hand sides. Returns an n x G real matrix, or None when
-        no eigenbasis is available.
-        """
-        if self._V is None:
-            return None
-        denoms = (1.0 + ridge) - np.outer(self.eigvals, rhos)  # n x G
-        if b.ndim == 1:
-            s = (self._Vinv @ b)[:, None] / denoms
-        else:
-            s = (self._Vinv @ b) / denoms
-        return (self.w @ (self._V @ s)).real
-
-    def trace_g_grid(self, rhos: np.ndarray, ridge: float = 0.0):
-        if self.eigvals is None:
-            return None
-        denoms = (1.0 + ridge) - np.outer(self.eigvals, rhos)
-        return np.sum(self.eigvals[:, None] / denoms, axis=0).real
-
-    def min_resolvent_margin(self, rho: float) -> float:
-        if self.eigvals is not None:
-            return float(np.abs(self._denom(rho)).min())
-        return 1.0
 
 
 _CACHE_REGISTRY: "weakref.WeakKeyDictionary[SpatialWeights, ResolventCache]" = (
@@ -259,6 +224,53 @@ def eta_ml(params: SarParams, design: SarDesign, cache: ResolventCache | None = 
     return np.concatenate([b_theta, [b_sigma, b_rho]])
 
 
+def _rho_block(cache, rhos, y, wy, zt, sigma, tuning, a=None, events=None) -> np.ndarray:
+    """Rho block of the robust estimating equations at each rho of `rhos`:
+
+        b(rho) = psi3' G (Z theta / sigma + psi3) - rho_tilde(c3) tr G,
+
+    with psi3 = psi_{c3}((Y - rho W Y - Z theta) / sigma) and
+    G = W ((1 + ridge) I - rho W)^{-1}. Through the eigenbasis W V = V Lambda,
+
+        b(rho) = sum_k q_k (a_k / sigma + p_k) / d_k - rho_tilde(c3) sum_k lambda_k / d_k
+
+    with a = V^{-1} Z theta (pass it in to compute it once per theta),
+    p = V^{-1} psi3, q = lambda * (V' psi3) and d = 1 + ridge - rho lambda:
+    two n^2 matvecs per rho. Without an eigenbasis each rho takes one dense LU
+    solve. Where |1 - rho lambda| < 1e-12 for some eigenvalue, the ridge is
+    max(ridge_eps, 1e-8); each such rho counts in `cache.ridge_events` and,
+    when `events` is given, adds a line to it.
+    """
+    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+    rt3 = rho_tilde(tuning.c3)
+    psi3 = np.clip(((y - zt)[:, None] - np.outer(wy, rhos)) / sigma, -tuning.c3, tuning.c3)
+    ridge = np.full(rhos.size, float(tuning.ridge_eps))
+    if cache.eigvals is not None:
+        near = np.abs(1.0 - np.outer(rhos, cache.eigvals)).min(axis=1) < 1e-12
+        if near.any():
+            ridge[near] = max(tuning.ridge_eps, _RIDGE_EPS)
+            cache.ridge_events += int(near.sum())
+            if events is not None:
+                events.extend(f"ridge applied at rho={r:.6g}" for r in rhos[near])
+    if cache._V is not None:
+        lam = cache.eigvals[:, None]
+        d = (1.0 + ridge) - lam * rhos
+        if a is None:
+            a = cache._Vinv @ zt
+        p = cache._Vinv @ psi3
+        q = lam * (cache._V.T @ psi3)
+        b = np.sum(q * (a[:, None] / sigma + p) / d, axis=0) - rt3 * np.sum(lam / d, axis=0)
+        return b.real
+    w = cache.w
+    b = np.empty(rhos.size)
+    for j, rho in enumerate(rhos):
+        g = w @ np.linalg.solve(
+            np.eye(cache.n) * (1.0 + ridge[j]) - rho * w, np.column_stack([zt, psi3[:, j]])
+        )
+        b[j] = psi3[:, j] @ (g[:, 0] / sigma + g[:, 1]) - rt3 * cache.trace_g(rho, ridge[j])
+    return b
+
+
 def eta_robust(
     params: SarParams,
     design: SarDesign,
@@ -280,16 +292,7 @@ def eta_robust(
     psi2 = huber_psi(eps, tuning.c2)
     block2 = float(psi2 @ psi2 - n * rho_tilde(tuning.c2))
 
-    psi3 = huber_psi(eps, tuning.c3)
-    ridge = tuning.ridge_eps
-    if cache.min_resolvent_margin(params.rho) < 1e-12:
-        ridge = max(ridge, _RIDGE_EPS)
-        cache.ridge_events += 1
-    gzt = cache.g_dot(params.rho, zt, ridge)
-    gpsi3 = cache.g_dot(params.rho, psi3, ridge)
-    block3 = float(
-        (gzt @ psi3) / s + gpsi3 @ psi3 - cache.trace_g(params.rho, ridge) * rho_tilde(tuning.c3)
-    )
+    block3 = float(_rho_block(cache, params.rho, design.Y, wy, zt, s, tuning)[0])
     return np.concatenate([block1, [block2, block3]])
 
 
@@ -395,93 +398,64 @@ def ml_fit(design: SarDesign) -> SarFit:
     return fit
 
 
-def lad_init(design: SarDesign) -> SarParams:
-    """Median-regression fallback start: LAD theta at rho = 0, MAD scale."""
-    from scipy.optimize import linprog
+def _known_or_block(rho, known, block) -> float:
+    """b(rho) for brentq, reusing the values known at the bracket ends.
 
-    n, k = design.n, design.k
-    # minimize sum |Y - Z theta| as an LP in (theta, u+, u-)
-    c = np.concatenate([np.zeros(k), np.ones(2 * n)])
-    a_eq = np.hstack([design.Z, np.eye(n), -np.eye(n)])
-    bounds = [(None, None)] * k + [(0, None)] * (2 * n)
-    res = linprog(c, A_eq=a_eq, b_eq=design.Y, bounds=bounds, method="highs")
-    if not res.success:
-        theta, *_ = np.linalg.lstsq(design.Z, design.Y, rcond=None)
-    else:
-        theta = res.x[:k]
-    r = design.Y - design.Z @ theta
-    sigma = 1.4826022185056018 * float(np.median(np.abs(r - np.median(r))))
-    return SarParams(theta=theta, sigma=max(sigma, _SIGMA_FLOOR), rho=0.0)
+    brentq keeps the function it is given in a reference cycle, so the data
+    comes in through `args`: a closure would keep the design and its weights
+    alive until the next garbage collection.
+    """
+    return known[rho] if rho in known else block(rho)[0]
 
 
 def _rho_step(design, cache, theta, sigma, tuning, wy, zt, prev_rho=None):
-    """Minimize the squared rho-block of the robust equations over the bounds.
+    """Root of the rho block of the robust equations inside the bounds.
 
-    A coarse scan brackets the minimizer (batched through the eigenbasis when
-    available; warm-started around the previous rho on later iterations), and
-    golden-section refines the bracket to an interval tolerance of 1e-8.
+    The bracket comes from a 65-point scan of |b| in one vectorized
+    evaluation on the first pass; afterwards a window around the previous rho
+    is widened until |b| at its centre is below |b| at both ends. Returns the
+    bracketed Brent root of the rho block; golden-section on its square only
+    when the bracket has no sign change (Brent to 1e-12, golden-section to an
+    interval of 1e-8).
     """
     lo, hi = design.weights.rho_bounds
     width = hi - lo
     glo, ghi = lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width
-    rt3 = rho_tilde(tuning.c3)
     events = []
+    a = None if cache._V is None else cache._Vinv @ zt
 
-    def block3(rho: float) -> float:
-        eps = (design.Y - rho * wy - zt) / sigma
-        psi3 = huber_psi(eps, tuning.c3)
-        ridge = tuning.ridge_eps
-        if cache.min_resolvent_margin(rho) < 1e-12:
-            ridge = max(ridge, _RIDGE_EPS)
-            events.append(f"ridge applied at rho={rho:.6g}")
-        gzt = cache.g_dot(rho, zt, ridge)
-        gpsi = cache.g_dot(rho, psi3, ridge)
-        return float((gzt @ psi3) / sigma + gpsi @ psi3 - cache.trace_g(rho, ridge) * rt3)
-
-    def objective(rho: float) -> float:
-        b = block3(rho)
-        return b * b
-
-    def objective_grid(rhos: np.ndarray) -> np.ndarray:
-        eps = ((design.Y - zt)[:, None] - np.outer(wy, rhos)) / sigma
-        psi3 = np.clip(eps, -tuning.c3, tuning.c3)
-        gzt = cache.g_dot_grid(rhos, zt, tuning.ridge_eps)
-        gpsi = cache.g_dot_grid(rhos, psi3, tuning.ridge_eps)
-        if gzt is None or gpsi is None:
-            return np.array([objective(r) for r in rhos])
-        traces = cache.trace_g_grid(rhos, tuning.ridge_eps)
-        b = (
-            np.einsum("ig,ig->g", gzt, psi3) / sigma
-            + np.einsum("ig,ig->g", gpsi, psi3)
-            - traces * rt3
-        )
-        return b * b
+    def block(rhos) -> np.ndarray:
+        return _rho_block(cache, rhos, design.Y, wy, zt, sigma, tuning, a=a, events=events)
 
     blo = bhi = None
     if prev_rho is not None:
         # expand a bracket around the previous iterate before refining
         h = 1e-3 * width
         center = min(max(prev_rho, glo), ghi)
-        f_c = objective(center)
+        b_c = block(center)[0]
         while h < width:
-            a = max(center - h, glo)
-            b = min(center + h, ghi)
-            f_a, f_b = objective(a), objective(b)
-            if f_c <= f_a and f_c <= f_b:
-                blo, bhi = a, b
+            a_end, b_end = max(center - h, glo), min(center + h, ghi)
+            b_a, b_b = block([a_end, b_end])
+            if b_c * b_c <= b_a * b_a and b_c * b_c <= b_b * b_b:
+                blo, b_lo, bhi, b_hi = a_end, b_a, b_end, b_b
                 break
-            if f_a < f_c:
-                center, f_c = a, f_a
+            if b_a * b_a < b_c * b_c:
+                center, b_c = a_end, b_a
             else:
-                center, f_c = b, f_b
+                center, b_c = b_end, b_b
             h *= 3.0
     if blo is None:
         grid = np.linspace(glo, ghi, 65)
-        vals = objective_grid(grid)
-        i = int(np.argmin(vals))
-        blo = grid[max(i - 1, 0)]
-        bhi = grid[min(i + 1, grid.size - 1)]
-    rho_new, _ = _golden_max(lambda r: -objective(r), blo, bhi, tol=1e-8)
+        vals = block(grid)
+        i = int(np.argmin(vals * vals))
+        i_lo, i_hi = max(i - 1, 0), min(i + 1, grid.size - 1)
+        blo, b_lo, bhi, b_hi = grid[i_lo], vals[i_lo], grid[i_hi], vals[i_hi]
+    if b_lo * b_hi <= 0.0:
+        known = {blo: b_lo, bhi: b_hi}
+        rho_new = brentq(_known_or_block, blo, bhi, args=(known, block), xtol=1e-12)
+    else:
+        # |b| has a minimum in the bracket that is not a root
+        rho_new, _ = _golden_max(lambda r: -block(r)[0] ** 2, blo, bhi, tol=1e-8)
     return float(rho_new), events
 
 
@@ -494,9 +468,10 @@ def m_fit(
 
     Each iteration updates theta by Huber-weighted least squares, rescales
     sigma multiplicatively so the scale block of the estimating equations is
-    solved at the fixed point, and updates rho by a bracketed golden-section
-    line search on the squared rho block. Stops when the Euclidean change of
-    the full parameter vector falls below eps_conv.
+    solved at the fixed point, and updates rho to the bracketed Brent root of
+    the rho block; golden-section on its square only when the bracket has no
+    sign change (see `_rho_step`). Stops when the Euclidean change of the full
+    parameter vector falls below eps_conv.
     """
     cache = resolvent_cache(design.weights)
     if init is None:
@@ -531,10 +506,9 @@ def m_fit(
         psi2 = huber_psi(eps, tuning.c2)
         sigma = max(sigma * float(np.sqrt((psi2 @ psi2) / (n * rt2))), _SIGMA_FLOOR)
 
-        # rho: 1-D minimization of the squared rho block. The scan is global
-        # on the first pass; afterwards the search tracks the minimizer from
-        # the previous iterate, which keeps the iteration on one root when
-        # the rho equation has several.
+        # rho: root of the rho block. The scan is global on the first pass;
+        # afterwards the bracket tracks the previous iterate, which keeps the
+        # iteration on one root when the rho equation has several.
         zt = Z @ theta
         warm = rho if it > 1 else None
         rho, ev = _rho_step(design, cache, theta, sigma, tuning, wy, zt, prev_rho=warm)

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+import ssofr.sar as sar
 from ssofr import (
     MTuning,
     NumericalError,
@@ -12,12 +16,66 @@ from ssofr import (
     eta_robust,
     grid_contiguity,
     huber_psi,
-    lad_init,
     log_likelihood,
     m_fit,
     ml_fit,
     rho_tilde,
 )
+
+
+def dense_rho_block(w, rho, y, wy, zt, sigma, tuning=MTuning(), ridge=0.0):
+    """Oracle: the rho block of the robust equations with W (I - rho W)^{-1}
+    applied by dense solves."""
+    n = w.shape[0]
+    a = np.eye(n) * (1.0 + ridge) - rho * w
+    psi3 = np.clip((y - rho * wy - zt) / sigma, -tuning.c3, tuning.c3)
+    g_zt = w @ np.linalg.solve(a, zt)
+    g_psi = w @ np.linalg.solve(a, psi3)
+    trace = np.trace(w @ np.linalg.inv(a))
+    return g_zt @ psi3 / sigma + g_psi @ psi3 - trace * rho_tilde(tuning.c3)
+
+
+def golden_rho_oracle(block, bounds, prev_rho=None, tol=1e-12):
+    """The rho step before the Brent root: bracket the minimum of b^2 by a
+    65-point scan, or by widening a window around prev_rho, then refine it
+    by golden-section on b^2 to an interval of `tol`."""
+    def f(r):
+        return block(r) ** 2
+
+    lo, hi = bounds
+    width = hi - lo
+    glo, ghi = lo + 1e-8 * width, hi - 1e-8 * width
+    blo = bhi = None
+    if prev_rho is not None:
+        h = 1e-3 * width
+        center = min(max(prev_rho, glo), ghi)
+        f_c = f(center)
+        while h < width:
+            a, b = max(center - h, glo), min(center + h, ghi)
+            f_a, f_b = f(a), f(b)
+            if f_c <= f_a and f_c <= f_b:
+                blo, bhi = a, b
+                break
+            center, f_c = (a, f_a) if f_a < f_c else (b, f_b)
+            h *= 3.0
+    if blo is None:
+        grid = np.linspace(glo, ghi, 65)
+        i = int(np.argmin([f(r) for r in grid]))
+        blo, bhi = grid[max(i - 1, 0)], grid[min(i + 1, 64)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = blo, bhi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return c if fc <= fd else d
 
 
 def make_design(seed=5, n_side=10, rho=0.3, sigma=0.8, K=2,
@@ -241,6 +299,12 @@ class TestEtaRobust:
         assert abs(pert[design.k] - base[design.k]) <= 2.0 * n * t.c2**2
 
 
+def random_state(rng, w, scale=2.0):
+    """Response, W Y, Z theta and sigma for evaluating the rho block."""
+    y = scale * rng.standard_normal(w.n)
+    return y, w.w @ y, rng.standard_normal(w.n), 0.7
+
+
 class TestResolventCache:
     def test_defective_w_falls_back_to_dense(self):
         # nilpotent chain graph: the eigenbasis is singular, so every cache
@@ -251,14 +315,21 @@ class TestResolventCache:
         raw = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         w = from_matrix(raw, normalize=False)
         cache = ResolventCache(w)
+        assert cache._V is None
         rho = 0.4
         a = np.eye(3) - rho * w.w
         assert cache.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-12)
         assert cache.trace_g(rho) == pytest.approx(
             np.trace(w.w @ np.linalg.inv(a)), abs=1e-12
         )
-        b = np.array([1.0, 2.0, 3.0])
-        assert np.abs(cache.solve(rho, b) - np.linalg.solve(a, b)).max() < 1e-12
+        y, zt = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.2, 0.1])
+        wy = w.w @ y
+        for sigma in (0.3, 2.0):
+            got = sar._rho_block(cache, [rho, -0.7], y, wy, zt, sigma, MTuning())
+            for j, r in enumerate((rho, -0.7)):
+                assert got[j] == pytest.approx(
+                    dense_rho_block(w.w, r, y, wy, zt, sigma), abs=1e-12
+                )
 
     def test_eigen_route_matches_dense(self, rng):
         from ssofr.sar import ResolventCache
@@ -273,23 +344,145 @@ class TestResolventCache:
             assert cache.trace_g(rho) == pytest.approx(
                 np.trace(w.w @ np.linalg.inv(a)), abs=1e-9
             )
-            b = rng.standard_normal(15)
-            assert np.abs(cache.solve(rho, b) - np.linalg.solve(a, b)).max() < 1e-10
-            assert np.abs(cache.g_dot(rho, b) - w.w @ np.linalg.solve(a, b)).max() < 1e-10
+            y, wy, zt, sigma = random_state(rng, w)
+            got = sar._rho_block(cache, rho, y, wy, zt, sigma, MTuning())
+            assert got[0] == pytest.approx(
+                dense_rho_block(w.w, rho, y, wy, zt, sigma), abs=1e-9
+            )
 
-    def test_grid_helpers_match_scalar(self, rng):
+    def test_rho_block_grid_matches_scalar(self, rng):
         from ssofr.sar import ResolventCache
         from ssofr import row_normalize
 
         w = row_normalize(rng.uniform(0, 1, (12, 12)))
         cache = ResolventCache(w)
         rhos = np.array([-0.4, 0.1, 0.6])
-        b = rng.standard_normal(12)
-        grid = cache.g_dot_grid(rhos, b)
-        traces = cache.trace_g_grid(rhos)
+        y, wy, zt, sigma = random_state(rng, w)
+        tuning = MTuning()
+        a = cache._Vinv @ zt
+        grid = sar._rho_block(cache, rhos, y, wy, zt, sigma, tuning)
+        grid_a = sar._rho_block(cache, rhos, y, wy, zt, sigma, tuning, a=a)
         for j, rho in enumerate(rhos):
-            assert np.abs(grid[:, j] - cache.g_dot(rho, b)).max() < 1e-10
-            assert traces[j] == pytest.approx(cache.trace_g(rho), abs=1e-10)
+            single = sar._rho_block(cache, rho, y, wy, zt, sigma, tuning)[0]
+            assert grid[j] == pytest.approx(single, abs=1e-10)
+            assert grid_a[j] == pytest.approx(single, abs=1e-10)
+
+    @pytest.mark.parametrize("ridge_eps", [0.0, 1e-6])
+    def test_ridge_path(self, rng, ridge_eps):
+        # rho = 1 is a pole of the resolvent of a row-normalized W
+        from ssofr.sar import ResolventCache
+        from ssofr import row_normalize
+
+        w = row_normalize(rng.uniform(0, 1, (10, 10)))
+        cache = ResolventCache(w)
+        y, wy, zt, sigma = random_state(rng, w)
+        tuning = MTuning(ridge_eps=ridge_eps)
+        events = []
+        got = sar._rho_block(cache, [0.5, 1.0], y, wy, zt, sigma, tuning, events=events)
+        assert cache.ridge_events == 1
+        assert events == ["ridge applied at rho=1"]
+        ridge = max(ridge_eps, 1e-8)
+        assert got[0] == pytest.approx(dense_rho_block(w.w, 0.5, y, wy, zt, sigma, tuning, ridge_eps), abs=1e-9)
+        assert got[1] == pytest.approx(
+            dense_rho_block(w.w, 1.0, y, wy, zt, sigma, tuning, ridge), rel=1e-6
+        )
+
+
+def patch_block(monkeypatch, b):
+    """Replace the rho block by b(rho), applied to each rho."""
+    monkeypatch.setattr(
+        sar, "_rho_block", lambda cache, rhos, *args, **kwargs: np.array(
+            [b(r) for r in np.atleast_1d(rhos)]
+        ),
+    )
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("this path must not run here")
+
+
+def rho_step(design, w, prev_rho=None):
+    """_rho_step at the design's true parameters."""
+    theta = np.array([1.0, 0.5, -0.3])
+    rho, _ = sar._rho_step(
+        design, sar.resolvent_cache(w), theta, 0.8, MTuning(),
+        w.w @ design.Y, design.Z @ theta, prev_rho=prev_rho,
+    )
+    return rho
+
+
+class TestRhoStep:
+    @pytest.mark.parametrize("seed", [5, 13, 29])
+    def test_matches_golden_oracle(self, seed):
+        design, params, w = make_design(seed=seed)
+        cache = sar.resolvent_cache(w)
+        rng = np.random.default_rng(seed)
+        wy = w.w @ design.Y
+        tuning = MTuning()
+        for _ in range(4):
+            theta = params.theta + 0.3 * rng.standard_normal(3)
+            sigma = params.sigma * np.exp(0.3 * rng.standard_normal())
+            zt = design.Z @ theta
+
+            def block(r):
+                return dense_rho_block(w.w, r, design.Y, wy, zt, sigma, tuning)
+
+            for prev in (None, float(rng.uniform(-0.5, 0.8))):
+                rho, _ = sar._rho_step(design, cache, theta, sigma, tuning, wy, zt, prev_rho=prev)
+                oracle = golden_rho_oracle(block, w.rho_bounds, prev_rho=prev)
+                assert abs(rho - oracle) <= 1e-8
+
+    def test_warm_start_keeps_its_root(self, monkeypatch):
+        design, _, w = make_design()
+        roots = (-0.4, 0.1, 0.6)
+        lo, hi = w.rho_bounds
+        assert lo < roots[0] and roots[-1] < hi
+        patch_block(monkeypatch, lambda r: (r - roots[0]) * (r - roots[1]) * (r - roots[2]))
+        monkeypatch.setattr(sar, "_golden_max", forbidden)
+        for root in roots:
+            for side in (-0.03, 0.03):
+                assert rho_step(design, w, prev_rho=root + side) == pytest.approx(root, abs=1e-10)
+
+    def test_no_sign_change_falls_back_to_golden(self, monkeypatch):
+        design, _, w = make_design()
+        patch_block(monkeypatch, lambda r: (r - 0.2) ** 2 + 0.05)
+        calls = []
+        golden = sar._golden_max
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return golden(*args, **kwargs)
+
+        monkeypatch.setattr(sar, "_golden_max", counted)
+        monkeypatch.setattr(sar, "brentq", forbidden)
+        for prev in (None, 0.5):
+            assert rho_step(design, w, prev_rho=prev) == pytest.approx(0.2, abs=1e-6)
+        assert len(calls) == 2
+
+    def test_rho_values_per_iteration(self, monkeypatch):
+        # machine-independent work guard: rho values the evaluator is asked
+        # for in each outer iteration of m_fit
+        design, _, _ = make_design(seed=81)
+        per_step = []
+        block, step = sar._rho_block, sar._rho_step
+
+        def counted_block(cache, rhos, *args, **kwargs):
+            if per_step:
+                per_step[-1].append(np.atleast_1d(rhos).size)
+            return block(cache, rhos, *args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            per_step.append([])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(sar, "_rho_block", counted_block)
+        monkeypatch.setattr(sar, "_rho_step", counted_step)
+        fit = m_fit(design)
+        assert fit.converged
+        assert len(per_step) == fit.iterations
+        first, *rest = per_step
+        assert 65 in first and first.count(65) == 1
+        assert max(sum(sizes) for sizes in rest) <= 15
 
 
 class TestMFit:
@@ -333,6 +526,20 @@ class TestMFit:
             < t.eps_conv
         )
 
+    def test_fit_keeps_no_weights_alive(self):
+        # a fit must leave no reference cycle holding the weights: their
+        # resolvent cache (two n x n arrays) would live until the next
+        # garbage collection
+        design, _, w = make_design(seed=81)
+        ref = weakref.ref(w)
+        gc.disable()
+        try:
+            m_fit(design)
+            del design, w
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_rho_strictly_inside_bounds(self):
         design, _, w = make_design(seed=91)
         fit = m_fit(design)
@@ -364,12 +571,3 @@ class TestMFit:
         for c in (1.4, 2.4):
             psisq = np.clip(eps, -c, c) ** 2
             assert psisq.mean() == pytest.approx(rho_tilde(c), abs=3 * psisq.std() / np.sqrt(eps.size))
-
-    def test_lad_init_fallback(self):
-        design, _, _ = make_design(seed=101)
-        init = lad_init(design)
-        assert init.rho == 0.0
-        assert init.sigma > 0
-        fit = m_fit(design, init=init)
-        fit_default = m_fit(design)
-        assert abs(fit.rho - fit_default.rho) < 1e-3
