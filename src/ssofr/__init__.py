@@ -60,7 +60,6 @@ from .weights import (
     grid_contiguity,
     haversine_distance,
     inverse_distance_weights,
-    rho_bounds_for,
     row_normalize,
 )
 

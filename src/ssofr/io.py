@@ -130,7 +130,11 @@ def read_weights_matrix(path: str):
                     ids.append(u)
         index = {u: k for k, u in enumerate(ids)}
         w = np.zeros((len(ids), len(ids)))
+        given = set()
         for i, j, v in entries:
+            if (i, j) in given:
+                raise ValidationError(f"{path}: pair ({i}, {j}) is given more than once")
+            given.add((i, j))
             w[index[i], index[j]] = v
         return ids, w
     if header[0] != "id":

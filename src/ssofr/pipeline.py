@@ -86,12 +86,6 @@ def _decompose(method, coeffs, basis, Y, K, m_scale_config, hampel_config):
     raise ValidationError(f"unknown decomposition method {method!r}")
 
 
-def _reduced_form(rho: float, w: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    if rho == 0.0:
-        return mu
-    return np.linalg.solve(np.eye(mu.size) - rho * w, mu)
-
-
 def fit(
     dataset: FunctionalDataset,
     weights: SpatialWeights,
@@ -125,7 +119,7 @@ def fit(
 
     beta_coeffs = decomp.phi @ info.params.theta[1:]
     beta_grid = basis.eval @ beta_coeffs
-    fitted = _reduced_form(info.params.rho, weights.w, Z @ info.params.theta)
+    fitted = weights.reduced_form(info.params.rho, Z @ info.params.theta)
     metrics = {t: fit_metrics(dataset.response, fitted, t) for t in trim_grid}
     return FittedModel(
         basis=basis, decomposition=decomp, params=info.params, fit_info=info,
@@ -157,7 +151,7 @@ def predict(
     coeffs = project_curves(new_dataset, model.basis)
     scores = scores_for(model.decomposition, coeffs, model.basis)
     mu = model.params.theta[0] + scores @ model.params.theta[1:]
-    return _reduced_form(model.params.rho, weights_full.w, mu)
+    return weights_full.reduced_form(model.params.rho, mu)
 
 
 def _parse_rule(rule):

@@ -7,22 +7,25 @@ Gaussian log-likelihood with profile maximization over rho, the robust
 estimating equations with Huber-transformed standardized residuals, and the
 iterative M-estimator (weighted least squares for theta, a multiplicative
 scale update, and a rho step: the bracketed Brent root of the rho block;
-golden-section on its square only when the bracket has no sign change). One
-evaluator, vectorized over rho, computes the rho block in the eigenbasis of W
-(Ord 1975) for the estimating equations and for every rho step.
+golden-section on its square only when the bracket has no sign change).
+
+Every function of the spectrum of W comes from the `SpatialWeights` the
+design carries: log|det(I - rho W)| and tr W (I - rho W)^{-1} from its
+eigenvalues, and the eigenbasis in which one evaluator, vectorized over rho,
+computes the rho block (Ord 1975) for the estimating equations and for every
+rho step.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .exceptions import NumericalError, ValidationError
-from .weights import SpatialWeights
+from .exceptions import ValidationError
+from .weights import SpatialWeights, check_rho
 
 _SIGMA_FLOOR = 1e-300
 _RSS_FLOOR = 1e-300
@@ -123,108 +126,34 @@ class MTuning:
             raise ValidationError("bad convergence settings")
 
 
-class ResolventCache:
-    """Cached spectral machinery for (I - rho W)^{-1} along a rho path.
-
-    A one-time eigendecomposition of W gives O(n) log-determinants and traces
-    for every rho in the line searches, and the basis V, V^{-1} that the rho
-    block is evaluated in (see `_rho_block`). When W is too defective for a
-    reliable eigenbasis, `_V` is None and the rho block falls back to dense LU.
-    """
-
-    def __init__(self, weights: SpatialWeights):
-        self.w = weights.w
-        self.n = weights.n
-        self.rho_bounds = weights.rho_bounds
-        self.eigvals = None
-        self._V = None
-        self._Vinv = None
-        self.ridge_events = 0
-        try:
-            vals, V = np.linalg.eig(self.w)
-            Vinv = np.linalg.inv(V)
-            recon = (V * vals) @ Vinv
-            err = np.abs(recon - self.w).max()
-            if err <= 1e-8 * max(1.0, np.abs(self.w).max()):
-                self.eigvals = vals
-                self._V = V
-                self._Vinv = Vinv
-            else:
-                self.eigvals = vals  # still fine for logdet/trace
-        except np.linalg.LinAlgError:
-            pass
-
-    def _denom(self, rho: float, ridge: float = 0.0) -> np.ndarray:
-        return (1.0 + ridge) - rho * self.eigvals
-
-    def logdet(self, rho: float) -> float:
-        """log |det(I - rho W)|."""
-        if self.eigvals is not None:
-            d = self._denom(rho)
-            mag = np.abs(d)
-            if np.any(mag <= 0.0):
-                raise NumericalError("I - rho W singular at this rho")
-            return float(np.sum(np.log(mag)))
-        sign, val = np.linalg.slogdet(np.eye(self.n) - rho * self.w)
-        if sign == 0:
-            raise NumericalError("I - rho W singular at this rho")
-        return float(val)
-
-    def trace_g(self, rho: float, ridge: float = 0.0) -> float:
-        """trace[W (I - rho W)^{-1}]."""
-        if self.eigvals is not None:
-            return float(np.sum(self.eigvals / self._denom(rho, ridge)).real)
-        a = np.eye(self.n) * (1.0 + ridge) - rho * self.w
-        return float(np.trace(np.linalg.solve(a.T, self.w.T).T))
-
-
-_CACHE_REGISTRY: "weakref.WeakKeyDictionary[SpatialWeights, ResolventCache]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def resolvent_cache(weights: SpatialWeights) -> ResolventCache:
-    cache = _CACHE_REGISTRY.get(weights)
-    if cache is None:
-        cache = ResolventCache(weights)
-        _CACHE_REGISTRY[weights] = cache
-    return cache
-
-
 def log_likelihood(params: SarParams, design: SarDesign) -> float:
-    """Exact Gaussian log-likelihood; determinant by LU with log-abs terms."""
-    lo, hi = design.weights.rho_bounds
-    if not lo < params.rho < hi:
-        raise NumericalError(f"rho={params.rho} outside bounds ({lo}, {hi})")
+    """Exact Gaussian log-likelihood; log|det(I - rho W)| from the spectrum
+    of W that the weights carry."""
+    weights = design.weights
+    check_rho(params.rho, weights)
     n = design.n
-    a = np.eye(n) - params.rho * design.weights.w
-    sign, logdet = np.linalg.slogdet(a)
-    if sign == 0:
-        raise NumericalError("I - rho W is singular")
-    r = a @ design.Y - design.Z @ params.theta
+    r = design.Y - params.rho * (weights.w @ design.Y) - design.Z @ params.theta
     s = params.sigma
     return float(
         -0.5 * n * np.log(2.0 * np.pi)
         - n * np.log(s)
-        + logdet
+        + weights.logdet(params.rho)
         - 0.5 * (r @ r) / (s * s)
     )
 
 
-def eta_ml(params: SarParams, design: SarDesign, cache: ResolventCache | None = None) -> np.ndarray:
+def eta_ml(params: SarParams, design: SarDesign) -> np.ndarray:
     """Score of the log-likelihood: blocks for theta, sigma, rho."""
-    if cache is None:
-        cache = resolvent_cache(design.weights)
     wy = design.weights.w @ design.Y
     r = design.Y - params.rho * wy - design.Z @ params.theta
     s, n = params.sigma, design.n
     b_theta = design.Z.T @ r / s**2
     b_sigma = (r @ r) / s**3 - n / s
-    b_rho = (wy @ r) / s**2 - cache.trace_g(params.rho)
+    b_rho = (wy @ r) / s**2 - design.weights.trace_g(params.rho)
     return np.concatenate([b_theta, [b_sigma, b_rho]])
 
 
-def _rho_block(cache, rhos, y, wy, zt, sigma, tuning, a=None, events=None) -> np.ndarray:
+def _rho_block(weights, rhos, y, wy, zt, sigma, tuning, a=None, events=None) -> np.ndarray:
     """Rho block of the robust estimating equations at each rho of `rhos`:
 
         b(rho) = psi3' G (Z theta / sigma + psi3) - rho_tilde(c3) tr G,
@@ -234,40 +163,40 @@ def _rho_block(cache, rhos, y, wy, zt, sigma, tuning, a=None, events=None) -> np
 
         b(rho) = sum_k q_k (a_k / sigma + p_k) / d_k - rho_tilde(c3) sum_k lambda_k / d_k
 
-    with a = V^{-1} Z theta (pass it in to compute it once per theta),
-    p = V^{-1} psi3, q = lambda * (V' psi3) and d = 1 + ridge - rho lambda:
-    two n^2 matvecs per rho. Without an eigenbasis each rho takes one dense LU
-    solve. Where |1 - rho lambda| < 1e-12 for some eigenvalue, the ridge is
-    max(ridge_eps, 1e-8); each such rho counts in `cache.ridge_events` and,
-    when `events` is given, adds a line to it.
+    with (lambda, V, V^{-1}) = `weights.eigenbasis`, a = V^{-1} Z theta (pass
+    it in to compute it once per theta), p = V^{-1} psi3,
+    q = lambda * (V' psi3) and d = 1 + ridge - rho lambda: two n^2 matvecs per
+    rho. Without an eigenbasis each rho takes one dense LU solve. Where
+    |1 - rho lambda| < 1e-12 for some eigenvalue, the ridge is
+    max(ridge_eps, 1e-8); each such rho adds a line to `events` when given.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     rt3 = rho_tilde(tuning.c3)
     psi3 = np.clip(((y - zt)[:, None] - np.outer(wy, rhos)) / sigma, -tuning.c3, tuning.c3)
     ridge = np.full(rhos.size, float(tuning.ridge_eps))
-    if cache.eigvals is not None:
-        near = np.abs(1.0 - np.outer(rhos, cache.eigvals)).min(axis=1) < 1e-12
-        if near.any():
-            ridge[near] = max(tuning.ridge_eps, _RIDGE_EPS)
-            cache.ridge_events += int(near.sum())
-            if events is not None:
-                events.extend(f"ridge applied at rho={r:.6g}" for r in rhos[near])
-    if cache._V is not None:
-        lam = cache.eigvals[:, None]
+    near = np.abs(1.0 - np.outer(rhos, weights.eigvals)).min(axis=1) < 1e-12
+    if near.any():
+        ridge[near] = max(tuning.ridge_eps, _RIDGE_EPS)
+        if events is not None:
+            events.extend(f"ridge applied at rho={r:.6g}" for r in rhos[near])
+    basis = weights.eigenbasis
+    if basis is not None:
+        lam, V, Vinv = basis
+        lam = lam[:, None]
         d = (1.0 + ridge) - lam * rhos
         if a is None:
-            a = cache._Vinv @ zt
-        p = cache._Vinv @ psi3
-        q = lam * (cache._V.T @ psi3)
+            a = Vinv @ zt
+        p = Vinv @ psi3
+        q = lam * (V.T @ psi3)
         b = np.sum(q * (a[:, None] / sigma + p) / d, axis=0) - rt3 * np.sum(lam / d, axis=0)
         return b.real
-    w = cache.w
+    w = weights.w
     b = np.empty(rhos.size)
     for j, rho in enumerate(rhos):
         g = w @ np.linalg.solve(
-            np.eye(cache.n) * (1.0 + ridge[j]) - rho * w, np.column_stack([zt, psi3[:, j]])
+            np.eye(weights.n) * (1.0 + ridge[j]) - rho * w, np.column_stack([zt, psi3[:, j]])
         )
-        b[j] = psi3[:, j] @ (g[:, 0] / sigma + g[:, 1]) - rt3 * cache.trace_g(rho, ridge[j])
+        b[j] = psi3[:, j] @ (g[:, 0] / sigma + g[:, 1]) - rt3 * weights.trace_g(rho, ridge[j])
     return b
 
 
@@ -275,11 +204,8 @@ def eta_robust(
     params: SarParams,
     design: SarDesign,
     tuning: MTuning = MTuning(),
-    cache: ResolventCache | None = None,
 ) -> np.ndarray:
     """Robust estimating equations with Huber-transformed residuals."""
-    if cache is None:
-        cache = resolvent_cache(design.weights)
     wy = design.weights.w @ design.Y
     zt = design.Z @ params.theta
     s = params.sigma
@@ -292,7 +218,7 @@ def eta_robust(
     psi2 = huber_psi(eps, tuning.c2)
     block2 = float(psi2 @ psi2 - n * rho_tilde(tuning.c2))
 
-    block3 = float(_rho_block(cache, params.rho, design.Y, wy, zt, s, tuning)[0])
+    block3 = float(_rho_block(design.weights, params.rho, design.Y, wy, zt, s, tuning)[0])
     return np.concatenate([block1, [block2, block3]])
 
 
@@ -351,7 +277,6 @@ def ml_fit(design: SarDesign) -> SarFit:
     sigma^2 the mean squared residual; the profile is maximized by a coarse
     grid bracket followed by golden-section refinement.
     """
-    cache = resolvent_cache(design.weights)
     n = design.n
     Y, Z = design.Y, design.Z
     wy = design.weights.w @ Y
@@ -366,7 +291,7 @@ def ml_fit(design: SarDesign) -> SarFit:
         return max(qa - 2.0 * rho * qb + rho * rho * qc, _RSS_FLOOR)
 
     def profile(rho: float) -> float:
-        return -0.5 * n * np.log(rss(rho) / n) + cache.logdet(rho)
+        return -0.5 * n * np.log(rss(rho) / n) + design.weights.logdet(rho)
 
     lo, hi = design.weights.rho_bounds
     width = hi - lo
@@ -390,7 +315,7 @@ def ml_fit(design: SarDesign) -> SarFit:
         ),
     )
     if sigma_hat > 1e-100:
-        fit.eta_norm = float(np.linalg.norm(eta_ml(params, design, cache)))
+        fit.eta_norm = float(np.linalg.norm(eta_ml(params, design)))
     else:
         fit.events.append("degenerate zero-residual fit; score norm skipped")
     if boundary:
@@ -408,7 +333,7 @@ def _known_or_block(rho, known, block) -> float:
     return known[rho] if rho in known else block(rho)[0]
 
 
-def _rho_step(design, cache, theta, sigma, tuning, wy, zt, prev_rho=None):
+def _rho_step(design, sigma, tuning, wy, zt, prev_rho=None):
     """Root of the rho block of the robust equations inside the bounds.
 
     The bracket comes from a 65-point scan of |b| in one vectorized
@@ -422,10 +347,12 @@ def _rho_step(design, cache, theta, sigma, tuning, wy, zt, prev_rho=None):
     width = hi - lo
     glo, ghi = lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width
     events = []
-    a = None if cache._V is None else cache._Vinv @ zt
+    weights = design.weights
+    basis = weights.eigenbasis
+    a = None if basis is None else basis[2] @ zt
 
     def block(rhos) -> np.ndarray:
-        return _rho_block(cache, rhos, design.Y, wy, zt, sigma, tuning, a=a, events=events)
+        return _rho_block(weights, rhos, design.Y, wy, zt, sigma, tuning, a=a, events=events)
 
     blo = bhi = None
     if prev_rho is not None:
@@ -473,7 +400,6 @@ def m_fit(
     sign change (see `_rho_step`). Stops when the Euclidean change of the full
     parameter vector falls below eps_conv.
     """
-    cache = resolvent_cache(design.weights)
     if init is None:
         init = ml_fit(design).params
     theta = np.asarray(init.theta, dtype=float).copy()
@@ -511,7 +437,7 @@ def m_fit(
         # iteration on one root when the rho equation has several.
         zt = Z @ theta
         warm = rho if it > 1 else None
-        rho, ev = _rho_step(design, cache, theta, sigma, tuning, wy, zt, prev_rho=warm)
+        rho, ev = _rho_step(design, sigma, tuning, wy, zt, prev_rho=warm)
         events.extend(ev)
 
         cur = np.concatenate([theta, [sigma, rho]])
@@ -525,7 +451,7 @@ def m_fit(
         params=params, method="M", converged=converged,
         iterations=len(history), events=events, history=history,
     )
-    fit.eta_norm = float(np.linalg.norm(eta_robust(params, design, tuning, cache)))
+    fit.eta_norm = float(np.linalg.norm(eta_robust(params, design, tuning)))
     if not converged:
         fit.events.append(f"no convergence within {tuning.max_iter} iterations")
     return fit

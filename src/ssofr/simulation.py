@@ -128,10 +128,7 @@ def simulate(spec: SimSpec):
     eps = rng_noise.standard_normal(spec.n) * spec.sigma
 
     rhs = spec.beta0 + signal + eps
-    if spec.rho == 0.0:
-        y_clean = rhs
-    else:
-        y_clean = np.linalg.solve(np.eye(spec.n) - spec.rho * weights.w, rhs)
+    y_clean = weights.reduced_form(spec.rho, rhs)
 
     y = y_clean.copy()
     if vertical_idx.size:

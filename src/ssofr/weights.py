@@ -1,16 +1,24 @@
 """Spatial weight matrices: great-circle distances, inverse-distance and
-grid-contiguity schemes, row normalization, and the admissible interval for
-the spatial autocorrelation parameter.
+grid-contiguity schemes, row normalization, and the spectrum of W.
 
-The admissible interval for rho is (-1/|lambda_min|, 1) where lambda_min is
-the smallest real eigenvalue of the row-normalized matrix. Asymmetric
-row-normalized matrices can have complex eigenvalues; lambda_min is taken
-over the (numerically) real ones, falling back to -1 when none is negative.
+`SpatialWeights` owns the spectrum of its matrix. The eigenvalues are
+computed once, when the object is built, and give the admissible interval
+for rho, log|det(I - rho W)| and tr W (I - rho W)^{-1} in O(n) per rho
+(Ord 1975). The eigenbasis is built on first use, by the M-estimator's rho
+block only.
+
+The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
+lambda_min and lambda_max are the smallest and largest real eigenvalues of W.
+Asymmetric matrices can have complex eigenvalues; only the (numerically)
+real ones are used. lambda_min falls back to -1 when none is negative, and
+the upper end is 1 unless lambda_max exceeds 1, as it can for a matrix that
+is not row-normalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +49,19 @@ def haversine_distance(lat1, lon1, lat2, lon2, radius_km: float = EARTH_RADIUS_K
 
 @dataclass(frozen=True, eq=False)
 class SpatialWeights:
-    """Row-normalized n x n spatial weight matrix with zero diagonal."""
+    """n x n spatial weight matrix with zero diagonal, and its spectrum.
+
+    `eigvals` is computed when the object is built unless it is given;
+    `dataclasses.replace` passes it on to the copy. `lambda_min` and
+    `rho_bounds` are derived from it.
+    """
 
     w: np.ndarray
     scheme: str
-    lambda_min: float
-    rho_bounds: tuple
     isolated: np.ndarray = field(default=None, repr=False)
+    eigvals: np.ndarray = field(default=None, repr=False)
+    lambda_min: float = field(init=False)
+    rho_bounds: tuple = field(init=False)
 
     @property
     def n(self) -> int:
@@ -58,26 +72,56 @@ class SpatialWeights:
             object.__setattr__(
                 self, "isolated", np.zeros(self.w.shape[0], dtype=bool)
             )
+        if self.eigvals is None:
+            object.__setattr__(self, "eigvals", np.linalg.eigvals(self.w))
+        eigs = self.eigvals
+        scale = max(1.0, float(np.abs(eigs).max()))
+        real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
+        lam_min = float(real.min()) if real.size and real.min() < 0.0 else -1.0
+        lam_max = float(real.max()) if real.size else 1.0
+        upper = 1.0 / lam_max if lam_max > 1.0 + _REAL_EIG_TOL else 1.0
+        object.__setattr__(self, "lambda_min", lam_min)
+        object.__setattr__(self, "rho_bounds", (-1.0 / abs(lam_min), upper))
 
+    @cached_property
+    def eigenbasis(self):
+        """(lam, V, V^{-1}) with W V = V diag(lam), built on first use; None
+        when W is too defective for a reliable eigenbasis.
 
-def _min_real_eigenvalue(w: np.ndarray) -> float:
-    """Smallest real eigenvalue; -1 when the real spectrum has none below 0."""
-    eigs = np.linalg.eigvals(w)
-    scale = max(1.0, float(np.abs(eigs).max()) if eigs.size else 1.0)
-    real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
-    if real.size == 0 or real.min() >= 0.0:
-        return -1.0
-    return float(real.min())
+        `lam` comes from the same decomposition as V and is the one to pair
+        with it: it need not equal `eigvals` to the last bit, nor share its
+        order.
+        """
+        try:
+            lam, V = np.linalg.eig(self.w)
+            Vinv = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
+            return None
+        err = np.abs((V * lam) @ Vinv - self.w).max()
+        if err > 1e-8 * max(1.0, np.abs(self.w).max()):
+            return None
+        return lam, V, Vinv
 
+    def logdet(self, rho: float) -> float:
+        """log |det(I - rho W)|."""
+        mag = np.abs(1.0 - rho * self.eigvals)
+        if np.any(mag <= 0.0):
+            raise NumericalError("I - rho W singular at this rho")
+        return float(np.sum(np.log(mag)))
 
-def rho_bounds_for(w_normalized: np.ndarray) -> tuple:
-    """Open interval (-1/|lambda_min|, 1) keeping I - rho W invertible."""
-    lam = _min_real_eigenvalue(w_normalized)
-    return (-1.0 / abs(lam), 1.0)
+    def trace_g(self, rho: float, ridge: float = 0.0) -> float:
+        """trace[W ((1 + ridge) I - rho W)^{-1}]."""
+        return float(np.sum(self.eigvals / ((1.0 + ridge) - rho * self.eigvals)).real)
+
+    def reduced_form(self, rho: float, mu: np.ndarray) -> np.ndarray:
+        """(I - rho W)^{-1} mu."""
+        if rho == 0.0:
+            return mu
+        return np.linalg.solve(np.eye(mu.size) - rho * self.w, mu)
 
 
 def from_matrix(raw: np.ndarray, scheme: str = "custom", normalize: bool = True) -> SpatialWeights:
-    """Build SpatialWeights from a raw matrix.
+    """Build SpatialWeights from a raw nonnegative matrix.
 
     The diagonal is zeroed; with normalize=True each nonzero row is scaled to
     sum 1 and all-zero rows are kept and flagged as isolated units.
@@ -90,16 +134,15 @@ def from_matrix(raw: np.ndarray, scheme: str = "custom", normalize: bool = True)
     if not np.all(np.isfinite(w)):
         raise ValidationError("weight matrix contains non-finite values")
     np.fill_diagonal(w, 0.0)
+    if np.any(w < 0.0):
+        i, j = np.argwhere(w < 0.0)[0]
+        raise ValidationError(f"weight matrix has a negative weight at ({i}, {j})")
     sums = w.sum(axis=1)
     isolated = sums == 0.0
     if normalize:
         safe = np.where(isolated, 1.0, sums)
         w = w / safe[:, None]
-    lam = _min_real_eigenvalue(w)
-    return SpatialWeights(
-        w=w, scheme=scheme, lambda_min=lam,
-        rho_bounds=(-1.0 / abs(lam), 1.0), isolated=isolated,
-    )
+    return SpatialWeights(w=w, scheme=scheme, isolated=isolated)
 
 
 def row_normalize(raw: np.ndarray, scheme: str = "custom") -> SpatialWeights:

@@ -8,6 +8,7 @@ from ssofr import (
     BasisSpec,
     FunctionalDataset,
     SimSpec,
+    ValidationError,
     fit,
     fit_metrics,
     from_matrix,
@@ -351,6 +352,15 @@ class TestWeightsCommand:
         assert wm[0, 1] == pytest.approx(0.75, abs=1e-12)
 
 
+    def test_negative_weight_exit_2(self, tmp_path, capsys):
+        wmat = tmp_path / "w.csv"
+        raw = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        sio.write_weights_matrix(str(wmat), ["a", "b", "c"], raw)
+        code = run_cli("weights", "--weights-matrix", wmat, "--out", tmp_path / "w")
+        assert code == 2
+        assert "negative weight" in capsys.readouterr().err
+
+
 class TestIdAlignment:
     def test_response_reordered_by_id(self, tmp_path):
         resp = tmp_path / "resp.csv"
@@ -408,6 +418,15 @@ class TestTripletWeights:
         assert w[0, 1] == 0.5 and w[0, 2] == 0.5
         assert w[1, 0] == 1.0 and w[2, 0] == 1.0
         assert w[1, 2] == 0.0
+
+    def test_repeated_pair_rejected(self, tmp_path):
+        path = tmp_path / "w.csv"
+        sio.write_csv(
+            str(path), ("i", "j", "w"),
+            [("a", "b", "1.0"), ("b", "a", "1.0"), ("a", "b", "5.0")],
+        )
+        with pytest.raises(ValidationError, match=r"pair \(a, b\)"):
+            sio.read_weights_matrix(str(path))
 
 
 class TestWideFormat:

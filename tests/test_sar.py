@@ -306,80 +306,74 @@ def random_state(rng, w, scale=2.0):
 
 
 class TestResolventCache:
+    """The spectral routes of `SpatialWeights` (logdet, trace_g and the rho
+    block in the eigenbasis or by dense LU) against dense oracles."""
+
     def test_defective_w_falls_back_to_dense(self):
-        # nilpotent chain graph: the eigenbasis is singular, so every cache
-        # operation must route through dense linear algebra
-        from ssofr.sar import ResolventCache
+        # nilpotent chain graph: the eigenbasis is singular, so the rho block
+        # must route through dense linear algebra
         from ssofr import from_matrix
 
         raw = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         w = from_matrix(raw, normalize=False)
-        cache = ResolventCache(w)
-        assert cache._V is None
+        assert w.eigenbasis is None
         rho = 0.4
         a = np.eye(3) - rho * w.w
-        assert cache.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-12)
-        assert cache.trace_g(rho) == pytest.approx(
+        assert w.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-12)
+        assert w.trace_g(rho) == pytest.approx(
             np.trace(w.w @ np.linalg.inv(a)), abs=1e-12
         )
         y, zt = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.2, 0.1])
         wy = w.w @ y
         for sigma in (0.3, 2.0):
-            got = sar._rho_block(cache, [rho, -0.7], y, wy, zt, sigma, MTuning())
+            got = sar._rho_block(w, [rho, -0.7], y, wy, zt, sigma, MTuning())
             for j, r in enumerate((rho, -0.7)):
                 assert got[j] == pytest.approx(
                     dense_rho_block(w.w, r, y, wy, zt, sigma), abs=1e-12
                 )
 
     def test_eigen_route_matches_dense(self, rng):
-        from ssofr.sar import ResolventCache
         from ssofr import row_normalize
 
         w = row_normalize(rng.uniform(0, 1, (15, 15)))
-        cache = ResolventCache(w)
-        assert cache._V is not None
+        assert w.eigenbasis is not None
         for rho in (-0.5, 0.0, 0.3, 0.8):
             a = np.eye(15) - rho * w.w
-            assert cache.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-10)
-            assert cache.trace_g(rho) == pytest.approx(
+            assert w.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-10)
+            assert w.trace_g(rho) == pytest.approx(
                 np.trace(w.w @ np.linalg.inv(a)), abs=1e-9
             )
             y, wy, zt, sigma = random_state(rng, w)
-            got = sar._rho_block(cache, rho, y, wy, zt, sigma, MTuning())
+            got = sar._rho_block(w, rho, y, wy, zt, sigma, MTuning())
             assert got[0] == pytest.approx(
                 dense_rho_block(w.w, rho, y, wy, zt, sigma), abs=1e-9
             )
 
     def test_rho_block_grid_matches_scalar(self, rng):
-        from ssofr.sar import ResolventCache
         from ssofr import row_normalize
 
         w = row_normalize(rng.uniform(0, 1, (12, 12)))
-        cache = ResolventCache(w)
         rhos = np.array([-0.4, 0.1, 0.6])
         y, wy, zt, sigma = random_state(rng, w)
         tuning = MTuning()
-        a = cache._Vinv @ zt
-        grid = sar._rho_block(cache, rhos, y, wy, zt, sigma, tuning)
-        grid_a = sar._rho_block(cache, rhos, y, wy, zt, sigma, tuning, a=a)
+        a = w.eigenbasis[2] @ zt
+        grid = sar._rho_block(w, rhos, y, wy, zt, sigma, tuning)
+        grid_a = sar._rho_block(w, rhos, y, wy, zt, sigma, tuning, a=a)
         for j, rho in enumerate(rhos):
-            single = sar._rho_block(cache, rho, y, wy, zt, sigma, tuning)[0]
+            single = sar._rho_block(w, rho, y, wy, zt, sigma, tuning)[0]
             assert grid[j] == pytest.approx(single, abs=1e-10)
             assert grid_a[j] == pytest.approx(single, abs=1e-10)
 
     @pytest.mark.parametrize("ridge_eps", [0.0, 1e-6])
     def test_ridge_path(self, rng, ridge_eps):
         # rho = 1 is a pole of the resolvent of a row-normalized W
-        from ssofr.sar import ResolventCache
         from ssofr import row_normalize
 
         w = row_normalize(rng.uniform(0, 1, (10, 10)))
-        cache = ResolventCache(w)
         y, wy, zt, sigma = random_state(rng, w)
         tuning = MTuning(ridge_eps=ridge_eps)
         events = []
-        got = sar._rho_block(cache, [0.5, 1.0], y, wy, zt, sigma, tuning, events=events)
-        assert cache.ridge_events == 1
+        got = sar._rho_block(w, [0.5, 1.0], y, wy, zt, sigma, tuning, events=events)
         assert events == ["ridge applied at rho=1"]
         ridge = max(ridge_eps, 1e-8)
         assert got[0] == pytest.approx(dense_rho_block(w.w, 0.5, y, wy, zt, sigma, tuning, ridge_eps), abs=1e-9)
@@ -391,7 +385,7 @@ class TestResolventCache:
 def patch_block(monkeypatch, b):
     """Replace the rho block by b(rho), applied to each rho."""
     monkeypatch.setattr(
-        sar, "_rho_block", lambda cache, rhos, *args, **kwargs: np.array(
+        sar, "_rho_block", lambda weights, rhos, *args, **kwargs: np.array(
             [b(r) for r in np.atleast_1d(rhos)]
         ),
     )
@@ -405,8 +399,7 @@ def rho_step(design, w, prev_rho=None):
     """_rho_step at the design's true parameters."""
     theta = np.array([1.0, 0.5, -0.3])
     rho, _ = sar._rho_step(
-        design, sar.resolvent_cache(w), theta, 0.8, MTuning(),
-        w.w @ design.Y, design.Z @ theta, prev_rho=prev_rho,
+        design, 0.8, MTuning(), w.w @ design.Y, design.Z @ theta, prev_rho=prev_rho,
     )
     return rho
 
@@ -415,7 +408,6 @@ class TestRhoStep:
     @pytest.mark.parametrize("seed", [5, 13, 29])
     def test_matches_golden_oracle(self, seed):
         design, params, w = make_design(seed=seed)
-        cache = sar.resolvent_cache(w)
         rng = np.random.default_rng(seed)
         wy = w.w @ design.Y
         tuning = MTuning()
@@ -428,7 +420,7 @@ class TestRhoStep:
                 return dense_rho_block(w.w, r, design.Y, wy, zt, sigma, tuning)
 
             for prev in (None, float(rng.uniform(-0.5, 0.8))):
-                rho, _ = sar._rho_step(design, cache, theta, sigma, tuning, wy, zt, prev_rho=prev)
+                rho, _ = sar._rho_step(design, sigma, tuning, wy, zt, prev_rho=prev)
                 oracle = golden_rho_oracle(block, w.rho_bounds, prev_rho=prev)
                 assert abs(rho - oracle) <= 1e-8
 
@@ -466,10 +458,10 @@ class TestRhoStep:
         per_step = []
         block, step = sar._rho_block, sar._rho_step
 
-        def counted_block(cache, rhos, *args, **kwargs):
+        def counted_block(weights, rhos, *args, **kwargs):
             if per_step:
                 per_step[-1].append(np.atleast_1d(rhos).size)
-            return block(cache, rhos, *args, **kwargs)
+            return block(weights, rhos, *args, **kwargs)
 
         def counted_step(*args, **kwargs):
             per_step.append([])
@@ -483,6 +475,37 @@ class TestRhoStep:
         first, *rest = per_step
         assert 65 in first and first.count(65) == 1
         assert max(sum(sizes) for sizes in rest) <= 15
+
+
+class TestEigenWork:
+    """Machine-independent work guard: eigendecompositions of W per fit."""
+
+    @pytest.fixture()
+    def eig_calls(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        for lib in (np.linalg, scipy.linalg):
+            for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+                def counted(*args, _name=name, _real=getattr(lib, name), **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(lib, name, counted)
+        return calls
+
+    def test_ml_fit_reads_the_eigenvalues_of_the_weights(self, eig_calls):
+        design, _, _ = make_design(seed=81)
+        assert eig_calls == ["eigvals"]
+        ml_fit(design)
+        assert eig_calls == ["eigvals"]
+
+    def test_m_fit_builds_the_eigenbasis_once(self, eig_calls):
+        design, _, _ = make_design(seed=81)
+        m_fit(design)
+        assert eig_calls == ["eigvals", "eig"]
+        m_fit(design)
+        assert eig_calls == ["eigvals", "eig"]
 
 
 class TestMFit:

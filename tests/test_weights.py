@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssofr import (
     ValidationError,
@@ -7,7 +9,6 @@ from ssofr import (
     grid_contiguity,
     haversine_distance,
     inverse_distance_weights,
-    rho_bounds_for,
     row_normalize,
 )
 
@@ -96,9 +97,28 @@ class TestGridContiguity:
 class TestRhoBounds:
     def test_two_point_bounds(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        lo, hi = rho_bounds_for(w)
+        lo, hi = from_matrix(w, normalize=False).rho_bounds
         assert lo == pytest.approx(-1.0)
         assert hi == 1.0
+
+    def test_upper_bound_of_unnormalized_matrix(self):
+        # eigenvalues +-sqrt(6): I - rho W is singular at rho = 1/sqrt(6)
+        w = from_matrix([[0.0, 2.0], [3.0, 0.0]], normalize=False)
+        lo, hi = w.rho_bounds
+        assert lo == pytest.approx(-1 / np.sqrt(6), abs=1e-12)
+        assert hi == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+        assert abs(np.linalg.det(np.eye(2) - hi * w.w)) < 1e-12
+        for rho in np.linspace(lo, hi, 9)[1:-1]:
+            assert abs(np.linalg.det(np.eye(2) - rho * w.w)) > 0.1
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_contiguity(4, 5, "rook"),
+        lambda: grid_contiguity(4, 5, "queen"),
+        lambda: inverse_distance_weights([0.0, 1.0, 2.0, 5.0], [0.0, 3.0, 1.0, 2.0]),
+        lambda: row_normalize(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+    ])
+    def test_row_normalized_upper_bound_is_one(self, build):
+        assert build().rho_bounds[1] == 1.0
 
     def test_queen_grid_vs_dense_eigen_oracle(self):
         w = grid_contiguity(3, 3, "queen")
@@ -148,3 +168,45 @@ class TestRowNormalize:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
             row_normalize(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_rejects_negative_weights(self, normalize):
+        # the row (0, 1, -1) sums to 0 and would pass as an isolated unit
+        raw = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"negative weight at \(0, 2\)"):
+            from_matrix(raw, normalize=normalize)
+
+
+class TestSpectrum:
+    def test_replace_shares_the_eigenvalues(self):
+        import dataclasses
+
+        w = grid_contiguity(3, 3, "queen")
+        copy = dataclasses.replace(w, w=w.w.copy())
+        assert copy.eigvals is w.eigvals
+        assert copy.rho_bounds == w.rho_bounds
+        assert copy.lambda_min == w.lambda_min
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 9),
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(-0.9, 0.9),
+    )
+    def test_unit_permutation(self, n, seed, frac):
+        # the spectrum of W, and so everything built on it, does not depend
+        # on the order of the units
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0, 1, (n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        raw = raw + raw.T
+        perm = rng.permutation(n)
+        w = row_normalize(raw)
+        wp = row_normalize(raw[np.ix_(perm, perm)])
+        assert wp.rho_bounds == pytest.approx(w.rho_bounds, rel=1e-10, abs=1e-10)
+        lo, hi = w.rho_bounds
+        rho = frac * (hi if frac > 0 else -lo)
+        assert wp.logdet(rho) == pytest.approx(w.logdet(rho), rel=1e-10, abs=1e-10)
+        assert wp.trace_g(rho) == pytest.approx(w.trace_g(rho), rel=1e-10, abs=1e-10)
+        mu = rng.standard_normal(n)
+        y = w.reduced_form(rho, mu)
+        assert np.allclose(wp.reduced_form(rho, mu[perm]), y[perm], rtol=1e-10, atol=1e-10)
