@@ -397,8 +397,11 @@ def m_fit(
     sigma multiplicatively so the scale block of the estimating equations is
     solved at the fixed point, and updates rho to the bracketed Brent root of
     the rho block; golden-section on its square only when the bracket has no
-    sign change (see `_rho_step`). Stops when the Euclidean change of the full
-    parameter vector falls below eps_conv.
+    sign change (see `_rho_step`). Stops when the Euclidean norm of the step
+    [d theta / sigma, d sigma / sigma, d rho], with the new sigma, falls below
+    eps_conv: theta and sigma are measured in units of the response's scale,
+    so the rule, and with it the iteration path, does not change when Y is
+    rescaled.
     """
     if init is None:
         init = ml_fit(design).params
@@ -442,7 +445,9 @@ def m_fit(
 
         cur = np.concatenate([theta, [sigma, rho]])
         history.append(cur)
-        if float(np.linalg.norm(cur - prev)) < tuning.eps_conv:
+        step = cur - prev
+        step[:-1] /= sigma
+        if float(np.linalg.norm(step)) < tuning.eps_conv:
             converged = True
             break
 

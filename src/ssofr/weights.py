@@ -7,6 +7,16 @@ for rho, log|det(I - rho W)| and tr W (I - rho W)^{-1} in O(n) per rho
 (Ord 1975). The eigenbasis is built on first use, by the M-estimator's rho
 block only.
 
+The spectrum takes one of two routes, chosen from W itself. Every built-in
+scheme, and most custom matrices, are W = D^{-1} A with symmetric A: W is
+then similar to the symmetric S = D^{1/2} W D^{-1/2} (LeSage & Pace 2009,
+ch. 4). `_symmetrizer` finds such a diagonal D when one exists, for
+row-normalized and unnormalized matrices alike; the eigenvalues are then one
+symmetric `eigvalsh(S)` (real and sorted), and the eigenbasis one `eigh(S)`,
+S = U Lambda U', with V = D^{-1/2} U and V^{-1} = U' D^{1/2}. Any other W
+takes the general nonsymmetric `eigvals`, and `eig` + `inv` + a
+reconstruction check for the eigenbasis.
+
 The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
 lambda_min and lambda_max are the smallest and largest real eigenvalues of W.
 Asymmetric matrices can have complex eigenvalues; only the (numerically)
@@ -21,11 +31,69 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import NumericalError, ValidationError
 
 EARTH_RADIUS_KM = 6371.0
 _REAL_EIG_TOL = 1e-9
+_SYM_RTOL = 1e-12
+_SYM_BLOCK = 1 << 15  # entries per row block of the symmetry check
+
+
+def _symmetrizer(w: np.ndarray):
+    """Positive d with D^{1/2} W D^{-1/2} symmetric, or None if there is none.
+
+    Such a d exists exactly when the nonzero pattern of W is symmetric and
+    d_i W_ij = d_j W_ji for every i, j; for W = D^{-1} A with symmetric A, d
+    is the row sums of A up to one factor per connected component. d comes
+    from d_j = d_i W_ij / W_ji along a breadth-first forest of the pattern,
+    built level by level on the dense rows, with the first unit of each
+    component (an isolated unit is one) as a root with d = 1. It is accepted
+    only when every entry of D W matches its mirror to 1e-12 relative, which
+    is S = D^{1/2} W D^{-1/2} matching its transpose entry by entry. The
+    pattern takes n^2 bytes and the value check runs in row blocks, so the
+    memory all this takes stays well below that of the n x n S itself.
+    """
+    n = w.shape[0]
+    pattern = w != 0.0
+    if not np.array_equal(pattern, pattern.T):
+        return None
+    d = np.ones(n)
+    unseen = np.ones(n, dtype=bool)
+    for root in range(n):
+        if not unseen[root]:
+            continue
+        unseen[root] = False
+        frontier = np.array([root])
+        while frontier.size:
+            reach = pattern[frontier] & unseen
+            new = np.flatnonzero(reach.any(axis=0))
+            parent = frontier[reach[:, new].argmax(axis=0)]
+            d[new] = d[parent] * (w[parent, new] / w[new, parent])
+            unseen[new] = False
+            frontier = new
+    del pattern
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        return None
+    step = max(1, _SYM_BLOCK // n)
+    for i0 in range(0, n, step):
+        rows = d[i0:i0 + step, None] * w[i0:i0 + step]
+        mirror = (w[:, i0:i0 + step] * d[:, None]).T
+        mirror -= rows
+        np.abs(rows, out=rows)
+        if np.any(np.abs(mirror) > _SYM_RTOL * rows):
+            return None
+    return d
+
+
+def _symmetric_form(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """S = D^{1/2} W D^{-1/2}, transposed: the one Fortran-ordered n x n
+    copy that the symmetric solvers may overwrite in place."""
+    s = np.sqrt(d)
+    sym = w * s[:, None]
+    sym /= s
+    return sym.T
 
 
 def haversine_distance(lat1, lon1, lat2, lon2, radius_km: float = EARTH_RADIUS_KM):
@@ -53,7 +121,9 @@ class SpatialWeights:
 
     `eigvals` is computed when the object is built unless it is given;
     `dataclasses.replace` passes it on to the copy. `lambda_min` and
-    `rho_bounds` are derived from it.
+    `rho_bounds` are derived from it. When W has a symmetrizer (see
+    `_symmetrizer`), `eigvals` is real and sorted, from one symmetric
+    `eigvalsh`; otherwise it is the complex array of the general `eigvals`.
     """
 
     w: np.ndarray
@@ -73,7 +143,14 @@ class SpatialWeights:
                 self, "isolated", np.zeros(self.w.shape[0], dtype=bool)
             )
         if self.eigvals is None:
-            object.__setattr__(self, "eigvals", np.linalg.eigvals(self.w))
+            if self._scaling is None:
+                eigs = np.linalg.eigvals(self.w)
+            else:
+                eigs = scipy.linalg.eigvalsh(
+                    _symmetric_form(self.w, self._scaling), overwrite_a=True,
+                    check_finite=False, driver="evd",
+                )
+            object.__setattr__(self, "eigvals", eigs)
         eigs = self.eigvals
         scale = max(1.0, float(np.abs(eigs).max()))
         real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
@@ -84,14 +161,35 @@ class SpatialWeights:
         object.__setattr__(self, "rho_bounds", (-1.0 / abs(lam_min), upper))
 
     @cached_property
+    def _scaling(self):
+        """d of `_symmetrizer(w)`, or None: the route both spectra take."""
+        return _symmetrizer(self.w)
+
+    @cached_property
     def eigenbasis(self):
         """(lam, V, V^{-1}) with W V = V diag(lam), built on first use; None
         when W is too defective for a reliable eigenbasis.
+
+        With a symmetrizer d, one symmetric `eigh` of S = D^{1/2} W D^{-1/2}
+        = U diag(lam) U' gives real lam (ascending), V = D^{-1/2} U and
+        V^{-1} = U' D^{1/2}, with no inverse and no check. Otherwise the
+        general `eig` gives complex lam and V, V^{-1} is their inverse, and
+        the reconstruction V diag(lam) V^{-1} must match W to 1e-8.
 
         `lam` comes from the same decomposition as V and is the one to pair
         with it: it need not equal `eigvals` to the last bit, nor share its
         order.
         """
+        d = self._scaling
+        if d is not None:
+            lam, V = scipy.linalg.eigh(
+                _symmetric_form(self.w, d), overwrite_a=True,
+                check_finite=False, driver="evd",
+            )
+            s = np.sqrt(d)
+            Vinv = V.T * s
+            V /= s[:, None]
+            return lam, V, Vinv
         try:
             lam, V = np.linalg.eig(self.w)
             Vinv = np.linalg.inv(V)

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 import ssofr.sar as sar
@@ -494,14 +496,35 @@ class TestEigenWork:
                 monkeypatch.setattr(lib, name, counted)
         return calls
 
+    @staticmethod
+    def asymmetric_design(seed=81, n=60):
+        # a dense row-normalized W with no symmetrizer: the general route
+        from ssofr import from_matrix
+
+        rng = np.random.default_rng(seed)
+        w = from_matrix(rng.uniform(0.0, 1.0, (n, n)))
+        Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        Y = w.reduced_form(0.3, Z @ np.array([1.0, 0.5, -0.3]) + rng.standard_normal(n))
+        return SarDesign(Y=Y, Z=Z, weights=w)
+
     def test_ml_fit_reads_the_eigenvalues_of_the_weights(self, eig_calls):
         design, _, _ = make_design(seed=81)
-        assert eig_calls == ["eigvals"]
+        assert eig_calls == ["eigvalsh"]
         ml_fit(design)
-        assert eig_calls == ["eigvals"]
+        assert eig_calls == ["eigvalsh"]
 
     def test_m_fit_builds_the_eigenbasis_once(self, eig_calls):
         design, _, _ = make_design(seed=81)
+        m_fit(design)
+        assert eig_calls == ["eigvalsh", "eigh"]
+        m_fit(design)
+        assert eig_calls == ["eigvalsh", "eigh"]
+
+    def test_asymmetric_w_takes_the_general_route(self, eig_calls):
+        design = self.asymmetric_design()
+        assert eig_calls == ["eigvals"]
+        ml_fit(design)
+        assert eig_calls == ["eigvals"]
         m_fit(design)
         assert eig_calls == ["eigvals", "eig"]
         m_fit(design)
@@ -548,6 +571,23 @@ class TestMFit:
             np.linalg.norm(fit2.params.as_vector() - fit1.params.as_vector())
             < t.eps_conv
         )
+
+    @settings(max_examples=12, deadline=None)
+    @given(log10_c=st.floats(-4.0, 4.0))
+    def test_scale_equivariance(self, log10_c):
+        # the stop rule measures the theta and sigma steps in units of sigma,
+        # so a rescaled response takes the same path to the same estimates
+        c = 10.0**log10_c
+        design, _, w = make_design(seed=61, n_side=12, rho=0.4, sigma=1.0)
+        y = design.Y.copy()
+        y[np.random.default_rng(8).choice(design.n, design.n // 10, replace=False)] += 20.0
+        base = m_fit(SarDesign(Y=y, Z=design.Z, weights=w))
+        scaled = m_fit(SarDesign(Y=c * y, Z=design.Z, weights=w))
+        assert scaled.iterations == base.iterations
+        assert scaled.converged == base.converged
+        assert scaled.rho == pytest.approx(base.rho, abs=1e-8)
+        assert scaled.sigma / c == pytest.approx(base.sigma, rel=1e-8)
+        assert np.allclose(scaled.theta / c, base.theta, rtol=1e-8, atol=0.0)
 
     def test_fit_keeps_no_weights_alive(self):
         # a fit must leave no reference cycle holding the weights: their

@@ -11,6 +11,46 @@ from ssofr import (
     inverse_distance_weights,
     row_normalize,
 )
+from ssofr.weights import _symmetrizer
+
+
+def general_spectrum(w):
+    """Reference for the general route: the nonsymmetric `eigvals`, the rho
+    interval from its real eigenvalues, and `eig` + `inv` for the
+    eigenbasis."""
+    eigs = np.linalg.eigvals(w)
+    scale = max(1.0, float(np.abs(eigs).max()))
+    real = eigs[np.abs(eigs.imag) <= 1e-9 * scale].real
+    lam_min = float(real.min()) if real.size and real.min() < 0.0 else -1.0
+    lam_max = float(real.max()) if real.size else 1.0
+    upper = 1.0 / lam_max if lam_max > 1.0 + 1e-9 else 1.0
+    lam, V = np.linalg.eig(w)
+    return eigs, (-1.0 / abs(lam_min), upper), (lam, V, np.linalg.inv(V))
+
+
+def assert_symmetric_route_matches_general(w, row_normalized):
+    assert _symmetrizer(w.w) is not None
+    eigs, bounds, _ = general_spectrum(w.w)
+    scale = max(1.0, float(np.abs(eigs).max()))
+    assert w.eigvals.dtype == np.float64
+    assert np.all(np.diff(w.eigvals) >= 0.0)
+    assert np.abs(eigs.imag).max() <= 1e-12 * scale
+    assert np.abs(w.eigvals - np.sort(eigs.real)).max() <= 1e-12 * scale
+    assert w.rho_bounds == pytest.approx(bounds, rel=1e-10, abs=1e-10)
+    if row_normalized:
+        assert w.rho_bounds[1] == 1.0
+    lo, hi = w.rho_bounds
+    eye = np.eye(w.n)
+    for rho in (0.9 * lo, 0.3 * lo, 0.0, 0.5 * hi, 0.9 * hi):
+        a = eye - rho * w.w
+        assert w.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-10, abs=1e-10)
+        assert w.trace_g(rho) == pytest.approx(
+            np.trace(w.w @ np.linalg.inv(a)), rel=1e-10, abs=1e-10
+        )
+    lam, V, Vinv = w.eigenbasis
+    assert lam.dtype == V.dtype == Vinv.dtype == np.float64
+    assert np.abs(w.w @ V - V * lam).max() <= 1e-10
+    assert np.abs(Vinv @ V - eye).max() <= 1e-10
 
 
 class TestHaversine:
@@ -110,6 +150,8 @@ class TestRhoBounds:
         assert abs(np.linalg.det(np.eye(2) - hi * w.w)) < 1e-12
         for rho in np.linspace(lo, hi, 9)[1:-1]:
             assert abs(np.linalg.det(np.eye(2) - rho * w.w)) > 0.1
+        # W is not D^{-1} A with symmetric A, but diag(3, 2) W is symmetric
+        assert_symmetric_route_matches_general(w, row_normalized=False)
 
     @pytest.mark.parametrize("build", [
         lambda: grid_contiguity(4, 5, "rook"),
@@ -210,3 +252,43 @@ class TestSpectrum:
         mu = rng.standard_normal(n)
         y = w.reduced_form(rho, mu)
         assert np.allclose(wp.reduced_form(rho, mu[perm]), y[perm], rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_route_matches_general_route(self, n, seed):
+        # W = D^{-1} A with symmetric A, reached four ways: row-normalized with
+        # isolated units, the same W again with normalize=False, a
+        # re-normalized sub-block, and the unnormalized A itself
+        rng = np.random.default_rng(seed)
+        raw = np.triu(rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5), 1)
+        raw = raw + raw.T
+        isolated = rng.uniform(size=n) < 0.2
+        raw[isolated] = 0.0
+        raw[:, isolated] = 0.0
+        w = row_normalize(raw)
+        sub = np.sort(rng.permutation(n)[: max(2, n - 2)])
+        assert_symmetric_route_matches_general(w, row_normalized=True)
+        assert_symmetric_route_matches_general(
+            from_matrix(w.w, normalize=False), row_normalized=True
+        )
+        assert_symmetric_route_matches_general(
+            row_normalize(w.w[np.ix_(sub, sub)]), row_normalized=True
+        )
+        assert_symmetric_route_matches_general(
+            from_matrix(raw, normalize=False), row_normalized=False
+        )
+
+    @pytest.mark.parametrize("raw, normalize", [
+        # W_01 > 0 but W_10 = 0
+        (np.array([[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0.0]]), True),
+        # symmetric pattern, but the weight ratios around the cycle 0-1-2
+        # multiply to 2, not 1
+        (np.array([[0, 1, 1], [1, 0, 1], [1, 2, 0.0]]), False),
+    ])
+    def test_non_symmetrizable_w_takes_the_general_route(self, raw, normalize):
+        w = from_matrix(raw, normalize=normalize)
+        assert _symmetrizer(w.w) is None
+        eigs, bounds, basis = general_spectrum(w.w)
+        assert np.array_equal(w.eigvals, eigs)
+        assert w.rho_bounds == bounds
+        assert all(np.array_equal(got, want) for got, want in zip(w.eigenbasis, basis))
