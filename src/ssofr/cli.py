@@ -19,7 +19,7 @@ from .diagnostics import fit_metrics, local_morans_i
 from .exceptions import NumericalError, SsofrError, ValidationError
 from .fpls import HampelConfig
 from .functional import FunctionalDataset
-from .mscale import MScaleConfig
+from .mscale import DEFAULT_MSCALE, MScaleConfig
 from .pipeline import (
     SCHEMA_VERSION,
     BasisSpec,
@@ -267,13 +267,16 @@ def _add_weights_args(p, required=True):
 
 
 def _add_tuning_args(p):
-    p.add_argument("--mscale-c", type=float, default=1.56)
-    p.add_argument("--mscale-delta", type=float, default=0.5)
-    p.add_argument("--c1", type=float, default=1.4)
-    p.add_argument("--c2", type=float, default=2.4)
-    p.add_argument("--c3", type=float, default=1.65)
-    p.add_argument("--eps-conv", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=100)
+    tuning = MTuning()
+    p.add_argument("--mscale-c", type=float, default=DEFAULT_MSCALE.c)
+    p.add_argument("--mscale-delta", type=float, default=DEFAULT_MSCALE.delta)
+    p.add_argument("--c1", type=float, default=tuning.c1)
+    p.add_argument("--c2", type=float, default=tuning.c2)
+    p.add_argument("--c3", type=float, default=tuning.c3)
+    p.add_argument("--eps-conv", type=float, default=tuning.eps_conv,
+                   help="M estimator: step tolerance of the theta/sigma solve at fixed rho")
+    p.add_argument("--max-iter", type=int, default=tuning.max_iter,
+                   help="M estimator: iteration cap of the theta/sigma solve at each rho")
 
 
 def build_parser() -> argparse.ArgumentParser:

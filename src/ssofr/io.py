@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import os
+from collections import Counter
 
 import numpy as np
 
@@ -60,10 +61,13 @@ def read_curves_long(path: str):
         cid = row[0].strip()
         t = _parse_float(row[1], path)
         v = _parse_float(row[2], path)
-        if cid not in data:
-            data[cid] = {}
+        curve = data.get(cid)
+        if curve is None:
+            curve = data[cid] = {}
             order.append(cid)
-        data[cid][t] = v
+        if t in curve:
+            raise ValidationError(f"{path}: pair ({cid}, {row[1].strip()}) is given more than once")
+        curve[t] = v
     grids = {tuple(sorted(d.keys())) for d in data.values()}
     if len(grids) != 1:
         raise ValidationError(f"{path}: curves observed on different grids")
@@ -153,7 +157,12 @@ def read_weights_matrix(path: str):
 
 
 def align_to(ids_ref, ids_other, values: np.ndarray, what: str) -> np.ndarray:
-    """Reorder values (indexed by ids_other) into the order of ids_ref."""
+    """Reorder values (indexed by ids_other) into the order of ids_ref. Each
+    id must appear once in each list."""
+    for ids, where in ((ids_other, what), (ids_ref, f"units aligned with {what}")):
+        repeated = [u for u, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise ValidationError(f"{where}: id {repeated[0]!r} is given more than once")
     if sorted(ids_ref) != sorted(ids_other):
         raise ValidationError(f"{what}: ids do not match the curves file")
     index = {u: k for k, u in enumerate(ids_other)}

@@ -5,15 +5,16 @@
 with Z = [1_n, A] built from decomposition scores. Provides the exact
 Gaussian log-likelihood with profile maximization over rho, the robust
 estimating equations with Huber-transformed standardized residuals, and the
-iterative M-estimator (weighted least squares for theta, a multiplicative
-scale update, and a rho step: the bracketed Brent root of the rho block;
-golden-section on its square only when the bracket has no sign change).
+M-estimator profiled over rho: for fixed rho, weighted least squares for
+theta and a multiplicative scale update solve the first two blocks, and rho
+is the bracketed Brent root of the rho block that remains. The ML estimate
+is the Brent root of the profile score.
 
 Every function of the spectrum of W comes from the `SpatialWeights` the
 design carries: log|det(I - rho W)| and tr W (I - rho W)^{-1} from its
 eigenvalues, and the eigenbasis in which one evaluator, vectorized over rho,
-computes the rho block (Ord 1975) for the estimating equations and for every
-rho step.
+computes the rho block (Ord 1975) for the estimating equations and for the
+profiled M-estimator.
 """
 
 from __future__ import annotations
@@ -112,10 +113,14 @@ class SarParams:
 
 @dataclass(frozen=True)
 class MTuning:
+    """Huber cutoffs of the theta (c1), sigma (c2) and rho (c3) blocks of the
+    robust equations; the step tolerance and iteration cap of the inner
+    theta/sigma solve at fixed rho; and the ridge added to I - rho W."""
+
     c1: float = 1.4
     c2: float = 2.4
     c3: float = 1.65
-    eps_conv: float = 1e-6
+    eps_conv: float = 1e-10
     max_iter: int = 100
     ridge_eps: float = 0.0
 
@@ -234,7 +239,6 @@ class SarFit:
     eta_norm: float = np.nan
     loglik: float = np.nan
     events: list = field(default_factory=list)
-    history: list = field(default_factory=list)
 
     @property
     def theta(self) -> np.ndarray:
@@ -249,63 +253,57 @@ class SarFit:
         return self.params.rho
 
 
-def _golden_max(f, lo: float, hi: float, tol: float, max_iter: int = 200):
-    """Golden-section maximization on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while (b - a) > tol and it < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        it += 1
-    return (c, fc) if fc >= fd else (d, fd)
+def _rss(rho: float, qa: float, qb: float, qc: float) -> float:
+    """Residual sum of squares of the least-squares fit of (I - rho W) Y on Z."""
+    return max(qa - 2.0 * rho * qb + rho * rho * qc, _RSS_FLOOR)
+
+
+def _profile_score(rho, n, qa, qb, qc, weights) -> float:
+    """d/d rho of the profile log-likelihood, n (q_b - rho q_c) / rss(rho) -
+    tr W (I - rho W)^{-1}. brentq keeps the function it is given in a
+    reference cycle, so the data comes in through `args`: a closure would
+    keep the weights alive until the next garbage collection."""
+    return n * (qb - rho * qc) / _rss(rho, qa, qb, qc) - weights.trace_g(rho)
 
 
 def ml_fit(design: SarDesign) -> SarFit:
     """Maximum likelihood via the concentrated (profile) likelihood in rho.
 
     For fixed rho, theta is the least-squares fit of (I - rho W) Y on Z and
-    sigma^2 the mean squared residual; the profile is maximized by a coarse
-    grid bracket followed by golden-section refinement.
+    sigma^2 the mean squared residual. A 201-point grid brackets the maximum
+    of the profile, and rho is the Brent root of the profile score inside
+    that bracket. Where the score has no sign change across the bracket (the
+    maximum lies at an end of the grid), rho is the best grid point.
     """
     n = design.n
     Y, Z = design.Y, design.Z
-    wy = design.weights.w @ Y
+    weights = design.weights
+    wy = weights.w @ Y
 
     theta_y, *_ = np.linalg.lstsq(Z, Y, rcond=None)
     theta_w, *_ = np.linalg.lstsq(Z, wy, rcond=None)
     e0 = Y - Z @ theta_y
     e1 = wy - Z @ theta_w
-    qa, qb, qc = float(e0 @ e0), float(e0 @ e1), float(e1 @ e1)
-
-    def rss(rho: float) -> float:
-        return max(qa - 2.0 * rho * qb + rho * rho * qc, _RSS_FLOOR)
+    q = (float(e0 @ e0), float(e0 @ e1), float(e1 @ e1))
 
     def profile(rho: float) -> float:
-        return -0.5 * n * np.log(rss(rho) / n) + design.weights.logdet(rho)
+        return -0.5 * n * np.log(_rss(rho, *q) / n) + weights.logdet(rho)
 
-    lo, hi = design.weights.rho_bounds
+    lo, hi = weights.rho_bounds
     width = hi - lo
-    glo, ghi = lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width
-    grid = np.linspace(glo, ghi, 201)
-    vals = np.array([profile(r) for r in grid])
-    i = int(np.argmax(vals))
+    grid = np.linspace(lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width, 201)
+    i = int(np.argmax([profile(r) for r in grid]))
     blo = grid[max(i - 1, 0)]
     bhi = grid[min(i + 1, grid.size - 1)]
-    rho_hat, _ = _golden_max(profile, blo, bhi, tol=1e-12 * width)
+    args = (n, *q, weights)
+    if _profile_score(blo, *args) >= 0.0 >= _profile_score(bhi, *args):
+        rho_hat = float(brentq(_profile_score, blo, bhi, args=args, xtol=1e-12 * width))
+    else:
+        rho_hat = float(grid[i])
 
     theta_hat = theta_y - rho_hat * theta_w
-    sigma_hat = max(float(np.sqrt(rss(rho_hat) / n)), _SIGMA_FLOOR)
-    params = SarParams(theta=theta_hat, sigma=sigma_hat, rho=float(rho_hat))
+    sigma_hat = max(float(np.sqrt(_rss(rho_hat, *q) / n)), _SIGMA_FLOOR)
+    params = SarParams(theta=theta_hat, sigma=sigma_hat, rho=rho_hat)
     boundary = (rho_hat - lo) < 1e-6 * width or (hi - rho_hat) < 1e-6 * width
     fit = SarFit(
         params=params, method="ML", converged=True, iterations=1,
@@ -323,67 +321,74 @@ def ml_fit(design: SarDesign) -> SarFit:
     return fit
 
 
-def _known_or_block(rho, known, block) -> float:
-    """b(rho) for brentq, reusing the values known at the bracket ends.
+def _theta_sigma(yr, Z, theta, sigma, tuning, rt2):
+    """Solve the theta and sigma blocks of the robust equations at fixed rho
+    (yr = Y - rho W Y) from the given start: Huber-weighted least squares for
+    theta, then the multiplicative sigma update, until the step
+    [d theta, d sigma] / sigma is below eps_conv, at most max_iter times.
+    Returns (theta, sigma, converged, singular), where singular tells that a
+    least-squares solve replaced singular weighted normal equations."""
+    n = yr.size
+    singular = False
+    for _ in range(tuning.max_iter):
+        w = huber_weight((yr - Z @ theta) / sigma, tuning.c1)
+        zw = Z * w[:, None]
+        try:
+            new_theta = np.linalg.solve(Z.T @ zw, zw.T @ yr)
+        except np.linalg.LinAlgError:
+            new_theta, *_ = np.linalg.lstsq(zw, w * yr, rcond=None)
+            singular = True
+        psi2 = huber_psi((yr - Z @ new_theta) / sigma, tuning.c2)
+        new_sigma = max(sigma * float(np.sqrt((psi2 @ psi2) / (n * rt2))), _SIGMA_FLOOR)
+        step = np.append(new_theta - theta, new_sigma - sigma) / new_sigma
+        theta, sigma = new_theta, new_sigma
+        if float(np.linalg.norm(step)) < tuning.eps_conv:
+            return theta, sigma, True, singular
+    return theta, sigma, False, singular
 
-    brentq keeps the function it is given in a reference cycle, so the data
-    comes in through `args`: a closure would keep the design and its weights
-    alive until the next garbage collection.
-    """
-    return known[rho] if rho in known else block(rho)[0]
+
+@dataclass(eq=False)
+class _Profile:
+    """The M-estimator profiled over rho: its data, the theta and sigma of
+    the last inner solve (the start of the next), the values of g at the
+    ends of the bracket, and what the solves reported."""
+
+    design: SarDesign
+    wy: np.ndarray
+    tuning: MTuning
+    theta: np.ndarray
+    sigma: float
+    known: dict = field(default_factory=dict)
+    evals: int = 0
+    converged: bool = True
+    events: list = field(default_factory=list)
+
+    def solve(self, rho: float) -> None:
+        self.theta, self.sigma, converged, singular = _theta_sigma(
+            self.design.Y - rho * self.wy, self.design.Z, self.theta, self.sigma,
+            self.tuning, rho_tilde(self.tuning.c2),
+        )
+        if singular:
+            self.events.append(f"singular weighted normal equations at rho={rho:.6g}")
+        if not converged:
+            self.converged = False
+            self.events.append(f"theta/sigma solve not converged at rho={rho:.6g}")
 
 
-def _rho_step(design, sigma, tuning, wy, zt, prev_rho=None):
-    """Root of the rho block of the robust equations inside the bounds.
-
-    The bracket comes from a 65-point scan of |b| in one vectorized
-    evaluation on the first pass; afterwards a window around the previous rho
-    is widened until |b| at its centre is below |b| at both ends. Returns the
-    bracketed Brent root of the rho block; golden-section on its square only
-    when the bracket has no sign change (Brent to 1e-12, golden-section to an
-    interval of 1e-8).
-    """
-    lo, hi = design.weights.rho_bounds
-    width = hi - lo
-    glo, ghi = lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width
-    events = []
-    weights = design.weights
-    basis = weights.eigenbasis
-    a = None if basis is None else basis[2] @ zt
-
-    def block(rhos) -> np.ndarray:
-        return _rho_block(weights, rhos, design.Y, wy, zt, sigma, tuning, a=a, events=events)
-
-    blo = bhi = None
-    if prev_rho is not None:
-        # expand a bracket around the previous iterate before refining
-        h = 1e-3 * width
-        center = min(max(prev_rho, glo), ghi)
-        b_c = block(center)[0]
-        while h < width:
-            a_end, b_end = max(center - h, glo), min(center + h, ghi)
-            b_a, b_b = block([a_end, b_end])
-            if b_c * b_c <= b_a * b_a and b_c * b_c <= b_b * b_b:
-                blo, b_lo, bhi, b_hi = a_end, b_a, b_end, b_b
-                break
-            if b_a * b_a < b_c * b_c:
-                center, b_c = a_end, b_a
-            else:
-                center, b_c = b_end, b_b
-            h *= 3.0
-    if blo is None:
-        grid = np.linspace(glo, ghi, 65)
-        vals = block(grid)
-        i = int(np.argmin(vals * vals))
-        i_lo, i_hi = max(i - 1, 0), min(i + 1, grid.size - 1)
-        blo, b_lo, bhi, b_hi = grid[i_lo], vals[i_lo], grid[i_hi], vals[i_hi]
-    if b_lo * b_hi <= 0.0:
-        known = {blo: b_lo, bhi: b_hi}
-        rho_new = brentq(_known_or_block, blo, bhi, args=(known, block), xtol=1e-12)
-    else:
-        # |b| has a minimum in the bracket that is not a root
-        rho_new, _ = _golden_max(lambda r: -block(r)[0] ** 2, blo, bhi, tol=1e-8)
-    return float(rho_new), events
+def _profiled_block(rho, prof: _Profile) -> float:
+    """g(rho): the rho block at the theta and sigma that solve the other two
+    blocks at this rho; module-level for the reason at `_profile_score`. The
+    bracket ends return the values that put them in the bracket: solved again
+    from another start, g near a root could change sign there."""
+    if rho in prof.known:
+        return prof.known[rho]
+    prof.solve(rho)
+    prof.evals += 1
+    d = prof.design
+    return float(_rho_block(
+        d.weights, rho, d.Y, prof.wy, d.Z @ prof.theta, prof.sigma, prof.tuning,
+        events=prof.events,
+    )[0])
 
 
 def m_fit(
@@ -391,72 +396,55 @@ def m_fit(
     tuning: MTuning = MTuning(),
     init: SarParams | None = None,
 ) -> SarFit:
-    """Iterative robust M-estimator.
+    """Robust M-estimator, profiled over rho.
 
-    Each iteration updates theta by Huber-weighted least squares, rescales
-    sigma multiplicatively so the scale block of the estimating equations is
-    solved at the fixed point, and updates rho to the bracketed Brent root of
-    the rho block; golden-section on its square only when the bracket has no
-    sign change (see `_rho_step`). Stops when the Euclidean norm of the step
-    [d theta / sigma, d sigma / sigma, d rho], with the new sigma, falls below
-    eps_conv: theta and sigma are measured in units of the response's scale,
-    so the rule, and with it the iteration path, does not change when Y is
-    rescaled.
+    `_theta_sigma` solves the theta and sigma blocks at fixed rho, which
+    leaves the rho block a scalar function g(rho). Points at distance 0.02,
+    0.04, 0.08, ... alternately below and above the initial rho (the ML
+    estimate by default), clipped to the bounds, are evaluated until g
+    changes sign between two neighbouring points on one side; rho is the
+    Brent root in that bracket, the root nearest the start. Without a sign
+    change, rho is the bound with the smaller |g| and the fit is not
+    converged; nor is it when an inner solve did not converge. `iterations`
+    counts the evaluations of g. The inner stop rule is in units of sigma,
+    so a rescaled Y takes the same path.
     """
     if init is None:
         init = ml_fit(design).params
-    theta = np.asarray(init.theta, dtype=float).copy()
-    sigma = float(init.sigma)
-    rho = float(init.rho)
+    lo, hi = design.weights.rho_bounds
+    width = hi - lo
+    glo, ghi = lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width
+    prof = _Profile(design, design.weights.w @ design.Y, tuning,
+                    np.asarray(init.theta, dtype=float), float(init.sigma))
 
-    Y, Z = design.Y, design.Z
-    n = design.n
-    wy = design.weights.w @ Y
-    rt2 = rho_tilde(tuning.c2)
-    events: list = []
-    history: list = []
-    converged = False
+    rho0 = min(max(float(init.rho), glo), ghi)
+    g0 = _profiled_block(rho0, prof)
+    outer = [(rho0, g0), (rho0, g0)]  # outermost point evaluated below, above
+    bracket = None
+    h = 0.02
+    while bracket is None and (outer[0][0] > glo or outer[1][0] < ghi):
+        for side, r in enumerate((max(rho0 - h, glo), min(rho0 + h, ghi))):
+            near, g_near = outer[side]
+            if r != near:
+                g = _profiled_block(r, prof)
+                outer[side] = (r, g)
+                if np.sign(g) != np.sign(g_near):
+                    prof.known = {near: g_near, r: g}
+                    bracket = sorted(prof.known)
+                    break
+        h *= 2.0
+    if bracket is not None:
+        rho = float(brentq(_profiled_block, *bracket, args=(prof,), xtol=1e-12))
+    else:
+        rho = min(outer, key=lambda p: abs(p[1]))[0]
+        prof.converged = False
+        prof.events.append("rho block has no root inside the bounds")
+    prof.solve(rho)
 
-    for it in range(1, tuning.max_iter + 1):
-        prev = np.concatenate([theta, [sigma, rho]])
-
-        # theta: weighted least squares with psi_{c1}(eps)/eps weights
-        eps = (Y - rho * wy - Z @ theta) / sigma
-        w = huber_weight(eps, tuning.c1)
-        zw = Z * w[:, None]
-        try:
-            theta = np.linalg.solve(Z.T @ zw, zw.T @ (Y - rho * wy))
-        except np.linalg.LinAlgError:
-            theta, *_ = np.linalg.lstsq(zw, w * (Y - rho * wy), rcond=None)
-            events.append(f"iteration {it}: singular weighted normal equations")
-
-        # sigma: multiplicative update solving the scale block at fixed point
-        eps = (Y - rho * wy - Z @ theta) / sigma
-        psi2 = huber_psi(eps, tuning.c2)
-        sigma = max(sigma * float(np.sqrt((psi2 @ psi2) / (n * rt2))), _SIGMA_FLOOR)
-
-        # rho: root of the rho block. The scan is global on the first pass;
-        # afterwards the bracket tracks the previous iterate, which keeps the
-        # iteration on one root when the rho equation has several.
-        zt = Z @ theta
-        warm = rho if it > 1 else None
-        rho, ev = _rho_step(design, sigma, tuning, wy, zt, prev_rho=warm)
-        events.extend(ev)
-
-        cur = np.concatenate([theta, [sigma, rho]])
-        history.append(cur)
-        step = cur - prev
-        step[:-1] /= sigma
-        if float(np.linalg.norm(step)) < tuning.eps_conv:
-            converged = True
-            break
-
-    params = SarParams(theta=theta, sigma=sigma, rho=rho)
+    params = SarParams(theta=prof.theta, sigma=prof.sigma, rho=rho)
     fit = SarFit(
-        params=params, method="M", converged=converged,
-        iterations=len(history), events=events, history=history,
+        params=params, method="M", converged=prof.converged,
+        iterations=prof.evals, boundary=bracket is None, events=prof.events,
     )
     fit.eta_norm = float(np.linalg.norm(eta_robust(params, design, tuning)))
-    if not converged:
-        fit.events.append(f"no convergence within {tuning.max_iter} iterations")
     return fit

@@ -155,6 +155,20 @@ class TestFitCommand:
         assert 1 <= report["K"] <= 5
 
 
+    def test_tuning_defaults_come_from_the_dataclasses(self):
+        from ssofr import MTuning
+        from ssofr.cli import build_parser
+        from ssofr.mscale import DEFAULT_MSCALE
+
+        args = build_parser().parse_args(
+            ["fit", "--curves", "c.csv", "--response", "y.csv", "--out", "o"]
+        )
+        tuning = MTuning()
+        assert (args.c1, args.c2, args.c3) == (tuning.c1, tuning.c2, tuning.c3)
+        assert (args.eps_conv, args.max_iter) == (tuning.eps_conv, tuning.max_iter)
+        assert (args.mscale_c, args.mscale_delta) == (DEFAULT_MSCALE.c, DEFAULT_MSCALE.delta)
+
+
 class TestPredictCommand:
     def test_predict_training_refeed(self, simulated_dir, tmp_path):
         fit_out = tmp_path / "fit"
@@ -427,6 +441,43 @@ class TestTripletWeights:
         )
         with pytest.raises(ValidationError, match=r"pair \(a, b\)"):
             sio.read_weights_matrix(str(path))
+
+
+class TestRepeatedRows:
+    def test_repeated_curve_pair_rejected(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        sio.write_csv(
+            str(path), ("id", "t", "value"),
+            [("a", "1", "2"), ("a", "2", "3"), ("a", "1", "5")],
+        )
+        with pytest.raises(ValidationError, match=r"pair \(a, 1\)"):
+            sio.read_curves_long(str(path))
+
+    def test_repeated_response_id_rejected(self, tmp_path, capsys):
+        # wide curves a, a, b against a response a, a, b: each value must
+        # belong to one unit, never to the last row with its id
+        grid = np.linspace(0.0, 1.0, 5)
+        curves_path, response_path = tmp_path / "wide.csv", tmp_path / "y.csv"
+        sio.write_csv(
+            str(curves_path), ["id"] + [repr(float(t)) for t in grid],
+            [[cid] + [repr(float(v)) for v in row]
+             for cid, row in zip("aab", np.arange(15.0).reshape(3, 5))],
+        )
+        sio.write_csv(str(response_path), ("id", "y"), [("a", "10"), ("a", "20"), ("b", "30")])
+        ids, _, _ = sio.read_curves_wide(str(curves_path))
+        rids, y = sio.read_response(str(response_path))
+        with pytest.raises(ValidationError, match=r"y\.csv: id 'a' is given more than once"):
+            sio.align_to(ids, rids, y, str(response_path))
+        code = run_cli(
+            "fit", "--curves", str(curves_path), "--wide", "--response", str(response_path),
+            "--coords", str(response_path), "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "id 'a' is given more than once" in capsys.readouterr().err
+
+    def test_repeated_curve_id_rejected(self):
+        with pytest.raises(ValidationError, match=r"units aligned with w\.csv: id 'a'"):
+            sio.align_to(["a", "a", "b"], ["a", "b", "c"], np.eye(3), "w.csv")
 
 
 class TestWideFormat:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import root
 from scipy.stats import multivariate_normal
 
 import ssofr.sar as sar
@@ -35,49 +36,6 @@ def dense_rho_block(w, rho, y, wy, zt, sigma, tuning=MTuning(), ridge=0.0):
     g_psi = w @ np.linalg.solve(a, psi3)
     trace = np.trace(w @ np.linalg.inv(a))
     return g_zt @ psi3 / sigma + g_psi @ psi3 - trace * rho_tilde(tuning.c3)
-
-
-def golden_rho_oracle(block, bounds, prev_rho=None, tol=1e-12):
-    """The rho step before the Brent root: bracket the minimum of b^2 by a
-    65-point scan, or by widening a window around prev_rho, then refine it
-    by golden-section on b^2 to an interval of `tol`."""
-    def f(r):
-        return block(r) ** 2
-
-    lo, hi = bounds
-    width = hi - lo
-    glo, ghi = lo + 1e-8 * width, hi - 1e-8 * width
-    blo = bhi = None
-    if prev_rho is not None:
-        h = 1e-3 * width
-        center = min(max(prev_rho, glo), ghi)
-        f_c = f(center)
-        while h < width:
-            a, b = max(center - h, glo), min(center + h, ghi)
-            f_a, f_b = f(a), f(b)
-            if f_c <= f_a and f_c <= f_b:
-                blo, bhi = a, b
-                break
-            center, f_c = (a, f_a) if f_a < f_c else (b, f_b)
-            h *= 3.0
-    if blo is None:
-        grid = np.linspace(glo, ghi, 65)
-        i = int(np.argmin([f(r) for r in grid]))
-        blo, bhi = grid[max(i - 1, 0)], grid[min(i + 1, 64)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = blo, bhi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return c if fc <= fd else d
 
 
 def make_design(seed=5, n_side=10, rho=0.3, sigma=0.8, K=2,
@@ -384,6 +342,24 @@ class TestResolventCache:
         )
 
 
+def theta_sigma_oracle(yr, Z, theta, sigma, tuning=MTuning()):
+    """Oracle: theta and sigma that solve the first two blocks of the robust
+    equations at fixed rho, Z' psi_{c1}(eps) = 0 and
+    sum psi_{c2}(eps)^2 = n rho_tilde(c2) with eps = (yr - Z theta) / sigma,
+    by a general nonlinear solver on sigma's logarithm."""
+    n, k = Z.shape
+    rt2 = rho_tilde(tuning.c2)
+
+    def blocks(x):
+        eps = (yr - Z @ x[:k]) / np.exp(x[k])
+        psi2 = np.clip(eps, -tuning.c2, tuning.c2)
+        return np.append(Z.T @ np.clip(eps, -tuning.c1, tuning.c1), psi2 @ psi2 - n * rt2)
+
+    sol = root(blocks, np.append(theta, np.log(sigma)), method="lm", tol=1e-14)
+    assert np.abs(blocks(sol.x)).max() <= 1e-12 * n
+    return sol.x[:k], float(np.exp(sol.x[k]))
+
+
 def patch_block(monkeypatch, b):
     """Replace the rho block by b(rho), applied to each rho."""
     monkeypatch.setattr(
@@ -397,86 +373,123 @@ def forbidden(*args, **kwargs):
     raise AssertionError("this path must not run here")
 
 
-def rho_step(design, w, prev_rho=None):
-    """_rho_step at the design's true parameters."""
-    theta = np.array([1.0, 0.5, -0.3])
-    rho, _ = sar._rho_step(
-        design, 0.8, MTuning(), w.w @ design.Y, design.Z @ theta, prev_rho=prev_rho,
-    )
-    return rho
+def started_at(design, rho):
+    """m_fit from the design's true theta and sigma and the given rho."""
+    return m_fit(design, init=SarParams(theta=[1.0, 0.5, -0.3], sigma=0.8, rho=rho))
 
 
-class TestRhoStep:
+class TestProfiledRoot:
+    """m_fit is the bracketed root of the profiled rho block g(rho) and
+    ml_fit the root of the profile score."""
+
     @pytest.mark.parametrize("seed", [5, 13, 29])
-    def test_matches_golden_oracle(self, seed):
-        design, params, w = make_design(seed=seed)
-        rng = np.random.default_rng(seed)
-        wy = w.w @ design.Y
-        tuning = MTuning()
-        for _ in range(4):
-            theta = params.theta + 0.3 * rng.standard_normal(3)
-            sigma = params.sigma * np.exp(0.3 * rng.standard_normal())
-            zt = design.Z @ theta
+    def test_root_of_dense_oracle_block(self, seed):
+        design, _, w = make_design(seed=seed)
+        fit = m_fit(design)
+        assert fit.converged
+        Y, Z = design.Y, design.Z
+        wy = w.w @ Y
 
-            def block(r):
-                return dense_rho_block(w.w, r, design.Y, wy, zt, sigma, tuning)
+        def g(rho):
+            theta, sigma = theta_sigma_oracle(Y - rho * wy, Z, fit.theta, fit.sigma)
+            return dense_rho_block(w.w, rho, Y, wy, Z @ theta, sigma), theta, sigma
 
-            for prev in (None, float(rng.uniform(-0.5, 0.8))):
-                rho, _ = sar._rho_step(design, sigma, tuning, wy, zt, prev_rho=prev)
-                oracle = golden_rho_oracle(block, w.rho_bounds, prev_rho=prev)
-                assert abs(rho - oracle) <= 1e-8
+        g_hat, theta, sigma = g(fit.rho)
+        assert np.abs(fit.theta - theta).max() <= 1e-8 * sigma
+        assert fit.sigma == pytest.approx(sigma, rel=1e-8)
+        assert g(fit.rho - 1e-8)[0] * g(fit.rho + 1e-8)[0] < 0.0
+        assert abs(g_hat) <= 1e-6
+        # started on its own root, where g is rounding noise
+        refit = m_fit(design, init=fit.params)
+        assert refit.converged
+        assert refit.rho == pytest.approx(fit.rho, abs=1e-9)
 
-    def test_warm_start_keeps_its_root(self, monkeypatch):
+    def test_multiple_roots_keep_the_nearest(self, monkeypatch):
         design, _, w = make_design()
         roots = (-0.4, 0.1, 0.6)
         lo, hi = w.rho_bounds
         assert lo < roots[0] and roots[-1] < hi
         patch_block(monkeypatch, lambda r: (r - roots[0]) * (r - roots[1]) * (r - roots[2]))
-        monkeypatch.setattr(sar, "_golden_max", forbidden)
-        for root in roots:
+        for root_ in roots:
             for side in (-0.03, 0.03):
-                assert rho_step(design, w, prev_rho=root + side) == pytest.approx(root, abs=1e-10)
+                fit = started_at(design, root_ + side)
+                assert fit.converged
+                assert fit.rho == pytest.approx(root_, abs=1e-10)
 
-    def test_no_sign_change_falls_back_to_golden(self, monkeypatch):
+    def test_no_root_inside_the_bounds(self, monkeypatch):
         design, _, w = make_design()
         patch_block(monkeypatch, lambda r: (r - 0.2) ** 2 + 0.05)
-        calls = []
-        golden = sar._golden_max
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return golden(*args, **kwargs)
-
-        monkeypatch.setattr(sar, "_golden_max", counted)
         monkeypatch.setattr(sar, "brentq", forbidden)
-        for prev in (None, 0.5):
-            assert rho_step(design, w, prev_rho=prev) == pytest.approx(0.2, abs=1e-6)
-        assert len(calls) == 2
+        fit = started_at(design, 0.5)
+        lo, hi = w.rho_bounds
+        ends = (lo + 1e-8 * (hi - lo), hi - 1e-8 * (hi - lo))
+        assert not fit.converged
+        assert fit.boundary
+        assert fit.events == ["rho block has no root inside the bounds"]
+        assert fit.rho == pytest.approx(min(ends, key=lambda r: abs(r - 0.2)), abs=1e-12)
 
-    def test_rho_values_per_iteration(self, monkeypatch):
-        # machine-independent work guard: rho values the evaluator is asked
-        # for in each outer iteration of m_fit
+    def test_rho_block_evaluations_per_fit(self, monkeypatch):
+        # machine-independent work guard: one rho per evaluation of g, and
+        # one more for the reported eta_norm
         design, _, _ = make_design(seed=81)
-        per_step = []
-        block, step = sar._rho_block, sar._rho_step
+        sizes = []
+        block = sar._rho_block
 
-        def counted_block(weights, rhos, *args, **kwargs):
-            if per_step:
-                per_step[-1].append(np.atleast_1d(rhos).size)
+        def counted(weights, rhos, *args, **kwargs):
+            sizes.append(np.atleast_1d(rhos).size)
             return block(weights, rhos, *args, **kwargs)
 
-        def counted_step(*args, **kwargs):
-            per_step.append([])
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(sar, "_rho_block", counted_block)
-        monkeypatch.setattr(sar, "_rho_step", counted_step)
+        monkeypatch.setattr(sar, "_rho_block", counted)
         fit = m_fit(design)
         assert fit.converged
-        assert len(per_step) == fit.iterations
-        first, *rest = per_step
-        assert 65 in first and first.count(65) == 1
-        assert max(sum(sizes) for sizes in rest) <= 15
+        assert set(sizes) == {1}
+        assert len(sizes) == fit.iterations + 1
+        assert fit.iterations <= 18
+
+    def test_ml_maximum_at_the_bound(self, monkeypatch):
+        # Y on the eigenvector of W's smallest eigenvalue: (I - rho W) Y
+        # vanishes at the lower bound, where the profile grows without limit
+        _, _, w = make_design()
+        lam, V, _ = w.eigenbasis
+        rng = np.random.default_rng(3)
+        Z = np.column_stack([np.ones(w.n), rng.standard_normal((w.n, 2))])
+        design = SarDesign(Y=V[:, np.argmin(lam)], Z=Z, weights=w)
+        monkeypatch.setattr(sar, "brentq", forbidden)
+        fit = ml_fit(design)
+        lo, hi = w.rho_bounds
+        assert fit.rho == lo + 1e-8 * (hi - lo)
+        assert fit.boundary
+        assert "rho at interval boundary" in fit.events
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_converges_on_small_inverse_distance_designs(self, seed):
+        # fpc + M with 10% leverage curves; the earlier outer fixed point
+        # stopped after 100 iterations without converging on these
+        from ssofr import BasisSpec, SimSpec, fit, simulate
+
+        spec = SimSpec(n=100, weights_scheme="inverse_distance",
+                       contamination_fraction=0.1, contamination_kind="leverage", seed=seed)
+        dataset, weights, _ = simulate(spec)
+        info = fit(dataset, weights, BasisSpec(kind="bspline", M=15), "fpc", 3, "m").fit_info
+        assert info.converged
+        assert info.eta_norm <= 1e-8
+
+    @settings(max_examples=10, deadline=None)
+    @given(perm=st.permutations(range(144)))
+    def test_unit_permutation(self, perm):
+        from ssofr import from_matrix
+
+        perm = np.array(perm)
+        design, _, w = make_design(seed=5, n_side=12)
+        permuted = SarDesign(
+            Y=design.Y[perm], Z=design.Z[perm],
+            weights=from_matrix(w.w[np.ix_(perm, perm)], normalize=False),
+        )
+        for estimator in (ml_fit, m_fit):
+            base, other = estimator(design), estimator(permuted)
+            assert np.abs(other.params.as_vector() - base.params.as_vector()).max() <= 1e-10
+            assert other.iterations == base.iterations
+            assert other.converged == base.converged
 
 
 class TestEigenWork:
@@ -590,18 +603,20 @@ class TestMFit:
         assert np.allclose(scaled.theta / c, base.theta, rtol=1e-8, atol=0.0)
 
     def test_fit_keeps_no_weights_alive(self):
-        # a fit must leave no reference cycle holding the weights: their
-        # resolvent cache (two n x n arrays) would live until the next
-        # garbage collection
-        design, _, w = make_design(seed=81)
-        ref = weakref.ref(w)
-        gc.disable()
-        try:
-            m_fit(design)
-            del design, w
-            assert ref() is None
-        finally:
-            gc.enable()
+        # neither fit may leave a reference cycle holding the weights: their
+        # eigenbasis (two n x n arrays) would live until the next garbage
+        # collection
+        for estimator in (m_fit, ml_fit):
+            design, _, w = make_design(seed=81)
+            w.eigenbasis
+            ref = weakref.ref(w)
+            gc.disable()
+            try:
+                estimator(design)
+                del design, w
+                assert ref() is None, estimator.__name__
+            finally:
+                gc.enable()
 
     def test_rho_strictly_inside_bounds(self):
         design, _, w = make_design(seed=91)
