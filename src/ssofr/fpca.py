@@ -92,6 +92,10 @@ def _sphere_refine(b: np.ndarray, u: np.ndarray, config: MScaleConfig) -> tuple:
 
     For each coordinate axis, searches rotations in the plane spanned by the
     current direction and that axis, scoring batches of angles at once.
+    A batch is built in row layout, one candidate direction per row. Its
+    projections (candidates x units) reach `m_scale_columns` as the
+    transpose of a C-contiguous array, which that function turns back into
+    one sample per row without a copy.
     Stops when a full sweep improves the criterion by less than a relative
     1e-8, or after 100 sweeps.
     """
@@ -112,8 +116,8 @@ def _sphere_refine(b: np.ndarray, u: np.ndarray, config: MScaleConfig) -> tuple:
             best_theta, best_val = 0.0, crit
             for _zoom in range(6):
                 thetas = np.linspace(lo_a, hi_a, 13)
-                cand = np.outer(u, np.cos(thetas)) + np.outer(e_perp, np.sin(thetas))
-                vals = m_scale_columns(b @ cand, config)
+                cand = np.outer(np.cos(thetas), u) + np.outer(np.sin(thetas), e_perp)
+                vals = m_scale_columns((cand @ b.T).T, config)
                 i = int(np.argmax(vals))
                 if vals[i] > best_val:
                     best_val = float(vals[i])
@@ -160,10 +164,10 @@ def rfpc(
             raise DegenerateDataError(
                 "all candidate directions vanish after deflation"
             )
-        cand = (b[keep] / norms[keep, None]).T  # M x n_cand
-        crit = m_scale_columns(b @ cand, m_scale_config)
+        cand = b[keep] / norms[keep, None]  # n_cand x M
+        crit = m_scale_columns((cand @ b.T).T, m_scale_config)
         best = int(np.argmax(crit))  # first max wins: lowest index tie-break
-        u = cand[:, best]
+        u = cand[best]
         u, _ = _sphere_refine(b, u, m_scale_config)
         # re-orthogonalize against previous directions for numerical hygiene
         for prev in us:

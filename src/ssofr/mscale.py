@@ -4,10 +4,16 @@ The raw biweight loss saturates at c^2/6, which is below the usual target
 delta = 0.5, so the estimating equation is solved with the loss normalized
 to supremum 1. With delta = 0.5 this gives the 50% breakdown point.
 
-One solver serves the single-sample and the column-wise estimators: safeguarded
-Newton steps on the closed-form derivative of the clipped-polynomial loss,
-falling back to the multiplicative fixed-point step when a Newton step would
-leave (sigma/2, 2 sigma).
+One solver serves the single-sample and the column-wise estimators. It works
+on rows, one sample per row: each sample is sorted once, which gives its
+median, and its absolute residuals once more, which gives the MAD start.
+Safeguarded Newton steps then run on the closed-form derivative of the
+clipped-polynomial loss; with t = min((r / (c sigma))^2, 1) the loss and its
+slope are combinations of the three power sums of t, so one Newton step takes
+three sums over the row. A step that would leave (sigma/2, 2 sigma) is
+replaced by the multiplicative fixed-point step. The sums run over sorted
+residuals, so with the median location the M-scale is exactly invariant to
+the order of the units.
 """
 
 from __future__ import annotations
@@ -102,66 +108,88 @@ class MScaleResult:
 DEFAULT_MSCALE = MScaleConfig()
 
 
+def _middle(s: np.ndarray) -> np.ndarray:
+    """Median of each row of a row-sorted array, as np.median computes it."""
+    n = s.shape[1]
+    if n % 2:
+        return s[:, n // 2]
+    return (s[:, n // 2 - 1] + s[:, n // 2]) / 2.0
+
+
 def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
-    """Location, residuals, degenerate flags and start scales of the columns
-    of x.
+    """Location, sorted squared scaled residuals, degenerate flags and start
+    scales of the rows of x, one sample per row.
 
-    A column is degenerate when more than (1 - delta) n of its values
-    coincide with the location estimate. The start scale is the normalized
-    MAD, or the root mean square where the MAD collapses on a column that is
-    not degenerate, whose equation is still solvable.
+    Each sample is sorted once for its median and once more, as absolute
+    residuals, for its MAD. A row is degenerate when more than (1 - delta) n
+    of its values coincide with the location estimate. The start scale is the
+    normalized MAD, or the root mean square where the MAD collapses on a row
+    that is not degenerate, whose equation is still solvable. The returned
+    q = (|x - mu| / c)^2 is sorted along each row, so everything computed
+    from it depends on the order of the units only through mu, and the
+    median does not.
     """
-    n = x.shape[0]
+    n = x.shape[1]
     if cfg.location == "median":
-        mu = np.median(x, axis=0)
+        mu = _middle(np.sort(x, axis=1))
     else:
-        mu = np.array([m_location(col) for col in x.T])
-    resid = x - mu
-    degenerate = np.sum(resid == 0.0, axis=0) > (1.0 - cfg.delta) * n
-    sigma = MAD_SCALE * np.median(np.abs(resid), axis=0)
-    rms = np.sqrt(np.mean(resid**2, axis=0))
+        mu = np.array([m_location(row) for row in x])
+    a = np.sort(np.abs(x - mu[:, None]), axis=1)
+    degenerate = np.count_nonzero(a == 0.0, axis=1) > (1.0 - cfg.delta) * n
+    sigma = MAD_SCALE * _middle(a)
+    rms = np.sqrt(np.mean(a * a, axis=1))
     sigma = np.where(sigma == 0.0, rms, sigma)
-    return mu, resid, degenerate, sigma
+    return mu, (a / cfg.c) ** 2, degenerate, sigma
 
 
-def _solve(resid: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
+def _solve(q: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
            history: list | None = None) -> tuple:
-    """Solve mean_i rho_norm(resid[i, j] / sigma_j) = delta for every column.
+    """Solve mean_i rho_norm(r_i / sigma) = delta for every row of
+    q = (|r| / c)^2.
 
-    With t = min((r/(c sigma))^2, 1), f(sigma) = mean rho_norm - delta has
-    the closed-form derivative f'(sigma) = -mean 6 t (1 - t)^2 / sigma. A
-    Newton step is taken when that derivative is nonzero and the step lands
-    in (sigma/2, 2 sigma); otherwise the multiplicative fixed-point step
+    With t = min(q / sigma^2, 1) and the power sums S_k = sum_i t_i^k, the
+    mean loss is (3 (S_1 - S_2) + S_3) / n and f(sigma) = mean rho_norm -
+    delta has the closed-form derivative
+    f'(sigma) = -6 (S_1 - 2 S_2 + S_3) / (n sigma). A Newton step is taken
+    when that derivative is nonzero and the step lands in (sigma/2, 2 sigma);
+    otherwise the multiplicative fixed-point step
     sigma * sqrt(mean rho_norm / delta), which keeps every iterate positive
-    and converges from any start. A column stops once |step| <= tol sigma.
+    and converges from any start. A row stops once |step| <= tol sigma.
+    The sums run over each row as given; over sorted rows (as `_start`
+    returns them) the result does not depend on the order of the units.
     Returns (sigma, iterations); history, if given, receives every iterate.
     """
-    n = resid.shape[0]
-    r2 = (resid / cfg.c) ** 2
+    n = q.shape[1]
     sigma = np.array(sigma, dtype=float)
-    cols = np.arange(sigma.size)
+    rows = np.arange(sigma.size)
     if history is not None:
         history.append(sigma.copy())
     for it in range(1, cfg.max_iter + 1):
-        s = sigma[cols]
-        t = np.minimum(r2 / (s * s), 1.0)
-        mean_rho = _biweight(t).sum(axis=0) / n
-        slope = 6.0 / n * (t * (1.0 - t) ** 2).sum(axis=0)  # -sigma f'(sigma)
+        s = sigma[rows]
+        t = q / (s * s)[:, None]
+        np.minimum(t, 1.0, out=t)
+        s1 = t.sum(axis=1)
+        tk = t * t
+        s2 = tk.sum(axis=1)
+        tk *= t
+        s3 = tk.sum(axis=1)
+        mean_rho = (3.0 * (s1 - s2) + s3) / n
+        slope = 6.0 / n * (s1 - 2.0 * s2 + s3)  # -sigma f'(sigma)
         gap = mean_rho - cfg.delta
         # the Newton iterate s (1 + gap / slope) must lie in (s/2, 2s)
         newton = (-0.5 * slope < gap) & (gap < slope)
         ratio = np.divide(gap, slope, out=np.zeros_like(gap), where=newton)
         new = np.where(newton, s * (1.0 + ratio),
                        s * np.sqrt(mean_rho / cfg.delta))
-        sigma[cols] = new
+        sigma[rows] = new
         if history is not None:
             history.append(sigma.copy())
         going = np.abs(new - s) > cfg.tol * s
         if not going.any():
             return sigma, it
         if not going.all():
-            cols = cols[going]
-            r2 = r2[:, going]
+            rows = rows[going]
+            q = q[going]
     raise NonConvergenceError(f"m_scale did not converge in {cfg.max_iter} iterations")
 
 
@@ -177,12 +205,12 @@ def m_scale_info(x, config: MScaleConfig = DEFAULT_MSCALE) -> MScaleResult:
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValidationError("m_scale needs at least 2 observations")
-    mu, resid, degenerate, sigma = _start(x[:, None], config)
+    mu, q, degenerate, sigma = _start(x[None, :], config)
     mu = float(mu[0])
     if degenerate[0]:
         return MScaleResult(0.0, mu, True, True, 0, [0.0])
     history = []
-    sigma, iterations = _solve(resid, sigma, config, history)
+    sigma, iterations = _solve(q, sigma, config, history)
     return MScaleResult(
         float(sigma[0]), mu, False, True, iterations,
         [float(h[0]) for h in history],
@@ -197,15 +225,16 @@ def m_scale_columns(x: np.ndarray, config: MScaleConfig = DEFAULT_MSCALE) -> np.
     """Column-wise M-scales of a 2-D array.
 
     Same estimator and solver as m_scale applied to each column; used where
-    many candidate projections must be scored at once. Degenerate columns
-    get 0.
+    many candidate projections must be scored at once. The solver works on
+    one sample per row, so x is transposed once: passing the transpose of a
+    C-contiguous (m x n) array makes that a view. Degenerate columns get 0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("m_scale_columns needs an (n >= 2) x m array")
-    _, resid, degenerate, sigma = _start(x, config)
+    _, q, degenerate, sigma = _start(x.T, config)
     out = np.zeros(x.shape[1])
     keep = ~degenerate
     if keep.any():
-        out[keep], _ = _solve(resid[:, keep], sigma[keep], config)
+        out[keep], _ = _solve(q[keep], sigma[keep], config)
     return out

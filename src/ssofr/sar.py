@@ -158,7 +158,7 @@ def eta_ml(params: SarParams, design: SarDesign) -> np.ndarray:
     return np.concatenate([b_theta, [b_sigma, b_rho]])
 
 
-def _rho_block(weights, rhos, y, wy, zt, sigma, tuning, a=None, events=None) -> np.ndarray:
+def _rho_block(weights, rhos, y, wy, zt, sigma, tuning, events=None) -> np.ndarray:
     """Rho block of the robust estimating equations at each rho of `rhos`:
 
         b(rho) = psi3' G (Z theta / sigma + psi3) - rho_tilde(c3) tr G,
@@ -168,12 +168,12 @@ def _rho_block(weights, rhos, y, wy, zt, sigma, tuning, a=None, events=None) -> 
 
         b(rho) = sum_k q_k (a_k / sigma + p_k) / d_k - rho_tilde(c3) sum_k lambda_k / d_k
 
-    with (lambda, V, V^{-1}) = `weights.eigenbasis`, a = V^{-1} Z theta (pass
-    it in to compute it once per theta), p = V^{-1} psi3,
-    q = lambda * (V' psi3) and d = 1 + ridge - rho lambda: two n^2 matvecs per
-    rho. Without an eigenbasis each rho takes one dense LU solve. Where
-    |1 - rho lambda| < 1e-12 for some eigenvalue, the ridge is
-    max(ridge_eps, 1e-8); each such rho adds a line to `events` when given.
+    with (lambda, V, V^{-1}) = `weights.eigenbasis`, a = V^{-1} Z theta,
+    p = V^{-1} psi3, q = lambda * (V' psi3) and d = 1 + ridge - rho lambda:
+    two n^2 matvecs per rho. Without an eigenbasis each rho takes one dense
+    LU solve. Where |1 - rho lambda| < 1e-12 for some eigenvalue, the ridge
+    is max(ridge_eps, 1e-8); each such rho adds a line to `events` when
+    given.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     rt3 = rho_tilde(tuning.c3)
@@ -189,8 +189,7 @@ def _rho_block(weights, rhos, y, wy, zt, sigma, tuning, a=None, events=None) -> 
         lam, V, Vinv = basis
         lam = lam[:, None]
         d = (1.0 + ridge) - lam * rhos
-        if a is None:
-            a = Vinv @ zt
+        a = Vinv @ zt
         p = Vinv @ psi3
         q = lam * (V.T @ psi3)
         b = np.sum(q * (a[:, None] / sigma + p) / d, axis=0) - rt3 * np.sum(lam / d, axis=0)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ssofr import DegenerateDataError, ValidationError, build_basis, fpc, rfpc, scores_for
-from ssofr.functional import CoefficientMatrix
+import ssofr.fpca
+from ssofr import DegenerateDataError, SimSpec, ValidationError, build_basis, fpc, rfpc, scores_for, simulate
+from ssofr.functional import CoefficientMatrix, project_curves
 from ssofr.mscale import tukey_loss_norm
 
-from conftest import subspace_angle_deg
+from conftest import oracle_m_scale_columns, subspace_angle_deg
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,35 @@ class TestRfpc:
         assert np.abs(scaled.lambdas - 9.0 * base.lambdas).max() < 1e-6 * base.lambdas[0]
         for k in range(2):
             assert subspace_angle_deg(scaled.phi[:, k], base.phi[:, k], basis.gram) < 1e-4
+
+    def test_search_path_matches_column_oracle(self, monkeypatch):
+        # the row-layout M-scale kernel and the column-layout oracle score
+        # every candidate alike to rounding, so projection pursuit takes the
+        # same zooms and sweeps and lands on the same components
+        design, _, _ = simulate(SimSpec(
+            n=100, weights_scheme="inverse_distance", contamination_fraction=0.1,
+            contamination_kind="leverage", seed=1,
+        ))
+        lev_basis = build_basis("bspline", 15, design.grid)
+        coeffs = project_curves(design, lev_basis)
+
+        def run(m_scale_columns):
+            calls = []
+
+            def counted(x, config):
+                calls.append(x.shape)
+                return m_scale_columns(x, config)
+
+            monkeypatch.setattr(ssofr.fpca, "m_scale_columns", counted)
+            return rfpc(coeffs, lev_basis, 3), calls
+
+        kernel, kernel_calls = run(ssofr.fpca.m_scale_columns)
+        oracle, oracle_calls = run(oracle_m_scale_columns)
+        assert kernel_calls == oracle_calls
+        np.testing.assert_allclose(kernel.lambdas, oracle.lambdas, rtol=1e-12)
+        for k in range(3):
+            angle = subspace_angle_deg(kernel.phi[:, k], oracle.phi[:, k], lev_basis.gram)
+            assert angle <= 1e-5
 
     def test_needs_enough_observations(self, basis):
         with pytest.raises(ValidationError):

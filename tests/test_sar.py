@@ -316,13 +316,10 @@ class TestResolventCache:
         rhos = np.array([-0.4, 0.1, 0.6])
         y, wy, zt, sigma = random_state(rng, w)
         tuning = MTuning()
-        a = w.eigenbasis[2] @ zt
         grid = sar._rho_block(w, rhos, y, wy, zt, sigma, tuning)
-        grid_a = sar._rho_block(w, rhos, y, wy, zt, sigma, tuning, a=a)
         for j, rho in enumerate(rhos):
             single = sar._rho_block(w, rho, y, wy, zt, sigma, tuning)[0]
             assert grid[j] == pytest.approx(single, abs=1e-10)
-            assert grid_a[j] == pytest.approx(single, abs=1e-10)
 
     @pytest.mark.parametrize("ridge_eps", [0.0, 1e-6])
     def test_ridge_path(self, rng, ridge_eps):
