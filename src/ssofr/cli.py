@@ -102,7 +102,7 @@ def cmd_fit(args) -> int:
     sio.atomic_write_text(os.path.join(args.out, "model.json"), model_to_json(model) + "\n")
     sio.write_csv(
         os.path.join(args.out, "beta_curve.csv"), ("t", "beta"),
-        [(sio._fmt(t), sio._fmt(b)) for t, b in zip(grid, model.beta_grid)],
+        zip(sio._fmt_all(grid), sio._fmt_all(model.beta_grid)),
     )
     report = {
         "method": model.method,
@@ -149,7 +149,7 @@ def cmd_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     sio.write_csv(
         os.path.join(args.out, "predictions.csv"), ("id", "y_hat"),
-        [(i, sio._fmt(v)) for i, v in zip(ids, yhat)],
+        zip(ids, sio._fmt_all(yhat)),
     )
     if y is not None:
         trim_grid = tuple(args.trim) if args.trim else DEFAULT_TRIM_GRID

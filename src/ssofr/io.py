@@ -22,6 +22,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_all(values) -> list:
+    """`_fmt` of each entry of a 1-D sequence, formatted from Python floats."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
 def atomic_write_text(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -33,8 +38,7 @@ def _read_rows(path: str):
     if not os.path.exists(path):
         raise ValidationError(f"file not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = list(filter(None, csv.reader(fh)))
     if not rows:
         raise ValidationError(f"empty file: {path}")
     return rows
@@ -47,33 +51,56 @@ def _parse_float(token: str, path: str):
         raise ValidationError(f"{path}: cannot parse {token!r} as a number") from exc
 
 
+def _body(rows, width: int, path: str):
+    """The rows after the header, each with at least `width` fields."""
+    body = rows[1:]
+    for row in body:
+        if len(row) < width:
+            raise ValidationError(f"{path}: short row {row!r}")
+    return body
+
+
 def read_curves_long(path: str):
-    """Long-format curves (id, t, value) -> (ids, grid, curves)."""
+    """Long-format curves (id, t, value) -> (ids, grid, curves).
+
+    Units are numbered in order of first appearance and the grid is the
+    sorted set of t; each row then has one flat index into the n x p curves,
+    which must be hit exactly once.
+    """
     rows = _read_rows(path)
     header = [h.strip().lower() for h in rows[0]]
     if header[:3] != ["id", "t", "value"]:
         raise ValidationError(f"{path}: expected header id,t,value")
-    data: dict = {}
-    order = []
-    for row in rows[1:]:
-        if len(row) < 3:
-            raise ValidationError(f"{path}: short row {row!r}")
-        cid = row[0].strip()
-        t = _parse_float(row[1], path)
-        v = _parse_float(row[2], path)
-        curve = data.get(cid)
-        if curve is None:
-            curve = data[cid] = {}
-            order.append(cid)
-        if t in curve:
-            raise ValidationError(f"{path}: pair ({cid}, {row[1].strip()}) is given more than once")
-        curve[t] = v
-    grids = {tuple(sorted(d.keys())) for d in data.values()}
-    if len(grids) != 1:
+    body = _body(rows, 3, path)
+    codes: dict = {}
+    unit = np.array([codes.setdefault(row[0].strip(), len(codes)) for row in body], dtype=np.intp)
+    t_tokens = [row[1] for row in body]
+    try:
+        # a grid has few distinct t tokens: parse each once
+        t_of = {token: float(token) for token in set(t_tokens)}
+        t = np.array([t_of[token] for token in t_tokens])
+        v = np.array(list(map(float, [row[2] for row in body])))
+    except ValueError:
+        for row in body:
+            _parse_float(row[1], path)
+            _parse_float(row[2], path)
+        raise
+    grid, t_code = np.unique(t, return_inverse=True)
+    n, p = len(codes), grid.size
+    flat = unit * p + t_code
+    if n == 0 or flat.size != n * p or not np.bincount(flat, minlength=n * p).all():
+        _, first = np.unique(flat, return_index=True)
+        if first.size < flat.size:
+            repeated = np.ones(flat.size, dtype=bool)
+            repeated[first] = False
+            row = body[int(np.argmax(repeated))]
+            raise ValidationError(
+                f"{path}: pair ({row[0].strip()}, {row[1].strip()}) is given more than once"
+            )
         raise ValidationError(f"{path}: curves observed on different grids")
-    grid = np.array(sorted(next(iter(grids))))
-    curves = np.array([[data[cid][t] for t in grid] for cid in order])
-    return order, grid, curves
+    curves = np.empty(n * p)
+    curves[flat] = v
+    return list(codes), grid, curves.reshape(n, p)
 
 
 def read_curves_wide(path: str):
@@ -99,7 +126,7 @@ def read_response(path: str):
     if header[:2] != ["id", "y"]:
         raise ValidationError(f"{path}: expected header id,y")
     ids, vals = [], []
-    for row in rows[1:]:
+    for row in _body(rows, 2, path):
         ids.append(row[0].strip())
         vals.append(_parse_float(row[1], path))
     return ids, np.array(vals)
@@ -112,7 +139,7 @@ def read_coords(path: str):
     if header[:3] != ["id", "lat", "lon"]:
         raise ValidationError(f"{path}: expected header id,lat,lon")
     ids, lat, lon = [], [], []
-    for row in rows[1:]:
+    for row in _body(rows, 3, path):
         ids.append(row[0].strip())
         lat.append(_parse_float(row[1], path))
         lon.append(_parse_float(row[2], path))
@@ -124,7 +151,7 @@ def read_weights_matrix(path: str):
     rows = _read_rows(path)
     header = [h.strip().lower() for h in rows[0]]
     if header[:3] == ["i", "j", "w"]:
-        entries = [(r[0].strip(), r[1].strip(), _parse_float(r[2], path)) for r in rows[1:]]
+        entries = [(r[0].strip(), r[1].strip(), _parse_float(r[2], path)) for r in _body(rows, 3, path)]
         ids = []
         seen = set()
         for i, j, _ in entries:
@@ -174,34 +201,28 @@ def write_csv(path: str, header, rows) -> None:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 
 def write_curves_long(path: str, ids, grid, curves) -> None:
-    rows = [
-        (cid, _fmt(t), _fmt(v))
-        for cid, curve in zip(ids, curves)
-        for t, v in zip(grid, curve)
-    ]
+    t_tokens = _fmt_all(grid)
+    rows = (
+        (cid, t, v)
+        for cid, curve in zip(ids, np.asarray(curves, dtype=float))
+        for t, v in zip(t_tokens, _fmt_all(curve))
+    )
     write_csv(path, ("id", "t", "value"), rows)
 
 
 def write_response(path: str, ids, values) -> None:
-    write_csv(path, ("id", "y"), [(i, _fmt(v)) for i, v in zip(ids, values)])
+    write_csv(path, ("id", "y"), zip(ids, _fmt_all(values)))
 
 
 def write_coords(path: str, ids, lat, lon) -> None:
-    write_csv(
-        path, ("id", "lat", "lon"),
-        [(i, _fmt(a), _fmt(b)) for i, a, b in zip(ids, lat, lon)],
-    )
+    write_csv(path, ("id", "lat", "lon"), zip(ids, _fmt_all(lat), _fmt_all(lon)))
 
 
 def write_weights_matrix(path: str, ids, w: np.ndarray) -> None:
-    rows = [
-        [ids[i]] + [_fmt(v) for v in w[i]]
-        for i in range(len(ids))
-    ]
+    rows = ([cid, *_fmt_all(row)] for cid, row in zip(ids, np.asarray(w, dtype=float)))
     write_csv(path, ["id"] + list(ids), rows)

@@ -26,7 +26,7 @@ from .functional import (
 )
 from .mscale import DEFAULT_MSCALE, MScaleConfig
 from .sar import MTuning, SarDesign, SarFit, SarParams, m_fit, ml_fit
-from .weights import SpatialWeights, row_normalize
+from .weights import SpatialWeights, check_rho, row_normalize
 
 SCHEMA_VERSION = 1
 DECOMPOSITION_METHODS = ("fpc", "fpls", "rfpc", "rfpls")
@@ -141,13 +141,13 @@ def predict(
         raise ValidationError("new curves are not on the training grid")
     if weights_full.n != new_dataset.n:
         raise ValidationError("weights size must match prediction units")
-    lo, hi = weights_full.rho_bounds
-    if not lo < model.params.rho < hi:
+    try:
+        check_rho(model.params.rho, weights_full)
+    except NumericalError as exc:
         raise NumericalError(
-            f"fitted rho={model.params.rho:.6g} is outside the admissible "
-            f"interval ({lo:.6g}, {hi:.6g}) of the supplied weight matrix; "
+            f"fitted {exc} of the supplied weight matrix; "
             "predictions through (I - rho W)^{-1} would not be defined"
-        )
+        ) from exc
     coeffs = project_curves(new_dataset, model.basis)
     scores = scores_for(model.decomposition, coeffs, model.basis)
     mu = model.params.theta[0] + scores @ model.params.theta[1:]

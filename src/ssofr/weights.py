@@ -2,10 +2,13 @@
 grid-contiguity schemes, row normalization, and the spectrum of W.
 
 `SpatialWeights` owns the spectrum of its matrix. The eigenvalues are
-computed once, when the object is built, and give the admissible interval
-for rho, log|det(I - rho W)| and tr W (I - rho W)^{-1} in O(n) per rho
-(Ord 1975). The eigenbasis is built on first use, by the M-estimator's rho
-block only.
+computed on their first read, not when the object is built, and then kept;
+`dataclasses.replace` reads them and passes them on to the copy. They give
+the admissible interval for rho, log|det(I - rho W)| and
+tr W (I - rho W)^{-1} in O(n) per rho (Ord 1975). The eigenbasis is built on
+first use, by the M-estimator's rho block only. Prediction through the
+reduced form needs neither: `check_rho` admits rho from the largest absolute
+row sum of W while the spectrum is still unknown (see there).
 
 The spectrum takes one of two routes, chosen from W itself. Every built-in
 scheme, and most custom matrices, are W = D^{-1} A with symmetric A: W is
@@ -115,23 +118,45 @@ def haversine_distance(lat1, lon1, lat2, lon2, radius_km: float = EARTH_RADIUS_K
     return d if d.ndim else float(d)
 
 
+class _Spectral:
+    """Data descriptor for the fields of `SpatialWeights` that come from the
+    spectrum of W. A field left at its default is unknown; its first read
+    computes the spectrum (`SpatialWeights._read_spectrum`) and keeps it in
+    the instance."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if self.name not in obj.__dict__:
+            obj._read_spectrum()
+        return obj.__dict__[self.name]
+
+    def __set__(self, obj, value):
+        if value is not self and value is not None:
+            obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class SpatialWeights:
     """n x n spatial weight matrix with zero diagonal, and its spectrum.
 
-    `eigvals` is computed when the object is built unless it is given;
-    `dataclasses.replace` passes it on to the copy. `lambda_min` and
-    `rho_bounds` are derived from it. When W has a symmetrizer (see
-    `_symmetrizer`), `eigvals` is real and sorted, from one symmetric
-    `eigvalsh`; otherwise it is the complex array of the general `eigvals`.
+    `eigvals` is computed on its first read unless it is given; so are
+    `lambda_min` and `rho_bounds`, which are derived from it (at once when
+    `eigvals` is given). `dataclasses.replace` reads `eigvals` and passes it
+    on to the copy. When W has a symmetrizer (see `_symmetrizer`), `eigvals`
+    is real and sorted, from one symmetric `eigvalsh`; otherwise it is the
+    complex array of the general `eigvals`.
     """
 
     w: np.ndarray
     scheme: str
     isolated: np.ndarray = field(default=None, repr=False)
-    eigvals: np.ndarray = field(default=None, repr=False)
-    lambda_min: float = field(init=False)
-    rho_bounds: tuple = field(init=False)
+    eigvals: np.ndarray = field(default=_Spectral(), repr=False)
+    lambda_min: float = field(default=_Spectral(), init=False, repr=False)
+    rho_bounds: tuple = field(default=_Spectral(), init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -142,7 +167,14 @@ class SpatialWeights:
             object.__setattr__(
                 self, "isolated", np.zeros(self.w.shape[0], dtype=bool)
             )
-        if self.eigvals is None:
+        if "eigvals" in self.__dict__:
+            self._read_spectrum()
+
+    def _read_spectrum(self) -> None:
+        """Compute `eigvals` unless it is known, and derive `lambda_min` and
+        `rho_bounds` from it."""
+        eigs = self.__dict__.get("eigvals")
+        if eigs is None:
             if self._scaling is None:
                 eigs = np.linalg.eigvals(self.w)
             else:
@@ -150,15 +182,15 @@ class SpatialWeights:
                     _symmetric_form(self.w, self._scaling), overwrite_a=True,
                     check_finite=False, driver="evd",
                 )
-            object.__setattr__(self, "eigvals", eigs)
-        eigs = self.eigvals
         scale = max(1.0, float(np.abs(eigs).max()))
         real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
         lam_min = float(real.min()) if real.size and real.min() < 0.0 else -1.0
         lam_max = float(real.max()) if real.size else 1.0
         upper = 1.0 / lam_max if lam_max > 1.0 + _REAL_EIG_TOL else 1.0
-        object.__setattr__(self, "lambda_min", lam_min)
-        object.__setattr__(self, "rho_bounds", (-1.0 / abs(lam_min), upper))
+        self.__dict__.update(
+            eigvals=eigs, lambda_min=lam_min,
+            rho_bounds=(-1.0 / abs(lam_min), upper),
+        )
 
     @cached_property
     def _scaling(self):
@@ -289,6 +321,19 @@ def grid_contiguity(rows: int, cols: int, kind: str = "rook") -> SpatialWeights:
 
 
 def check_rho(rho: float, weights: SpatialWeights) -> None:
+    """Raise NumericalError unless rho lies inside `weights.rho_bounds`.
+
+    While the spectrum of W is unknown, the largest absolute row sum s of W
+    decides without it wherever it can: every eigenvalue has |lambda| <= s
+    (Gershgorin), so |rho| max(1, s) < 1 puts rho inside the interval. The
+    test asks for a margin of 1e-9 to cover rounding in the eigenvalues that
+    the interval would be computed from; any other rho is compared with
+    `rho_bounds`, which computes the spectrum.
+    """
+    if "eigvals" not in weights.__dict__:
+        s = float(np.abs(weights.w).sum(axis=1).max())
+        if abs(rho) * max(1.0, s) <= 1.0 - _REAL_EIG_TOL:
+            return
     lo, hi = weights.rho_bounds
     if not lo < rho < hi:
         raise NumericalError(

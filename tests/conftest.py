@@ -18,6 +18,23 @@ def rng():
     return np.random.default_rng(20240101)
 
 
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """Names of the eigensolvers called while the test runs, in order: a
+    machine-independent count of the eigendecompositions of W."""
+    import scipy.linalg
+
+    calls = []
+    for lib in (np.linalg, scipy.linalg):
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            def counted(*args, _name=name, _real=getattr(lib, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lib, name, counted)
+    return calls
+
+
 def oracle_start(x, cfg):
     """Column-layout M-scale start (one sample per column): location,
     residuals, degenerate flags and the normalized-MAD or RMS start scales."""

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -228,6 +230,35 @@ class TestPredictCommand:
         assert rep["metrics"]["0.05"]["r2_p"] == m.r2
 
 
+class TestEigenWork:
+    def test_predict_makes_no_eigendecomposition_of_w(self, tmp_path, eig_calls):
+        # the reduced form needs rho_hat and one solve; the row sums of the
+        # rook W admit rho_hat without its spectrum. Every command also
+        # takes one `eigh` of the 5 x 5 basis Gram matrix.
+        sim_out, fit_out = tmp_path / "sim", tmp_path / "fit"
+        run_cli(
+            "simulate", "--n", 36, "--p", 21, "--weights-scheme", "rook",
+            "--grid-shape", 6, 6, "--seed", 3, "--out", sim_out,
+        )
+        common = (
+            "--curves", sim_out / "curves.csv",
+            "--weights-matrix", sim_out / "weights_matrix.csv",
+        )
+        eig_calls.clear()
+        code = run_cli(
+            "fit", *common, "--response", sim_out / "response.csv",
+            "--basis", "fourier", "--num-basis", 5, "--method", "fpls",
+            "--estimator", "ml", "--out", fit_out,
+        )
+        assert code == 0 and eig_calls == ["eigh", "eigvalsh"]
+        eig_calls.clear()
+        code = run_cli(
+            "predict", "--model", fit_out / "model.json", *common,
+            "--out", tmp_path / "pred",
+        )
+        assert code == 0 and eig_calls == ["eigh"]
+
+
 class TestPredictRhoZero:
     def test_rho_zero_model_ignores_weights(self, simulated_dir, tmp_path):
         fit_out = tmp_path / "fit"
@@ -412,11 +443,69 @@ class TestLongFormatValidation:
         with pytest.raises(Exception, match="different grids"):
             sio.read_curves_long(str(path))
 
+    @pytest.mark.parametrize("rows, message", [
+        ([("a", "0", "1"), ("a", "1")], r"short row \['a', '1'\]"),
+        ([("a", "0", "1"), ("a", "x", "2")], "cannot parse 'x' as a number"),
+        ([("a", "0", "1"), ("a", "1", "2"), ("b", "0", "y")], "cannot parse 'y' as a number"),
+        ([("a", "0", "1"), ("b", "0", "1"), ("b", "0.0", "2")], r"pair \(b, 0\.0\)"),
+        ([("a", "0", "1"), ("a", "1", "2"), ("b", "0", "3")], "different grids"),
+        ([], "different grids"),
+    ])
+    def test_error_names_the_fault(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        sio.write_csv(str(path), ("id", "t", "value"), rows)
+        with pytest.raises(ValidationError, match=message):
+            sio.read_curves_long(str(path))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         sio.write_csv(str(path), ("unit", "time", "val"), [("a", "0", "1")])
         with pytest.raises(Exception, match="header"):
             sio.read_curves_long(str(path))
+
+
+class TestShortRows:
+    @pytest.mark.parametrize("header, rows, command", [
+        (("id", "y"), [("a", "1.0"), ("b",)], ("diagnose", "--coords", "unread.csv", "--response")),
+        (("id", "lat", "lon"), [("a", "0", "0"), ("b", "1")], ("weights", "--coords")),
+        (("i", "j", "w"), [("a", "b", "1"), ("b", "a")], ("weights", "--weights-matrix")),
+    ])
+    def test_short_row_exit_2(self, tmp_path, capsys, header, rows, command):
+        path = tmp_path / "in.csv"
+        sio.write_csv(str(path), header, rows)
+        code = run_cli(*command, path, "--out", tmp_path / "out")
+        assert code == 2
+        assert f"{path}: short row ['b'" in capsys.readouterr().err
+
+
+class TestWriters:
+    def test_bytes_match_csv_writer_of_repr(self, tmp_path):
+        def oracle(header, rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            for cid, *values in rows:
+                writer.writerow([cid] + [repr(float(x)) for x in values])
+            return buf.getvalue().encode()
+
+        ids = ["a", "b,c", 'q"d', "e\nf"]
+        values = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0])
+        grid = values[:3]
+        curves = np.outer(values, [1.0, -2.0, 0.1])
+        w = np.outer(values, [0.5, 2.0, -1.0, 3.0])
+        cases = [
+            (sio.write_curves_long, (ids, grid, curves), ("id", "t", "value"),
+             [(cid, t, v) for cid, row in zip(ids, curves) for t, v in zip(grid, row)]),
+            (sio.write_response, (ids, values), ("id", "y"), list(zip(ids, values))),
+            (sio.write_coords, (ids, values, -values), ("id", "lat", "lon"),
+             list(zip(ids, values, -values))),
+            (sio.write_weights_matrix, (ids, w), ["id"] + ids,
+             [(cid, *row) for cid, row in zip(ids, w)]),
+        ]
+        for writer, args, header, rows in cases:
+            path = tmp_path / f"{writer.__name__}.csv"
+            writer(str(path), *args)
+            assert read_bytes(path) == oracle(header, rows), writer.__name__
 
 
 class TestTripletWeights:

@@ -9,6 +9,7 @@ from ssofr import (
     SimSpec,
     ValidationError,
     fit,
+    from_matrix,
     grid_contiguity,
     inner_product,
     model_from_json,
@@ -176,11 +177,12 @@ class TestPredict:
     def test_rho_outside_new_bounds_explained(self):
         ds, w, _ = sim(seed=14, rho=0.6)
         model = fit(ds, w, BS, "fpc", K=3)
-        # doctor a weight matrix whose admissible interval excludes rho_hat
-        bad = grid_contiguity(10, 10, "rook")
-        object.__setattr__(bad, "rho_bounds", (-0.1, 0.1))
+        # the unnormalized rook adjacency: lambda_max = 4 cos(pi / 11) ~ 3.84,
+        # so its admissible interval ends near 0.26, below rho_hat ~ 0.6
+        bad = from_matrix(grid_contiguity(10, 10, "rook").w > 0.0, normalize=False)
         with pytest.raises(NumericalError, match="admissible"):
             predict(model, ds, bad)
+        assert bad.rho_bounds[1] < 0.3 < model.rho
 
 
 class TestSelectK:

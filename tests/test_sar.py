@@ -490,21 +490,8 @@ class TestProfiledRoot:
 
 
 class TestEigenWork:
-    """Machine-independent work guard: eigendecompositions of W per fit."""
-
-    @pytest.fixture()
-    def eig_calls(self, monkeypatch):
-        import scipy.linalg
-
-        calls = []
-        for lib in (np.linalg, scipy.linalg):
-            for name in ("eig", "eigvals", "eigh", "eigvalsh"):
-                def counted(*args, _name=name, _real=getattr(lib, name), **kwargs):
-                    calls.append(_name)
-                    return _real(*args, **kwargs)
-
-                monkeypatch.setattr(lib, name, counted)
-        return calls
+    """Machine-independent work guard: eigendecompositions of W per fit
+    (`eig_calls` in conftest.py)."""
 
     @staticmethod
     def asymmetric_design(seed=81, n=60):
@@ -517,8 +504,24 @@ class TestEigenWork:
         Y = w.reduced_form(0.3, Z @ np.array([1.0, 0.5, -0.3]) + rng.standard_normal(n))
         return SarDesign(Y=Y, Z=Z, weights=w)
 
+    def test_building_weights_makes_no_eigendecomposition(self, eig_calls):
+        from ssofr import from_matrix, inverse_distance_weights
+        from ssofr.weights import check_rho
+
+        rng = np.random.default_rng(3)
+        built = [
+            grid_contiguity(6, 6, "rook"),
+            inverse_distance_weights(rng.uniform(-5, 5, 20), rng.uniform(-5, 5, 20)),
+            from_matrix(rng.uniform(0.0, 1.0, (8, 8)), normalize=False),
+        ]
+        for w in built:
+            check_rho(0.1 / np.abs(w.w).sum(axis=1).max(), w)
+        assert eig_calls == []
+
     def test_ml_fit_reads_the_eigenvalues_of_the_weights(self, eig_calls):
         design, _, _ = make_design(seed=81)
+        assert eig_calls == []
+        ml_fit(design)
         assert eig_calls == ["eigvalsh"]
         ml_fit(design)
         assert eig_calls == ["eigvalsh"]
@@ -532,7 +535,7 @@ class TestEigenWork:
 
     def test_asymmetric_w_takes_the_general_route(self, eig_calls):
         design = self.asymmetric_design()
-        assert eig_calls == ["eigvals"]
+        assert eig_calls == []
         ml_fit(design)
         assert eig_calls == ["eigvals"]
         m_fit(design)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssofr import (
+    NumericalError,
     ValidationError,
     from_matrix,
     grid_contiguity,
@@ -11,7 +12,7 @@ from ssofr import (
     inverse_distance_weights,
     row_normalize,
 )
-from ssofr.weights import _symmetrizer
+from ssofr.weights import _symmetrizer, check_rho
 
 
 def general_spectrum(w):
@@ -228,6 +229,39 @@ class TestSpectrum:
         assert copy.eigvals is w.eigvals
         assert copy.rho_bounds == w.rho_bounds
         assert copy.lambda_min == w.lambda_min
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        normalize=st.booleans(),
+        symmetric=st.booleans(),
+        frac=st.floats(-1.2, 1.2),
+    )
+    def test_check_rho_without_the_spectrum_agrees_with_the_bounds(
+        self, n, seed, normalize, symmetric, frac
+    ):
+        # rho at frac / max(1, s), s the largest row sum of W: a fresh
+        # object, whose spectrum is unknown, is admitted or refused exactly as
+        # the interval from the eigenvalues decides
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.0, 3.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        if symmetric:
+            raw = raw + raw.T
+        isolated = rng.uniform(size=n) < 0.2
+        raw[isolated] = 0.0
+        raw[:, isolated] = 0.0
+        exact = from_matrix(raw, normalize=normalize)
+        assume(abs(abs(frac) - 1.0) > 1e-9)
+        rho = frac / max(1.0, np.abs(exact.w).sum(axis=1).max())
+        lo, hi = exact.rho_bounds
+        fresh = from_matrix(raw, normalize=normalize)
+        assert "eigvals" not in fresh.__dict__
+        if lo < rho < hi:
+            check_rho(rho, fresh)
+        else:
+            with pytest.raises(NumericalError, match="admissible"):
+                check_rho(rho, fresh)
 
     @settings(max_examples=40, deadline=None)
     @given(
