@@ -6,6 +6,13 @@ there correspond to unit-norm functions, so the classical basis comes from an
 eigendecomposition of the covariance of B, and the robust basis from
 projection pursuit maximizing an M-scale of the projections, with deflation
 enforcing orthogonality.
+
+The pursuit starts each component from the best normalized observation and
+rotates it, plane by plane, towards the principal axes of the deflated data
+(the eigenvectors of its classical scatter, one eigendecomposition per
+component), then along the sweep's net displacement, a pattern move in the
+manner of Hooke and Jeeves. In each plane a zoomed angle grid picks the
+rotation; it reuses the values it already has, so no angle is scored twice.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from .mscale import DEFAULT_MSCALE, MScaleConfig, m_scale_columns
 
 _REFINE_TOL = 1e-8
 _REFINE_SWEEPS = 100
+_GRID = 13  # angles per zoom grid of `_rotate`, both ends included
+_ZOOMS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +37,8 @@ class Decomposition:
 
     phi holds one M-vector of basis coefficients per component (columns), so
     component k evaluates as eval @ phi[:, k]. scores[i, k] is the inner
-    product of curve i (centered) with component k.
+    product of curve i (centered) with component k. For rfpc, sweeps[k] is
+    the number of projection-pursuit sweeps component k took.
     """
 
     phi: np.ndarray
@@ -39,6 +49,7 @@ class Decomposition:
     basis: BasisSystem
     truncated: bool = False
     pls_state: object = None
+    sweeps: tuple = ()
 
     @property
     def K(self) -> int:
@@ -87,50 +98,72 @@ def fpc(coeff_matrix: CoefficientMatrix, basis: BasisSystem, K: int) -> Decompos
     )
 
 
-def _sphere_refine(b: np.ndarray, u: np.ndarray, config: MScaleConfig) -> tuple:
-    """Coordinate ascent on the unit sphere for the M-scale criterion.
+def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
+            config: MScaleConfig) -> tuple:
+    """Best rotation of the unit direction u in the plane of u and v.
 
-    For each coordinate axis, searches rotations in the plane spanned by the
-    current direction and that axis, scoring batches of angles at once.
-    A batch is built in row layout, one candidate direction per row. Its
-    projections (candidates x units) reach `m_scale_columns` as the
-    transpose of a C-contiguous array, which that function turns back into
-    one sample per row without a copy.
-    Stops when a full sweep improves the criterion by less than a relative
-    1e-8, or after 100 sweeps.
+    Searches the angle theta of cos(theta) u + sin(theta) v_perp, v_perp the
+    unit part of v orthogonal to u, on a 13-point grid over [-pi/2, pi/2]
+    zoomed 6 times onto the best point and its two neighbours. No angle is
+    scored twice. At zoom 0, theta = 0 is u, whose value is crit, and -pi/2
+    stands for both ends, which are one direction up to sign. Each later
+    grid is centred on the best point so far, whose value is known, and ends
+    at that point's neighbours on the grid before, which did not beat it.
+    So a plane scores 11 + 5 x 10 = 61 columns. The first maximum of the
+    scored angles, in grid order, moves u only if it strictly improves on
+    crit. A batch is built in row layout, one candidate direction per row,
+    so its projections (candidates x units) reach `m_scale_columns` as the
+    transpose of a C-contiguous array, a view in that function's row
+    layout. Returns (u, crit); a plane where |v_perp| < 1e-12 is skipped.
     """
-    M = u.size
+    v = v - (u @ v) * u
+    norm = np.linalg.norm(v)
+    if norm < 1e-12:
+        return u, crit
+    v = v / norm
+    half = _GRID // 2
+    thetas = np.linspace(-np.pi / 2, np.pi / 2, _GRID)
+    scored = np.r_[0:half, half + 1:_GRID - 1]
+    best_theta, best_val = 0.0, crit
+    for _zoom in range(_ZOOMS):
+        t = thetas[scored]
+        cand = np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
+        vals = m_scale_columns((cand @ b.T).T, config)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_theta, best_val = float(t[i]), float(vals[i])
+        step = thetas[1] - thetas[0]
+        thetas = np.linspace(best_theta - step, best_theta + step, _GRID)
+        scored = np.r_[1:half, half + 1:_GRID - 1]
+    if best_val > crit:
+        u = np.cos(best_theta) * u + np.sin(best_theta) * v
+        u = u / np.linalg.norm(u)
+    return u, best_val
+
+
+def _sphere_refine(b: np.ndarray, u: np.ndarray, config: MScaleConfig) -> tuple:
+    """Projection pursuit on the unit sphere for the M-scale criterion.
+
+    Each sweep rotates u (`_rotate`) in the planes of u and the principal
+    axes of the deflated data b, the eigenvectors of b^T b in order of
+    decreasing eigenvalue; axes with eigenvalue <= 1e-12 times the largest
+    are directions deflated away or never spanned by the data, and are left
+    out. A pattern move then
+    rotates u in the plane of u and the sweep's net displacement
+    u - u_start. Stops when a sweep improves the criterion by less than a
+    relative 1e-8, or after 100 sweeps. Returns (u, crit, sweeps).
+    """
     crit = float(m_scale_columns((b @ u)[:, None], config)[0])
-    angles0 = np.linspace(-np.pi / 2, np.pi / 2, 13)
-    for _ in range(_REFINE_SWEEPS):
-        crit_at_sweep_start = crit
-        for j in range(M):
-            e = np.zeros(M)
-            e[j] = 1.0
-            e_perp = e - (u @ e) * u
-            norm = np.linalg.norm(e_perp)
-            if norm < 1e-12:
-                continue
-            e_perp /= norm
-            lo_a, hi_a = angles0[0], angles0[-1]
-            best_theta, best_val = 0.0, crit
-            for _zoom in range(6):
-                thetas = np.linspace(lo_a, hi_a, 13)
-                cand = np.outer(np.cos(thetas), u) + np.outer(np.sin(thetas), e_perp)
-                vals = m_scale_columns((cand @ b.T).T, config)
-                i = int(np.argmax(vals))
-                if vals[i] > best_val:
-                    best_val = float(vals[i])
-                    best_theta = float(thetas[i])
-                step = thetas[1] - thetas[0]
-                lo_a, hi_a = best_theta - step, best_theta + step
-            if best_val > crit:
-                u = np.cos(best_theta) * u + np.sin(best_theta) * e_perp
-                u /= np.linalg.norm(u)
-                crit = best_val
+    evals, evecs = np.linalg.eigh(b.T @ b)
+    axes = evecs[:, evals > 1e-12 * evals[-1]][:, ::-1].T
+    for sweep in range(1, _REFINE_SWEEPS + 1):
+        u_start, crit_at_sweep_start = u, crit
+        for v in axes:
+            u, crit = _rotate(b, u, v, crit, config)
+        u, crit = _rotate(b, u, u - u_start, crit, config)
         if crit - crit_at_sweep_start <= _REFINE_TOL * max(crit, 1e-300):
             break
-    return u, crit
+    return u, crit, sweep
 
 
 def rfpc(
@@ -143,8 +176,9 @@ def rfpc(
 
     Sequentially maximizes the M-scale of projections over unit directions in
     the orthogonal complement of the components already found. Candidates are
-    the normalized centered observations (deflated), refined by spherical
-    coordinate ascent; ties break toward the lowest observation index.
+    the normalized centered observations (deflated); the best one, with ties
+    broken toward the lowest observation index, is refined by
+    `_sphere_refine`, whose sweep count is kept per component in `sweeps`.
     """
     a = coeff_matrix.coeffs
     n, M = a.shape
@@ -157,6 +191,7 @@ def rfpc(
     b = b_full.copy()
     us = []
     lambdas = []
+    sweeps = []
     for _k in range(K):
         norms = np.linalg.norm(b, axis=1)
         keep = norms > 1e-12 * max(norms.max(), 1.0)
@@ -168,7 +203,8 @@ def rfpc(
         crit = m_scale_columns((cand @ b.T).T, m_scale_config)
         best = int(np.argmax(crit))  # first max wins: lowest index tie-break
         u = cand[best]
-        u, _ = _sphere_refine(b, u, m_scale_config)
+        u, _, n_sweeps = _sphere_refine(b, u, m_scale_config)
+        sweeps.append(n_sweeps)
         # re-orthogonalize against previous directions for numerical hygiene
         for prev in us:
             u -= (u @ prev) * prev
@@ -183,7 +219,7 @@ def rfpc(
     scores = (a - center) @ basis.gram @ phi
     return Decomposition(
         phi=phi, lambdas=np.array(lambdas), scores=scores, method="RFPC",
-        center=center, basis=basis,
+        center=center, basis=basis, sweeps=tuple(sweeps),
     )
 
 

@@ -51,6 +51,17 @@ def _parse_float(token: str, path: str):
         raise ValidationError(f"{path}: cannot parse {token!r} as a number") from exc
 
 
+def _parse_row(tokens, path: str) -> list:
+    """Floats of a row of tokens; a token that is not a number is named by
+    `_parse_float`."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        for token in tokens:
+            _parse_float(token, path)
+        raise
+
+
 def _body(rows, width: int, path: str):
     """The rows after the header, each with at least `width` fields."""
     body = rows[1:]
@@ -115,7 +126,7 @@ def read_curves_wide(path: str):
         if len(row) != len(header):
             raise ValidationError(f"{path}: row length does not match header")
         ids.append(row[0].strip())
-        curves.append([_parse_float(v, path) for v in row[1:]])
+        curves.append(_parse_row(row[1:], path))
     return ids, grid, np.array(curves)
 
 
@@ -177,7 +188,7 @@ def read_weights_matrix(path: str):
         if len(row) != len(ids) + 1:
             raise ValidationError(f"{path}: dense row length mismatch")
         row_ids.append(row[0].strip())
-        mat.append([_parse_float(v, path) for v in row[1:]])
+        mat.append(_parse_row(row[1:], path))
     if row_ids != ids:
         raise ValidationError(f"{path}: dense matrix row ids must match header ids")
     return ids, np.array(mat)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fpca
 from .diagnostics import fit_metrics
 from .exceptions import NumericalError, ValidationError
 from .fpca import Decomposition, fpc, rfpc, scores_for
@@ -116,6 +117,11 @@ def fit(
     Z = np.column_stack([np.ones(dataset.n), decomp.scores])
     design = SarDesign(Y=dataset.response, Z=Z, weights=weights)
     info = ml_fit(design) if est == "ml" else m_fit(design, tuning)
+    cap = fpca._REFINE_SWEEPS
+    info.events.extend(
+        f"rfpc component {k} stopped at the {cap}-sweep cap"
+        for k, sweeps in enumerate(decomp.sweeps, start=1) if sweeps >= cap
+    )
 
     beta_coeffs = decomp.phi @ info.params.theta[1:]
     beta_grid = basis.eval @ beta_coeffs

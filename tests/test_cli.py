@@ -18,6 +18,7 @@ from ssofr import (
     model_from_json,
     simulate,
 )
+import ssofr.fpca
 from ssofr.cli import main
 from ssofr import io as sio
 
@@ -116,6 +117,22 @@ class TestFitCommand:
         assert report["rho"] == model.params.rho
         assert report["sigma"] == model.params.sigma
         assert report["theta"] == model.params.theta.tolist()
+
+    def test_sweep_cap_in_fit_report(self, simulated_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(ssofr.fpca, "_REFINE_SWEEPS", 1)
+        out = tmp_path / "fit"
+        code = run_cli(
+            "fit", "--curves", simulated_dir / "curves.csv",
+            "--response", simulated_dir / "response.csv",
+            "--weights-matrix", simulated_dir / "weights_matrix.csv",
+            "--basis", "fourier", "--num-basis", 5,
+            "--method", "rfpc", "--estimator", "ml", "--num-components", 2,
+            "--out", out,
+        )
+        assert code == 0
+        report = json.loads(read_bytes(out / "fit_report.json"))
+        assert "rfpc component 2 stopped at the 1-sweep cap" in report["events"]
+        assert b"sweep" not in read_bytes(out / "model.json")
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run_cli(
@@ -567,6 +584,26 @@ class TestRepeatedRows:
     def test_repeated_curve_id_rejected(self):
         with pytest.raises(ValidationError, match=r"units aligned with w\.csv: id 'a'"):
             sio.align_to(["a", "a", "b"], ["a", "b", "c"], np.eye(3), "w.csv")
+
+
+class TestDenseRows:
+    @pytest.mark.parametrize("reader, header", [
+        (sio.read_weights_matrix, ("id", "a", "b")),
+        (sio.read_curves_wide, ("id", "0.0", "1.0")),
+    ])
+    def test_first_bad_token_is_named(self, tmp_path, reader, header):
+        path = tmp_path / "dense.csv"
+        sio.write_csv(str(path), header, [("a", "0.0", "1.5"), ("b", "x", "y")])
+        with pytest.raises(ValidationError, match=r"dense\.csv: cannot parse 'x' as a number"):
+            reader(str(path))
+
+    def test_values_parse_exactly(self, tmp_path):
+        w = np.array([[0.0, -0.0, 5e-324], [1e300, 0.1, -2.5], [1 / 3, 7.0, 1e-310]])
+        path = tmp_path / "w.csv"
+        sio.write_weights_matrix(str(path), ["a", "b", "c"], w)
+        ids, got = sio.read_weights_matrix(str(path))
+        assert ids == ["a", "b", "c"]
+        assert got.tobytes() == w.tobytes()
 
 
 class TestWideFormat:

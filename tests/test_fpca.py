@@ -4,7 +4,7 @@ import pytest
 import ssofr.fpca
 from ssofr import DegenerateDataError, SimSpec, ValidationError, build_basis, fpc, rfpc, scores_for, simulate
 from ssofr.functional import CoefficientMatrix, project_curves
-from ssofr.mscale import tukey_loss_norm
+from ssofr.mscale import DEFAULT_MSCALE, tukey_loss_norm
 
 from conftest import oracle_m_scale_columns, subspace_angle_deg
 
@@ -170,6 +170,130 @@ class TestRfpc:
     def test_needs_enough_observations(self, basis):
         with pytest.raises(ValidationError):
             rfpc(CoefficientMatrix(gaussian_coeffs(6, n=3)), basis, 1)
+
+
+def plane_search_oracle(b, u, v, config=DEFAULT_MSCALE):
+    """Rotation of u towards v by a 13-angle grid zoomed 6 times that scores
+    every angle of every grid: the search `_rotate` makes with reuse."""
+    v = v - (u @ v) * u
+    v = v / np.linalg.norm(v)
+    crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], config)[0])
+    lo, hi = -np.pi / 2, np.pi / 2
+    best_theta, best_val = 0.0, crit
+    for _ in range(6):
+        thetas = np.linspace(lo, hi, 13)
+        cand = np.outer(np.cos(thetas), u) + np.outer(np.sin(thetas), v)
+        vals = ssofr.fpca.m_scale_columns((cand @ b.T).T, config)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_theta, best_val = float(thetas[i]), float(vals[i])
+        step = thetas[1] - thetas[0]
+        lo, hi = best_theta - step, best_theta + step
+    return best_theta, best_val
+
+
+class TestProjectionPursuit:
+    @pytest.fixture()
+    def scored(self, monkeypatch):
+        """Every array passed to `m_scale_columns` during the test."""
+        calls = []
+        real = ssofr.fpca.m_scale_columns
+
+        def counted(x, config):
+            calls.append(np.array(x))
+            return real(x, config)
+
+        monkeypatch.setattr(ssofr.fpca, "m_scale_columns", counted)
+        return calls
+
+    def planes(self):
+        # a poor start u against each principal axis, the top one included,
+        # whose best angle sits near the end of the first grid (-pi/2 or pi/2)
+        b = gaussian_coeffs(21)
+        b = b - np.median(b, axis=0)
+        axes = np.linalg.eigh(b.T @ b)[1][:, ::-1]
+        u = axes[:, -1] + 0.3 * axes[:, 1]
+        u /= np.linalg.norm(u)
+        return b, u, list(axes.T)
+
+    def test_each_plane_scores_61_distinct_angles(self, scored):
+        b, u, axes = self.planes()
+        for v in axes + [np.ones(7)]:
+            crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
+            del scored[:]
+            ssofr.fpca._rotate(b, u, v, crit, DEFAULT_MSCALE)
+            assert [x.shape[1] for x in scored] == [11, 10, 10, 10, 10, 10]
+            v_perp = v - (u @ v) * u
+            plane = np.column_stack([b @ u, b @ v_perp])
+            coords = np.linalg.lstsq(plane, np.hstack(scored), rcond=None)[0]
+            # directions up to sign, u itself (theta = 0) included
+            thetas = np.sort(np.r_[0.0, np.arctan2(coords[1], coords[0]) % np.pi])
+            gaps = np.diff(np.r_[thetas, thetas[0] + np.pi])
+            assert gaps.min() > 1e-6
+
+    def test_plane_search_matches_rescoring_oracle(self, scored):
+        b, u, axes = self.planes()
+        for v in axes + [np.ones(7)]:
+            crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
+            theta, val = plane_search_oracle(b, u, v)
+            got_u, got_val = ssofr.fpca._rotate(b, u, v, crit, DEFAULT_MSCALE)
+            assert got_val == pytest.approx(val, rel=1e-12)
+            v_perp = v - (u @ v) * u
+            v_perp /= np.linalg.norm(v_perp)
+            expect = np.cos(theta) * u + np.sin(theta) * v_perp
+            expect /= np.linalg.norm(expect)
+            # +-pi/2 tie up to rounding; the oracle may take either end
+            assert np.abs(got_u - np.sign(got_u @ expect) * expect).max() < 1e-12
+
+    @pytest.mark.parametrize("deflated", [0, 1, 2])
+    def test_sweeps_search_kept_axes_then_a_pattern_move(self, scored, deflated):
+        # a deflated direction leaves b^T b an eigenvalue of rounding size,
+        # and its axis is not searched
+        b, u, axes = self.planes()
+        for w in axes[:deflated]:
+            b = b - np.outer(b @ w, w)
+            u = u - (u @ w) * w
+        u /= np.linalg.norm(u)
+        _, _, sweeps = ssofr.fpca._sphere_refine(b, u, DEFAULT_MSCALE)
+        planes = sum(x.shape[1] == 11 for x in scored)
+        per_sweep = 7 - deflated + 1
+        # every sweep but the last moves u, so it has a displacement to search
+        assert per_sweep * sweeps - 1 <= planes <= per_sweep * sweeps
+
+    def test_rfpc_planes_score_61_columns(self, basis, scored):
+        cm = CoefficientMatrix(gaussian_coeffs(22))
+        dec = rfpc(cm, basis, 3)
+        # per component: the candidate batch, the start's value, the planes
+        # and the final lambda; all but the planes score 1 or n columns
+        widths = [x.shape[1] for x in scored if x.shape[1] not in (1, cm.coeffs.shape[0])]
+        assert len(widths) % 6 == 0 and widths
+        assert widths == [11, 10, 10, 10, 10, 10] * (len(widths) // 6)
+        assert len(dec.sweeps) == 3
+
+    def test_cost_does_not_depend_on_the_draw(self, scored):
+        calls = []
+        for seed in range(6):
+            design, _, _ = simulate(SimSpec(
+                n=100, weights_scheme="inverse_distance", contamination_fraction=0.1,
+                contamination_kind="leverage", seed=seed,
+            ))
+            lev_basis = build_basis("bspline", 15, design.grid)
+            del scored[:]
+            rfpc(project_curves(design, lev_basis), lev_basis, 3)
+            calls.append(len(scored))
+        assert max(calls) <= 1000
+        assert max(calls) <= 2 * min(calls)
+
+    def test_elongated_sample_found_in_few_sweeps(self, basis):
+        # Gaussian, 20 times wider along a non-coordinate axis than across it
+        rng = np.random.default_rng(3)
+        axis = np.array([1.0, -2.0, 0.5, 1.5, 0.0, -1.0, 0.7])
+        axis /= np.linalg.norm(axis)
+        frame, _ = np.linalg.qr(np.column_stack([axis, rng.standard_normal((7, 6))]))
+        b = rng.standard_normal((400, 7)) * np.r_[20.0, np.ones(6)] @ frame.T
+        dec = rfpc(CoefficientMatrix(b @ basis.gram_inv_sqrt), basis, 1)
+        assert dec.sweeps[0] <= 3
+        assert subspace_angle_deg(dec.phi[:, 0], basis.gram_inv_sqrt @ axis, basis.gram) < 1.0
 
 
 class TestScoresFor:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ssofr.fpca
 from ssofr import (
     BasisSpec,
     FunctionalDataset,
@@ -110,6 +111,20 @@ class TestFit:
         w_small = grid_contiguity(3, 3, "rook")
         with pytest.raises(ValidationError):
             fit(ds, w_small, BS, "fpc", K=2)
+
+
+    def test_rfpc_sweep_cap_is_reported(self, monkeypatch):
+        ds, w, _ = sim(seed=5)
+        model = fit(ds, w, BS, "rfpc", K=2)
+        assert not any("sweep cap" in e for e in model.fit_info.events)
+        monkeypatch.setattr(ssofr.fpca, "_REFINE_SWEEPS", 1)
+        capped = fit(ds, w, BS, "rfpc", K=2)
+        assert capped.decomposition.sweeps == (1, 1)
+        assert [e for e in capped.fit_info.events if "sweep cap" in e] == [
+            "rfpc component 1 stopped at the 1-sweep cap",
+            "rfpc component 2 stopped at the 1-sweep cap",
+        ]
+        assert "sweep" not in model_to_json(capped)
 
 
 class TestBsplineIntegration:
