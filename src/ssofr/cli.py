@@ -259,7 +259,7 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _add_weights_args(p, required=True):
+def _add_weights_args(p):
     p.add_argument("--coords", help="coordinates CSV (id,lat,lon)")
     p.add_argument("--weights-matrix", help="dense or triplet weight-matrix CSV")
     p.add_argument("--no-normalize", action="store_true",
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("weights", help="build and inspect a weight matrix")
-    _add_weights_args(p, required=False)
+    _add_weights_args(p)
     p.add_argument("--grid", type=int, nargs=2, help="rows cols for contiguity")
     p.add_argument("--scheme", choices=("rook", "queen"), default="rook")
     p.add_argument("--out", required=True)

@@ -22,6 +22,10 @@ from .functional import BasisSystem, CoefficientMatrix
 from .mscale import DEFAULT_MSCALE, MScaleConfig, m_scale_info
 
 _ZERO_COV_RTOL = 1e-12
+# rfpls reweighting: iteration cap, and the relative change of the
+# coefficient function below which it stops
+_REWEIGHT_MAX_ITER = 50
+_REWEIGHT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class PlsState:
 
     directions: np.ndarray       # M x K weight vectors (orthonormal)
     components: np.ndarray       # n x K deflation-orthogonal components
-    loadings_p: np.ndarray       # M x K predictor loadings
     loadings_q: np.ndarray       # K response loadings
     weights: np.ndarray          # n case weights in [0, 1]
     y_center: float
@@ -70,13 +73,13 @@ class PlsState:
 def _nipals(d: np.ndarray, y: np.ndarray, K: int):
     """PLS1 NIPALS with deflation of both the predictor block and y.
 
-    Returns directions, components, loadings, and the per-step covariance
-    with the working response. Stops early if the working covariance
-    vanishes before K components.
+    Returns directions, components, response loadings, and the per-step
+    covariance with the working response. Stops early if the working
+    covariance vanishes before K components.
     """
     n = d.shape[0]
     scale0 = np.linalg.norm(d) * np.linalg.norm(y)
-    ws, ts, ps, qs, covs = [], [], [], [], []
+    ws, ts, qs, covs = [], [], [], []
     truncated = False
     for _h in range(K):
         v = d.T @ y
@@ -97,17 +100,16 @@ def _nipals(d: np.ndarray, y: np.ndarray, K: int):
         y = y - q * t
         ws.append(w)
         ts.append(t)
-        ps.append(p)
         qs.append(q)
     if not ws:
         raise NumericalError("response has no covariance with the curves")
     return (
-        np.column_stack(ws), np.column_stack(ts), np.column_stack(ps),
-        np.array(qs), np.array(covs), truncated,
+        np.column_stack(ws), np.column_stack(ts), np.array(qs), np.array(covs),
+        truncated,
     )
 
 
-def _assemble(coeffs, basis, W, T, P, q, covs, truncated, method,
+def _assemble(coeffs, basis, W, T, q, covs, truncated, method,
               center, weights, y_center, iterations=1, converged=True,
               residual_scale=np.nan) -> Decomposition:
     # sign convention: largest-magnitude entry of each direction positive
@@ -115,12 +117,11 @@ def _assemble(coeffs, basis, W, T, P, q, covs, truncated, method,
     signs[signs == 0] = 1.0
     W = W * signs
     T = T * signs
-    P = P * signs
     q = q * signs
     phi = basis.gram_inv_sqrt @ W
     scores = (coeffs - center) @ basis.gram @ phi
     state = PlsState(
-        directions=W, components=T, loadings_p=P, loadings_q=q,
+        directions=W, components=T, loadings_q=q,
         weights=weights, y_center=y_center, iterations=iterations,
         converged=converged, residual_scale=residual_scale,
     )
@@ -141,9 +142,9 @@ def fpls(coeff_matrix: CoefficientMatrix, basis: BasisSystem, Y, K: int) -> Deco
     center = a.mean(axis=0)
     y_center = float(y.mean())
     d = (a - center) @ basis.gram_sqrt
-    W, T, P, q, covs, truncated = _nipals(d, y - y_center, K)
+    W, T, q, covs, truncated = _nipals(d, y - y_center, K)
     return _assemble(
-        a, basis, W, T, P, q, covs, truncated, "FPLS",
+        a, basis, W, T, q, covs, truncated, "FPLS",
         center, np.ones(n), y_center,
     )
 
@@ -171,8 +172,6 @@ def rfpls(
     K: int,
     hampel_config: HampelConfig = HampelConfig(),
     m_scale_config: MScaleConfig = DEFAULT_MSCALE,
-    max_iter: int = 50,
-    tol: float = 1e-6,
 ) -> Decomposition:
     """Robust PLS with iteratively reweighted cases.
 
@@ -200,7 +199,7 @@ def rfpls(
     converged = False
     it = 0
     sigma = np.nan
-    for it in range(1, max_iter + 1):
+    for it in range(1, _REWEIGHT_MAX_ITER + 1):
         wsum = r.sum()
         if wsum <= 0:
             raise NumericalError("all case weights vanished")
@@ -209,7 +208,7 @@ def rfpls(
         d = (a - center) @ basis.gram_sqrt
         yc = y - y_center
         s = np.sqrt(r)
-        W, T, P, q, covs, truncated = _nipals(s[:, None] * d, s * yc, K)
+        W, T, q, covs, truncated = _nipals(s[:, None] * d, s * yc, K)
         scores = d @ W
 
         # weighted regression of the response on the scores
@@ -224,17 +223,17 @@ def rfpls(
         r = _case_weights(e, scores, sigma, hampel_config)
 
         beta = basis.gram_inv_sqrt @ W @ gamma
-        out = (W, T, P, q, covs, truncated, center, y_center)
+        out = (W, T, q, covs, truncated, center, y_center)
         if beta_prev is not None and beta_prev.shape == beta.shape:
             denom = max(float(np.abs(beta_prev).max()), 1e-300)
-            if float(np.abs(beta - beta_prev).max()) / denom < tol:
+            if float(np.abs(beta - beta_prev).max()) / denom < _REWEIGHT_TOL:
                 converged = True
                 break
         beta_prev = beta
 
-    W, T, P, q, covs, truncated, center, y_center = out
+    W, T, q, covs, truncated, center, y_center = out
     return _assemble(
-        a, basis, W, T, P, q, covs, truncated, "RFPLS",
+        a, basis, W, T, q, covs, truncated, "RFPLS",
         center, r, y_center, iterations=it, converged=converged, residual_scale=sigma,
     )
 

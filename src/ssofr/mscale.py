@@ -11,9 +11,9 @@ Safeguarded Newton steps then run on the closed-form derivative of the
 clipped-polynomial loss; with t = min((r / (c sigma))^2, 1) the loss and its
 slope are combinations of the three power sums of t, so one Newton step takes
 three sums over the row. A step that would leave (sigma/2, 2 sigma) is
-replaced by the multiplicative fixed-point step. The sums run over sorted
-residuals, so with the median location the M-scale is exactly invariant to
-the order of the units.
+replaced by the multiplicative fixed-point step. The location is the median
+and the sums run over sorted residuals, so the M-scale is exactly invariant
+to the order of the units.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .exceptions import NonConvergenceError, ValidationError
 
 # median absolute deviation consistency factor: 1 / Phi^{-1}(3/4)
 MAD_SCALE = 1.4826022185056018
+# iteration cap and relative step tolerance of the scale solve
+_MAX_ITER = 200
+_TOL = 1e-10
 
 
 def _biweight(t):
@@ -50,49 +53,19 @@ def tukey_loss_norm(u, c: float = 1.56):
     return val if val.ndim else float(val)
 
 
-def tukey_weight(u, c: float = 1.56):
-    """Biweight psi(u)/u weight: (1 - (u/c)^2)^2 inside, 0 outside."""
-    u = np.asarray(u, dtype=float)
-    t = np.clip(1.0 - (u / c) ** 2, 0.0, None)
-    w = t * t
-    return w if w.ndim else float(w)
-
-
-def m_location(x, c: float = 4.685, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Bisquare M-location via IRLS, scale fixed at the normalized MAD."""
-    x = np.asarray(x, dtype=float)
-    mu = float(np.median(x))
-    s = MAD_SCALE * float(np.median(np.abs(x - mu)))
-    if s == 0.0:
-        return mu
-    for _ in range(max_iter):
-        w = tukey_weight((x - mu) / s, c)
-        if w.sum() == 0.0:
-            return mu
-        mu_new = float(np.sum(w * x) / np.sum(w))
-        if abs(mu_new - mu) <= tol * max(1.0, abs(mu)):
-            return mu_new
-        mu = mu_new
-    return mu
-
-
 @dataclass(frozen=True)
 class MScaleConfig:
+    """Biweight tuning constant c and target delta of the M-scale equation;
+    the location is the median."""
+
     c: float = 1.56
     delta: float = 0.5
-    max_iter: int = 200
-    tol: float = 1e-10
-    location: str = "median"
 
     def __post_init__(self):
         if self.c <= 0:
             raise ValidationError("c must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError("delta must be in (0, 1)")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be positive")
-        if self.location not in ("median", "m_location"):
-            raise ValidationError("location must be 'median' or 'm_location'")
 
 
 @dataclass
@@ -130,10 +103,7 @@ def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
     median does not.
     """
     n = x.shape[1]
-    if cfg.location == "median":
-        mu = _middle(np.sort(x, axis=1))
-    else:
-        mu = np.array([m_location(row) for row in x])
+    mu = _middle(np.sort(x, axis=1))
     a = np.sort(np.abs(x - mu[:, None]), axis=1)
     degenerate = np.count_nonzero(a == 0.0, axis=1) > (1.0 - cfg.delta) * n
     sigma = MAD_SCALE * _middle(a)
@@ -154,7 +124,7 @@ def _solve(q: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
     when that derivative is nonzero and the step lands in (sigma/2, 2 sigma);
     otherwise the multiplicative fixed-point step
     sigma * sqrt(mean rho_norm / delta), which keeps every iterate positive
-    and converges from any start. A row stops once |step| <= tol sigma.
+    and converges from any start. A row stops once |step| <= 1e-10 sigma.
     The sums run over each row as given; over sorted rows (as `_start`
     returns them) the result does not depend on the order of the units.
     Returns (sigma, iterations); history, if given, receives every iterate.
@@ -164,7 +134,7 @@ def _solve(q: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
     rows = np.arange(sigma.size)
     if history is not None:
         history.append(sigma.copy())
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         s = sigma[rows]
         t = q / (s * s)[:, None]
         np.minimum(t, 1.0, out=t)
@@ -184,13 +154,13 @@ def _solve(q: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
         sigma[rows] = new
         if history is not None:
             history.append(sigma.copy())
-        going = np.abs(new - s) > cfg.tol * s
+        going = np.abs(new - s) > _TOL * s
         if not going.any():
             return sigma, it
         if not going.all():
             rows = rows[going]
             q = q[going]
-    raise NonConvergenceError(f"m_scale did not converge in {cfg.max_iter} iterations")
+    raise NonConvergenceError(f"m_scale did not converge in {_MAX_ITER} iterations")
 
 
 def m_scale_info(x, config: MScaleConfig = DEFAULT_MSCALE) -> MScaleResult:

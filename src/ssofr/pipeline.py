@@ -75,16 +75,23 @@ class FittedModel:
         return float(self.params.theta[0] - c @ self.basis.gram @ self.beta_coeffs)
 
 
+def _choice(value: str, allowed: tuple, what: str) -> str:
+    """value in lower case, which must be one of `allowed`."""
+    value = value.lower()
+    if value not in allowed:
+        raise ValidationError(f"{what} must be one of {allowed}")
+    return value
+
+
 def _decompose(method, coeffs, basis, Y, K, m_scale_config, hampel_config):
+    """The decomposition of `method`, one of DECOMPOSITION_METHODS."""
     if method == "fpc":
         return fpc(coeffs, basis, K)
     if method == "rfpc":
         return rfpc(coeffs, basis, K, m_scale_config)
     if method == "fpls":
         return fpls(coeffs, basis, Y, K)
-    if method == "rfpls":
-        return rfpls(coeffs, basis, Y, K, hampel_config, m_scale_config)
-    raise ValidationError(f"unknown decomposition method {method!r}")
+    return rfpls(coeffs, basis, Y, K, hampel_config, m_scale_config)
 
 
 def fit(
@@ -100,12 +107,8 @@ def fit(
     trim_grid: tuple = (0.0, 0.05, 0.10),
 ) -> FittedModel:
     """Fit the spatial scalar-on-function model."""
-    method = decomposition_method.lower()
-    if method not in DECOMPOSITION_METHODS:
-        raise ValidationError(f"method must be one of {DECOMPOSITION_METHODS}")
-    est = estimator.lower()
-    if est not in ESTIMATORS:
-        raise ValidationError(f"estimator must be one of {ESTIMATORS}")
+    method = _choice(decomposition_method, DECOMPOSITION_METHODS, "method")
+    est = _choice(estimator, ESTIMATORS, "estimator")
     if dataset.n != weights.n:
         raise ValidationError("dataset and weights have different unit counts")
 
@@ -161,18 +164,30 @@ def predict(
 
 
 def _parse_rule(rule):
-    if isinstance(rule, (tuple, list)):
-        return tuple(rule)
-    s = str(rule)
-    if s == "bic":
-        return ("bic",)
-    if s.startswith("ev"):
-        tau = float(s.split(":", 1)[1]) if ":" in s else 0.95
-        return ("ev", tau)
-    if s.startswith("cv"):
-        folds = int(s.split(":", 1)[1]) if ":" in s else 5
-        return ("cv", folds)
-    raise ValidationError(f"unknown selection rule {rule!r}")
+    """("bic",), ("ev", tau) or ("cv", folds) from "bic", "ev", "ev:TAU",
+    "cv" or "cv:FOLDS"; tau defaults to 0.95 and folds to 5."""
+    name, colon, arg = str(rule).partition(":")
+    try:
+        if name == "bic" and not colon:
+            return ("bic",)
+        if name == "ev":
+            return ("ev", float(arg) if colon else 0.95)
+        if name == "cv":
+            return ("cv", int(arg) if colon else 5)
+    except ValueError:
+        pass
+    raise ValidationError(
+        f"unknown selection rule {rule!r}: use bic, ev, ev:TAU, cv or cv:FOLDS"
+    )
+
+
+def _subset(dataset, weights, units):
+    """The dataset restricted to a boolean mask of units, with the weights
+    among them row-normalized."""
+    part = FunctionalDataset(
+        grid=dataset.grid, curves=dataset.curves[units], response=dataset.response[units],
+    )
+    return part, row_normalize(weights.w[np.ix_(units, units)], weights.scheme)
 
 
 def select_K(
@@ -187,6 +202,7 @@ def select_K(
 ) -> int:
     """Choose the truncation level by explained variance, BIC, or CV."""
     parsed = _parse_rule(rule)
+    method = _choice(decomposition_method, DECOMPOSITION_METHODS, "method")
     basis = basis_spec.build(dataset.grid)
     if K_max is None:
         K_max = min(dataset.n - 1, basis.M, 20)
@@ -198,7 +214,7 @@ def select_K(
             raise ValidationError("explained-variance threshold must be in (0,1)")
         coeffs = project_curves(dataset, basis)
         decomp = _decompose(
-            decomposition_method, coeffs, basis, dataset.response, K_max,
+            method, coeffs, basis, dataset.response, K_max,
             fit_kwargs.get("m_scale_config", DEFAULT_MSCALE),
             fit_kwargs.get("hampel_config", HampelConfig()),
         )
@@ -214,8 +230,7 @@ def select_K(
         n = dataset.n
         for k in range(1, K_max + 1):
             model = fit(
-                dataset, weights, basis_spec, decomposition_method, k,
-                estimator, **fit_kwargs,
+                dataset, weights, basis_spec, method, k, estimator, **fit_kwargs,
             )
             w = weights.w
             resid = (
@@ -230,46 +245,33 @@ def select_K(
                 best_k, best_bic = k, bic
         return best_k
 
-    if parsed[0] == "cv":
-        folds = parsed[1]
-        if folds < 2:
-            raise ValidationError("cv needs at least 2 folds")
-        n = dataset.n
-        assignment = np.arange(n) % folds
-        best_k, best_mspe = 1, np.inf
-        for k in range(1, K_max + 1):
-            errors = []
-            for f in range(folds):
-                test = np.where(assignment == f)[0]
-                train = np.where(assignment != f)[0]
-                if test.size == 0 or train.size <= k + 2:
-                    continue
-                d_train = FunctionalDataset(
-                    grid=dataset.grid, curves=dataset.curves[train],
-                    response=dataset.response[train],
+    folds = parsed[1]
+    if folds < 2:
+        raise ValidationError("cv needs at least 2 folds")
+    assignment = np.arange(dataset.n) % folds
+    splits = [
+        (_subset(dataset, weights, assignment != f), _subset(dataset, weights, assignment == f))
+        for f in range(folds) if np.any(assignment == f)
+    ]
+    best_k, best_mspe = 1, np.inf
+    for k in range(1, K_max + 1):
+        errors = []
+        for (d_train, w_train), (d_test, w_test) in splits:
+            if d_train.n <= k + 2:
+                continue
+            try:
+                model = fit(
+                    d_train, w_train, basis_spec, method, k, estimator, **fit_kwargs,
                 )
-                d_test = FunctionalDataset(
-                    grid=dataset.grid, curves=dataset.curves[test],
-                    response=dataset.response[test],
-                )
-                w_train = row_normalize(weights.w[np.ix_(train, train)], weights.scheme)
-                w_test = row_normalize(weights.w[np.ix_(test, test)], weights.scheme)
-                try:
-                    model = fit(
-                        d_train, w_train, basis_spec, decomposition_method,
-                        k, estimator, **fit_kwargs,
-                    )
-                    pred = predict(model, d_test, w_test)
-                except (NumericalError, ValidationError):
-                    errors.append(np.inf)
-                    continue
-                errors.append(float(np.mean((d_test.response - pred) ** 2)))
-            mspe = float(np.mean(errors)) if errors else np.inf
-            if mspe < best_mspe:
-                best_k, best_mspe = k, mspe
-        return best_k
-
-    raise ValidationError(f"unknown selection rule {rule!r}")
+                pred = predict(model, d_test, w_test)
+            except (NumericalError, ValidationError):
+                errors.append(np.inf)
+                continue
+            errors.append(float(np.mean((d_test.response - pred) ** 2)))
+        mspe = float(np.mean(errors)) if errors else np.inf
+        if mspe < best_mspe:
+            best_k, best_mspe = k, mspe
+    return best_k
 
 
 def model_to_json(model: FittedModel) -> str:

@@ -12,9 +12,9 @@ is the Brent root of the profile score.
 
 Every function of the spectrum of W comes from the `SpatialWeights` the
 design carries: log|det(I - rho W)| and tr W (I - rho W)^{-1} from its
-eigenvalues, and the eigenbasis in which one evaluator, vectorized over rho,
-computes the rho block (Ord 1975) for the estimating equations and for the
-profiled M-estimator.
+eigenvalues, and the eigenbasis in which one evaluator computes the rho block
+(Ord 1975) at one rho for the estimating equations and for the profiled
+M-estimator. A W with no eigenbasis takes a dense LU solve per rho there.
 """
 
 from __future__ import annotations
@@ -114,15 +114,14 @@ class SarParams:
 @dataclass(frozen=True)
 class MTuning:
     """Huber cutoffs of the theta (c1), sigma (c2) and rho (c3) blocks of the
-    robust equations; the step tolerance and iteration cap of the inner
-    theta/sigma solve at fixed rho; and the ridge added to I - rho W."""
+    robust equations, and the step tolerance and iteration cap of the inner
+    theta/sigma solve at fixed rho."""
 
     c1: float = 1.4
     c2: float = 2.4
     c3: float = 1.65
     eps_conv: float = 1e-10
     max_iter: int = 100
-    ridge_eps: float = 0.0
 
     def __post_init__(self):
         if min(self.c1, self.c2, self.c3) <= 0:
@@ -158,8 +157,8 @@ def eta_ml(params: SarParams, design: SarDesign) -> np.ndarray:
     return np.concatenate([b_theta, [b_sigma, b_rho]])
 
 
-def _rho_block(weights, rhos, y, wy, zt, sigma, tuning, events=None) -> np.ndarray:
-    """Rho block of the robust estimating equations at each rho of `rhos`:
+def _rho_block(weights, rho, y, wy, zt, sigma, tuning, events=None) -> float:
+    """Rho block of the robust estimating equations at rho:
 
         b(rho) = psi3' G (Z theta / sigma + psi3) - rho_tilde(c3) tr G,
 
@@ -170,38 +169,30 @@ def _rho_block(weights, rhos, y, wy, zt, sigma, tuning, events=None) -> np.ndarr
 
     with (lambda, V, V^{-1}) = `weights.eigenbasis`, a = V^{-1} Z theta,
     p = V^{-1} psi3, q = lambda * (V' psi3) and d = 1 + ridge - rho lambda:
-    two n^2 matvecs per rho. Without an eigenbasis each rho takes one dense
-    LU solve. Where |1 - rho lambda| < 1e-12 for some eigenvalue, the ridge
-    is max(ridge_eps, 1e-8); each such rho adds a line to `events` when
-    given.
+    two n^2 matvecs. A W with no eigenbasis (no symmetrizer) takes one dense
+    LU solve. The ridge is 0, or 1e-8 at a pole, where |1 - rho lambda| <
+    1e-12 for some eigenvalue; a pole adds a line to `events` when given.
     """
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     rt3 = rho_tilde(tuning.c3)
-    psi3 = np.clip(((y - zt)[:, None] - np.outer(wy, rhos)) / sigma, -tuning.c3, tuning.c3)
-    ridge = np.full(rhos.size, float(tuning.ridge_eps))
-    near = np.abs(1.0 - np.outer(rhos, weights.eigvals)).min(axis=1) < 1e-12
-    if near.any():
-        ridge[near] = max(tuning.ridge_eps, _RIDGE_EPS)
+    psi3 = np.clip(((y - zt) - rho * wy) / sigma, -tuning.c3, tuning.c3)
+    ridge = 0.0
+    if np.abs(1.0 - rho * weights.eigvals).min() < 1e-12:
+        ridge = _RIDGE_EPS
         if events is not None:
-            events.extend(f"ridge applied at rho={r:.6g}" for r in rhos[near])
+            events.append(f"ridge applied at rho={rho:.6g}")
     basis = weights.eigenbasis
     if basis is not None:
         lam, V, Vinv = basis
-        lam = lam[:, None]
-        d = (1.0 + ridge) - lam * rhos
+        d = (1.0 + ridge) - lam * rho
         a = Vinv @ zt
         p = Vinv @ psi3
         q = lam * (V.T @ psi3)
-        b = np.sum(q * (a[:, None] / sigma + p) / d, axis=0) - rt3 * np.sum(lam / d, axis=0)
-        return b.real
+        return float(np.sum(q * (a / sigma + p) / d) - rt3 * np.sum(lam / d))
     w = weights.w
-    b = np.empty(rhos.size)
-    for j, rho in enumerate(rhos):
-        g = w @ np.linalg.solve(
-            np.eye(weights.n) * (1.0 + ridge[j]) - rho * w, np.column_stack([zt, psi3[:, j]])
-        )
-        b[j] = psi3[:, j] @ (g[:, 0] / sigma + g[:, 1]) - rt3 * weights.trace_g(rho, ridge[j])
-    return b
+    g = w @ np.linalg.solve(
+        np.eye(weights.n) * (1.0 + ridge) - rho * w, np.column_stack([zt, psi3])
+    )
+    return float(psi3 @ (g[:, 0] / sigma + g[:, 1]) - rt3 * weights.trace_g(rho, ridge))
 
 
 def eta_robust(
@@ -222,7 +213,7 @@ def eta_robust(
     psi2 = huber_psi(eps, tuning.c2)
     block2 = float(psi2 @ psi2 - n * rho_tilde(tuning.c2))
 
-    block3 = float(_rho_block(design.weights, params.rho, design.Y, wy, zt, s, tuning)[0])
+    block3 = _rho_block(design.weights, params.rho, design.Y, wy, zt, s, tuning)
     return np.concatenate([block1, [block2, block3]])
 
 
@@ -384,10 +375,10 @@ def _profiled_block(rho, prof: _Profile) -> float:
     prof.solve(rho)
     prof.evals += 1
     d = prof.design
-    return float(_rho_block(
+    return _rho_block(
         d.weights, rho, d.Y, prof.wy, d.Z @ prof.theta, prof.sigma, prof.tuning,
         events=prof.events,
-    )[0])
+    )
 
 
 def m_fit(

@@ -17,8 +17,8 @@ ch. 4). `_symmetrizer` finds such a diagonal D when one exists, for
 row-normalized and unnormalized matrices alike; the eigenvalues are then one
 symmetric `eigvalsh(S)` (real and sorted), and the eigenbasis one `eigh(S)`,
 S = U Lambda U', with V = D^{-1/2} U and V^{-1} = U' D^{1/2}. Any other W
-takes the general nonsymmetric `eigvals`, and `eig` + `inv` + a
-reconstruction check for the eigenbasis.
+takes the general nonsymmetric `eigvals` and has no eigenbasis: the
+M-estimator's rho block then makes a dense LU solve per rho.
 
 The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
 lambda_min and lambda_max are the smallest and largest real eigenvalues of W.
@@ -200,36 +200,24 @@ class SpatialWeights:
     @cached_property
     def eigenbasis(self):
         """(lam, V, V^{-1}) with W V = V diag(lam), built on first use; None
-        when W is too defective for a reliable eigenbasis.
+        when W has no symmetrizer.
 
-        With a symmetrizer d, one symmetric `eigh` of S = D^{1/2} W D^{-1/2}
-        = U diag(lam) U' gives real lam (ascending), V = D^{-1/2} U and
-        V^{-1} = U' D^{1/2}, with no inverse and no check. Otherwise the
-        general `eig` gives complex lam and V, V^{-1} is their inverse, and
-        the reconstruction V diag(lam) V^{-1} must match W to 1e-8.
-
-        `lam` comes from the same decomposition as V and is the one to pair
-        with it: it need not equal `eigvals` to the last bit, nor share its
-        order.
+        One symmetric `eigh` of S = D^{1/2} W D^{-1/2} = U diag(lam) U' gives
+        real lam (ascending), V = D^{-1/2} U and V^{-1} = U' D^{1/2}, with no
+        inverse and no check. `lam` comes from the same decomposition as V
+        and is the one to pair with it: it need not equal `eigvals` to the
+        last bit.
         """
         d = self._scaling
-        if d is not None:
-            lam, V = scipy.linalg.eigh(
-                _symmetric_form(self.w, d), overwrite_a=True,
-                check_finite=False, driver="evd",
-            )
-            s = np.sqrt(d)
-            Vinv = V.T * s
-            V /= s[:, None]
-            return lam, V, Vinv
-        try:
-            lam, V = np.linalg.eig(self.w)
-            Vinv = np.linalg.inv(V)
-        except np.linalg.LinAlgError:
+        if d is None:
             return None
-        err = np.abs((V * lam) @ Vinv - self.w).max()
-        if err > 1e-8 * max(1.0, np.abs(self.w).max()):
-            return None
+        lam, V = scipy.linalg.eigh(
+            _symmetric_form(self.w, d), overwrite_a=True,
+            check_finite=False, driver="evd",
+        )
+        s = np.sqrt(d)
+        Vinv = V.T * s
+        V /= s[:, None]
         return lam, V, Vinv
 
     def logdet(self, rho: float) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssofr.exceptions import NonConvergenceError
-from ssofr.mscale import DEFAULT_MSCALE, MAD_SCALE, m_location
+from ssofr.mscale import _MAX_ITER, _TOL, DEFAULT_MSCALE, MAD_SCALE
 
 
 def subspace_angle_deg(u, v, gram):
@@ -36,19 +36,16 @@ def eig_calls(monkeypatch):
 
 
 def oracle_start(x, cfg):
-    """Column-layout M-scale start (one sample per column): location,
-    residuals, degenerate flags and the normalized-MAD or RMS start scales."""
+    """Column-layout M-scale start (one sample per column): residuals from
+    the median, degenerate flags and the normalized-MAD or RMS start
+    scales."""
     n = x.shape[0]
-    if cfg.location == "median":
-        mu = np.median(x, axis=0)
-    else:
-        mu = np.array([m_location(col) for col in x.T])
-    resid = x - mu
+    resid = x - np.median(x, axis=0)
     degenerate = np.sum(resid == 0.0, axis=0) > (1.0 - cfg.delta) * n
     sigma = MAD_SCALE * np.median(np.abs(resid), axis=0)
     rms = np.sqrt(np.mean(resid**2, axis=0))
     sigma = np.where(sigma == 0.0, rms, sigma)
-    return mu, resid, degenerate, sigma
+    return resid, degenerate, sigma
 
 
 def oracle_solve(resid, sigma, cfg):
@@ -59,7 +56,7 @@ def oracle_solve(resid, sigma, cfg):
     r2 = (resid / cfg.c) ** 2
     sigma = np.array(sigma, dtype=float)
     cols = np.arange(sigma.size)
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         s = sigma[cols]
         t = np.minimum(r2 / (s * s), 1.0)
         mean_rho = (t * (3.0 - t * (3.0 - t))).sum(axis=0) / n
@@ -69,20 +66,20 @@ def oracle_solve(resid, sigma, cfg):
         ratio = np.divide(gap, slope, out=np.zeros_like(gap), where=newton)
         new = np.where(newton, s * (1.0 + ratio), s * np.sqrt(mean_rho / cfg.delta))
         sigma[cols] = new
-        going = np.abs(new - s) > cfg.tol * s
+        going = np.abs(new - s) > _TOL * s
         if not going.any():
             return sigma, it
         if not going.all():
             cols = cols[going]
             r2 = r2[:, going]
-    raise NonConvergenceError(f"m_scale did not converge in {cfg.max_iter} iterations")
+    raise NonConvergenceError(f"m_scale did not converge in {_MAX_ITER} iterations")
 
 
 def oracle_m_scale_columns(x, config=DEFAULT_MSCALE):
     """Column-wise M-scales from the column-layout oracle; degenerate columns
     get 0."""
     x = np.asarray(x, dtype=float)
-    _, resid, degenerate, sigma = oracle_start(x, config)
+    resid, degenerate, sigma = oracle_start(x, config)
     out = np.zeros(x.shape[1])
     keep = ~degenerate
     if keep.any():
@@ -93,7 +90,7 @@ def oracle_m_scale_columns(x, config=DEFAULT_MSCALE):
 def oracle_m_scale_info(x, config):
     """(sigma, iterations, degenerate) of one sample from the column-layout
     oracle."""
-    _, resid, degenerate, sigma = oracle_start(np.asarray(x, dtype=float)[:, None], config)
+    resid, degenerate, sigma = oracle_start(np.asarray(x, dtype=float)[:, None], config)
     if degenerate[0]:
         return 0.0, 0, True
     sigma, iterations = oracle_solve(resid, sigma, config)

@@ -173,6 +173,20 @@ class TestFitCommand:
         report = json.loads(read_bytes(out / "fit_report.json"))
         assert 1 <= report["K"] <= 5
 
+    @pytest.mark.parametrize("rule", ["ev:abc", "evil"])
+    def test_bad_select_rule_exits_2(self, simulated_dir, tmp_path, capsys, rule):
+        code = run_cli(
+            "fit", "--curves", simulated_dir / "curves.csv",
+            "--response", simulated_dir / "response.csv",
+            "--weights-matrix", simulated_dir / "weights_matrix.csv",
+            "--basis", "fourier", "--num-basis", 5,
+            "--method", "fpc", "--select", rule,
+            "--out", tmp_path / "fit_bad",
+        )
+        assert code == 2
+        assert "unknown selection rule" in capsys.readouterr().err
+        assert not (tmp_path / "fit_bad").exists()
+
 
     def test_tuning_defaults_come_from_the_dataclasses(self):
         from ssofr import MTuning

@@ -247,6 +247,34 @@ class TestSelectK:
             select_K(ds, w, BS, "fpc", rule="magic")
         with pytest.raises(ValidationError):
             select_K(ds, w, BS, "fpc", rule="cv:1")
+        for bad in ("evil", "cvx", "ev:abc", "cv:2.5", "ev:", "bic:2", "BIC", ""):
+            with pytest.raises(ValidationError, match="unknown selection rule"):
+                select_K(ds, w, BS, "fpc", rule=bad)
+
+    def test_rule_parsing(self):
+        from ssofr.pipeline import _parse_rule
+
+        assert _parse_rule("bic") == ("bic",)
+        assert _parse_rule("ev") == ("ev", 0.95)
+        assert _parse_rule("ev:0.8") == ("ev", 0.8)
+        assert _parse_rule("cv") == ("cv", 5)
+        assert _parse_rule("cv:3") == ("cv", 3)
+
+    def test_method_is_case_insensitive(self):
+        ds, w, _ = sim(seed=16)
+        assert select_K(ds, w, BS, "FPC", "ev:0.9") == select_K(ds, w, BS, "fpc", "ev:0.9")
+        with pytest.raises(ValidationError, match="method must be one of"):
+            select_K(ds, w, BS, "pca", "ev:0.9")
+
+    def test_cv_builds_each_fold_once(self, eig_calls):
+        # machine-independent work guard: the weights of each training fold
+        # are built once and their eigenvalues read once, whatever K_max; the
+        # test folds need none (`check_rho` admits rho from the row sums).
+        # The `eigh` calls are the basis Gram roots and fpc's covariance.
+        ds, w, _ = sim(seed=16)
+        select_K(ds, w, BS, "fpc", rule="cv:3", estimator="ml", K_max=4)
+        assert eig_calls.count("eigvalsh") == 3
+        assert "eigvals" not in eig_calls
 
 
 class TestSerialization:

@@ -270,8 +270,8 @@ class TestResolventCache:
     block in the eigenbasis or by dense LU) against dense oracles."""
 
     def test_defective_w_falls_back_to_dense(self):
-        # nilpotent chain graph: the eigenbasis is singular, so the rho block
-        # must route through dense linear algebra
+        # nilpotent chain graph: W has no symmetrizer, so no eigenbasis, and
+        # the rho block routes through dense linear algebra
         from ssofr import from_matrix
 
         raw = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -286,56 +286,63 @@ class TestResolventCache:
         y, zt = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.2, 0.1])
         wy = w.w @ y
         for sigma in (0.3, 2.0):
-            got = sar._rho_block(w, [rho, -0.7], y, wy, zt, sigma, MTuning())
-            for j, r in enumerate((rho, -0.7)):
-                assert got[j] == pytest.approx(
+            for r in (rho, -0.7):
+                got = sar._rho_block(w, r, y, wy, zt, sigma, MTuning())
+                assert isinstance(got, float)
+                assert got == pytest.approx(
                     dense_rho_block(w.w, r, y, wy, zt, sigma), abs=1e-12
                 )
 
-    def test_eigen_route_matches_dense(self, rng):
-        from ssofr import row_normalize
-
-        w = row_normalize(rng.uniform(0, 1, (15, 15)))
-        assert w.eigenbasis is not None
+    @staticmethod
+    def assert_rho_block_matches_dense(rng, w):
         for rho in (-0.5, 0.0, 0.3, 0.8):
-            a = np.eye(15) - rho * w.w
+            a = np.eye(w.n) - rho * w.w
             assert w.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-10)
             assert w.trace_g(rho) == pytest.approx(
                 np.trace(w.w @ np.linalg.inv(a)), abs=1e-9
             )
             y, wy, zt, sigma = random_state(rng, w)
             got = sar._rho_block(w, rho, y, wy, zt, sigma, MTuning())
-            assert got[0] == pytest.approx(
+            assert isinstance(got, float)
+            assert got == pytest.approx(
                 dense_rho_block(w.w, rho, y, wy, zt, sigma), abs=1e-9
             )
 
-    def test_rho_block_grid_matches_scalar(self, rng):
+    def test_eigen_route_matches_dense(self, rng):
+        # a symmetric raw matrix, row-normalized: W has a symmetrizer
         from ssofr import row_normalize
 
-        w = row_normalize(rng.uniform(0, 1, (12, 12)))
-        rhos = np.array([-0.4, 0.1, 0.6])
-        y, wy, zt, sigma = random_state(rng, w)
-        tuning = MTuning()
-        grid = sar._rho_block(w, rhos, y, wy, zt, sigma, tuning)
-        for j, rho in enumerate(rhos):
-            single = sar._rho_block(w, rho, y, wy, zt, sigma, tuning)[0]
-            assert grid[j] == pytest.approx(single, abs=1e-10)
+        raw = rng.uniform(0, 1, (15, 15))
+        w = row_normalize(raw + raw.T)
+        assert w.eigenbasis is not None
+        self.assert_rho_block_matches_dense(rng, w)
 
-    @pytest.mark.parametrize("ridge_eps", [0.0, 1e-6])
-    def test_ridge_path(self, rng, ridge_eps):
+    def test_lu_route_matches_dense(self, rng):
+        # an asymmetric raw matrix, row-normalized: no symmetrizer
+        from ssofr import row_normalize
+
+        w = row_normalize(rng.uniform(0, 1, (15, 15)))
+        assert w.eigenbasis is None
+        self.assert_rho_block_matches_dense(rng, w)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["eigen", "lu"])
+    def test_ridge_path(self, rng, symmetric):
         # rho = 1 is a pole of the resolvent of a row-normalized W
         from ssofr import row_normalize
 
-        w = row_normalize(rng.uniform(0, 1, (10, 10)))
+        raw = rng.uniform(0, 1, (10, 10))
+        w = row_normalize(raw + raw.T if symmetric else raw)
+        assert (w.eigenbasis is not None) == symmetric
         y, wy, zt, sigma = random_state(rng, w)
-        tuning = MTuning(ridge_eps=ridge_eps)
+        tuning = MTuning()
         events = []
-        got = sar._rho_block(w, [0.5, 1.0], y, wy, zt, sigma, tuning, events=events)
+        got = sar._rho_block(w, 0.5, y, wy, zt, sigma, tuning, events=events)
+        assert events == []
+        assert got == pytest.approx(dense_rho_block(w.w, 0.5, y, wy, zt, sigma, tuning), abs=1e-9)
+        got = sar._rho_block(w, 1.0, y, wy, zt, sigma, tuning, events=events)
         assert events == ["ridge applied at rho=1"]
-        ridge = max(ridge_eps, 1e-8)
-        assert got[0] == pytest.approx(dense_rho_block(w.w, 0.5, y, wy, zt, sigma, tuning, ridge_eps), abs=1e-9)
-        assert got[1] == pytest.approx(
-            dense_rho_block(w.w, 1.0, y, wy, zt, sigma, tuning, ridge), rel=1e-6
+        assert got == pytest.approx(
+            dense_rho_block(w.w, 1.0, y, wy, zt, sigma, tuning, 1e-8), rel=1e-6
         )
 
 
@@ -358,11 +365,9 @@ def theta_sigma_oracle(yr, Z, theta, sigma, tuning=MTuning()):
 
 
 def patch_block(monkeypatch, b):
-    """Replace the rho block by b(rho), applied to each rho."""
+    """Replace the rho block by b(rho)."""
     monkeypatch.setattr(
-        sar, "_rho_block", lambda weights, rhos, *args, **kwargs: np.array(
-            [b(r) for r in np.atleast_1d(rhos)]
-        ),
+        sar, "_rho_block", lambda weights, rho, *args, **kwargs: float(b(rho)),
     )
 
 
@@ -426,21 +431,21 @@ class TestProfiledRoot:
         assert fit.rho == pytest.approx(min(ends, key=lambda r: abs(r - 0.2)), abs=1e-12)
 
     def test_rho_block_evaluations_per_fit(self, monkeypatch):
-        # machine-independent work guard: one rho per evaluation of g, and
-        # one more for the reported eta_norm
+        # machine-independent work guard: one rho block per evaluation of
+        # g, and one more for the reported eta_norm
         design, _, _ = make_design(seed=81)
-        sizes = []
+        calls = []
         block = sar._rho_block
 
-        def counted(weights, rhos, *args, **kwargs):
-            sizes.append(np.atleast_1d(rhos).size)
-            return block(weights, rhos, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return block(*args, **kwargs)
 
         monkeypatch.setattr(sar, "_rho_block", counted)
         fit = m_fit(design)
         assert fit.converged
-        assert set(sizes) == {1}
-        assert len(sizes) == fit.iterations + 1
+        assert calls[-1] == fit.rho
+        assert len(calls) == fit.iterations + 1
         assert fit.iterations <= 18
 
     def test_ml_maximum_at_the_bound(self, monkeypatch):
@@ -534,14 +539,15 @@ class TestEigenWork:
         assert eig_calls == ["eigvalsh", "eigh"]
 
     def test_asymmetric_w_takes_the_general_route(self, eig_calls):
+        # general eigenvalues, and no eigenbasis: the rho block is a dense LU
+        # solve per rho
         design = self.asymmetric_design()
         assert eig_calls == []
         ml_fit(design)
         assert eig_calls == ["eigvals"]
         m_fit(design)
-        assert eig_calls == ["eigvals", "eig"]
         m_fit(design)
-        assert eig_calls == ["eigvals", "eig"]
+        assert eig_calls == ["eigvals"]
 
 
 class TestMFit:
