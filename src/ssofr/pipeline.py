@@ -248,6 +248,11 @@ def select_K(
     folds = parsed[1]
     if folds < 2:
         raise ValidationError("cv needs at least 2 folds")
+    if folds > dataset.n // 2:
+        raise ValidationError(
+            f"cv:{folds} leaves a test fold with fewer than 2 units; "
+            f"{dataset.n} units allow at most cv:{dataset.n // 2}"
+        )
     assignment = np.arange(dataset.n) % folds
     splits = [
         (_subset(dataset, weights, assignment != f), _subset(dataset, weights, assignment == f))

@@ -5,16 +5,16 @@
 with Z = [1_n, A] built from decomposition scores. Provides the exact
 Gaussian log-likelihood with profile maximization over rho, the robust
 estimating equations with Huber-transformed standardized residuals, and the
-M-estimator profiled over rho: for fixed rho, weighted least squares for
-theta and a multiplicative scale update solve the first two blocks, and rho
-is the bracketed Brent root of the rho block that remains. The ML estimate
-is the Brent root of the profile score.
+M-estimator profiled over rho: for fixed rho, Newton steps on the inlier
+sets of the Huber functions solve the first two blocks, and rho is the
+bracketed Brent root of the rho block that remains. The ML estimate is the
+Brent root of the profile score.
 
-Every function of the spectrum of W comes from the `SpatialWeights` the
-design carries: log|det(I - rho W)| and tr W (I - rho W)^{-1} from its
-eigenvalues, and the eigenbasis in which one evaluator computes the rho block
-(Ord 1975) at one rho for the estimating equations and for the profiled
-M-estimator. A W with no eigenbasis takes a dense LU solve per rho there.
+Everything about W comes from the `SpatialWeights` the design carries:
+log|det(I - rho W)| and tr W (I - rho W)^{-1} from its eigenvalues (Ord
+1975), and the one resolvent solve per rho with which one evaluator computes
+the rho block for the estimating equations and for the profiled
+M-estimator: conjugate gradients on the symmetrized system, or dense LU.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ _SIGMA_FLOOR = 1e-300
 _RSS_FLOOR = 1e-300
 _RHO_MARGIN = 1e-8
 _RIDGE_EPS = 1e-8
+_G_TINY = 5e-324  # the smallest positive double
 
 
 def huber_psi(u, c: float):
@@ -114,8 +115,8 @@ class SarParams:
 @dataclass(frozen=True)
 class MTuning:
     """Huber cutoffs of the theta (c1), sigma (c2) and rho (c3) blocks of the
-    robust equations, and the step tolerance and iteration cap of the inner
-    theta/sigma solve at fixed rho."""
+    robust equations, and the step tolerance and step cap of the inner
+    Newton theta/sigma solve at fixed rho (`_theta_sigma`)."""
 
     c1: float = 1.4
     c2: float = 2.4
@@ -160,39 +161,23 @@ def eta_ml(params: SarParams, design: SarDesign) -> np.ndarray:
 def _rho_block(weights, rho, y, wy, zt, sigma, tuning, events=None) -> float:
     """Rho block of the robust estimating equations at rho:
 
-        b(rho) = psi3' G (Z theta / sigma + psi3) - rho_tilde(c3) tr G,
+        b(rho) = psi3' W x - rho_tilde(c3) tr G,   x = A^{-1} (Z theta / sigma + psi3),
 
-    with psi3 = psi_{c3}((Y - rho W Y - Z theta) / sigma) and
-    G = W ((1 + ridge) I - rho W)^{-1}. Through the eigenbasis W V = V Lambda,
-
-        b(rho) = sum_k q_k (a_k / sigma + p_k) / d_k - rho_tilde(c3) sum_k lambda_k / d_k
-
-    with (lambda, V, V^{-1}) = `weights.eigenbasis`, a = V^{-1} Z theta,
-    p = V^{-1} psi3, q = lambda * (V' psi3) and d = 1 + ridge - rho lambda:
-    two n^2 matvecs. A W with no eigenbasis (no symmetrizer) takes one dense
-    LU solve. The ridge is 0, or 1e-8 at a pole, where |1 - rho lambda| <
-    1e-12 for some eigenvalue; a pole adds a line to `events` when given.
+    with psi3 = psi_{c3}((Y - rho W Y - Z theta) / sigma),
+    A = (1 + ridge) I - rho W and G = W A^{-1}: one `weights.solve` and one matvec,
+    and the trace from the eigenvalues (Ord 1975). The ridge is 0, or 1e-8 at
+    a pole, where |1 - rho lambda| < 1e-12 for some eigenvalue. A pole, and a
+    solve that falls back from conjugate gradients to dense LU, each add a
+    line to `events` when given.
     """
-    rt3 = rho_tilde(tuning.c3)
     psi3 = np.clip(((y - zt) - rho * wy) / sigma, -tuning.c3, tuning.c3)
     ridge = 0.0
     if np.abs(1.0 - rho * weights.eigvals).min() < 1e-12:
         ridge = _RIDGE_EPS
         if events is not None:
             events.append(f"ridge applied at rho={rho:.6g}")
-    basis = weights.eigenbasis
-    if basis is not None:
-        lam, V, Vinv = basis
-        d = (1.0 + ridge) - lam * rho
-        a = Vinv @ zt
-        p = Vinv @ psi3
-        q = lam * (V.T @ psi3)
-        return float(np.sum(q * (a / sigma + p) / d) - rt3 * np.sum(lam / d))
-    w = weights.w
-    g = w @ np.linalg.solve(
-        np.eye(weights.n) * (1.0 + ridge) - rho * w, np.column_stack([zt, psi3])
-    )
-    return float(psi3 @ (g[:, 0] / sigma + g[:, 1]) - rt3 * weights.trace_g(rho, ridge))
+    x = weights.solve(rho, zt / sigma + psi3, ridge, events)
+    return float(psi3 @ (weights.w @ x) - rho_tilde(tuning.c3) * weights.trace_g(rho, ridge))
 
 
 def eta_robust(
@@ -243,9 +228,10 @@ class SarFit:
         return self.params.rho
 
 
-def _rss(rho: float, qa: float, qb: float, qc: float) -> float:
-    """Residual sum of squares of the least-squares fit of (I - rho W) Y on Z."""
-    return max(qa - 2.0 * rho * qb + rho * rho * qc, _RSS_FLOOR)
+def _rss(rho, qa: float, qb: float, qc: float):
+    """Residual sum of squares of the least-squares fit of (I - rho W) Y on Z,
+    at rho or at each rho of an array."""
+    return np.maximum(qa - 2.0 * rho * qb + rho * rho * qc, _RSS_FLOOR)
 
 
 def _profile_score(rho, n, qa, qb, qc, weights) -> float:
@@ -262,7 +248,8 @@ def ml_fit(design: SarDesign) -> SarFit:
     For fixed rho, theta is the least-squares fit of (I - rho W) Y on Z and
     sigma^2 the mean squared residual. A 201-point grid brackets the maximum
     of the profile, and rho is the Brent root of the profile score inside
-    that bracket. Where the score has no sign change across the bracket (the
+    that bracket; the grid's profile is one array expression over the
+    eigenvalues of W. Where the score has no sign change across the bracket (the
     maximum lies at an end of the grid), rho is the best grid point.
     """
     n = design.n
@@ -276,13 +263,13 @@ def ml_fit(design: SarDesign) -> SarFit:
     e1 = wy - Z @ theta_w
     q = (float(e0 @ e0), float(e0 @ e1), float(e1 @ e1))
 
-    def profile(rho: float) -> float:
+    def profile(rho):
         return -0.5 * n * np.log(_rss(rho, *q) / n) + weights.logdet(rho)
 
     lo, hi = weights.rho_bounds
     width = hi - lo
     grid = np.linspace(lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width, 201)
-    i = int(np.argmax([profile(r) for r in grid]))
+    i = int(np.argmax(profile(grid)))
     blo = grid[max(i - 1, 0)]
     bhi = grid[min(i + 1, grid.size - 1)]
     args = (n, *q, weights)
@@ -313,28 +300,56 @@ def ml_fit(design: SarDesign) -> SarFit:
 
 def _theta_sigma(yr, Z, theta, sigma, tuning, rt2):
     """Solve the theta and sigma blocks of the robust equations at fixed rho
-    (yr = Y - rho W Y) from the given start: Huber-weighted least squares for
-    theta, then the multiplicative sigma update, until the step
+    (yr = Y - rho W Y) from the given start,
+
+        F(theta, sigma) = [Z' psi_{c1}(u), sum psi_{c2}(u)^2 / (n rho_tilde(c2)) - 1] = 0,
+
+    u = (yr - Z theta) / sigma, by Newton steps. psi is piecewise linear, so
+    the Jacobian comes from the inlier sets |u| <= c1 and |u| <= c2 (Huber
+    1981, proposal 2). Where the Jacobian is singular, the step is not
+    finite, or sigma would fall below half its value, the step is instead one
+    Huber-weighted least-squares solve for theta followed by the
+    multiplicative sigma update. The loop stops when the step
     [d theta, d sigma] / sigma is below eps_conv, at most max_iter times.
-    Returns (theta, sigma, converged, singular), where singular tells that a
-    least-squares solve replaced singular weighted normal equations."""
-    n = yr.size
+    Returns (theta, sigma, steps, converged, singular), where singular tells
+    that a least-squares solve replaced singular weighted normal equations."""
+    n, k = Z.shape
+    nrt2 = n * rt2
     singular = False
-    for _ in range(tuning.max_iter):
-        w = huber_weight((yr - Z @ theta) / sigma, tuning.c1)
-        zw = Z * w[:, None]
+    for steps in range(1, tuning.max_iter + 1):
+        u = (yr - Z @ theta) / sigma
+        in1 = np.abs(u) <= tuning.c1
+        in2 = np.abs(u) <= tuning.c2
+        psi2 = np.clip(u, -tuning.c2, tuning.c2)
+        z1, u2 = Z[in1], u * in2
+        jac = np.empty((k + 1, k + 1))
+        jac[:k, :k] = z1.T @ z1
+        jac[:k, k] = z1.T @ u[in1]
+        jac[k, :k] = (2.0 / nrt2) * (Z.T @ u2)
+        jac[k, k] = (2.0 / nrt2) * (u2 @ u2)
+        f = np.append(Z.T @ np.clip(u, -tuning.c1, tuning.c1), (psi2 @ psi2) / nrt2 - 1.0)
         try:
-            new_theta = np.linalg.solve(Z.T @ zw, zw.T @ yr)
+            delta = sigma * np.linalg.solve(jac, f)
+            newton = np.all(np.isfinite(delta)) and delta[-1] >= -0.5 * sigma
         except np.linalg.LinAlgError:
-            new_theta, *_ = np.linalg.lstsq(zw, w * yr, rcond=None)
-            singular = True
-        psi2 = huber_psi((yr - Z @ new_theta) / sigma, tuning.c2)
-        new_sigma = max(sigma * float(np.sqrt((psi2 @ psi2) / (n * rt2))), _SIGMA_FLOOR)
+            newton = False
+        if newton:
+            new_theta, new_sigma = theta + delta[:-1], max(sigma + delta[-1], _SIGMA_FLOOR)
+        else:
+            w = huber_weight(u, tuning.c1)
+            zw = Z * w[:, None]
+            try:
+                new_theta = np.linalg.solve(Z.T @ zw, zw.T @ yr)
+            except np.linalg.LinAlgError:
+                new_theta, *_ = np.linalg.lstsq(zw, w * yr, rcond=None)
+                singular = True
+            psi2 = huber_psi((yr - Z @ new_theta) / sigma, tuning.c2)
+            new_sigma = max(sigma * float(np.sqrt((psi2 @ psi2) / nrt2)), _SIGMA_FLOOR)
         step = np.append(new_theta - theta, new_sigma - sigma) / new_sigma
         theta, sigma = new_theta, new_sigma
         if float(np.linalg.norm(step)) < tuning.eps_conv:
-            return theta, sigma, True, singular
-    return theta, sigma, False, singular
+            return theta, sigma, steps, True, singular
+    return theta, sigma, tuning.max_iter, False, singular
 
 
 @dataclass(eq=False)
@@ -354,7 +369,7 @@ class _Profile:
     events: list = field(default_factory=list)
 
     def solve(self, rho: float) -> None:
-        self.theta, self.sigma, converged, singular = _theta_sigma(
+        self.theta, self.sigma, _, converged, singular = _theta_sigma(
             self.design.Y - rho * self.wy, self.design.Z, self.theta, self.sigma,
             self.tuning, rho_tilde(self.tuning.c2),
         )
@@ -369,16 +384,21 @@ def _profiled_block(rho, prof: _Profile) -> float:
     """g(rho): the rho block at the theta and sigma that solve the other two
     blocks at this rho; module-level for the reason at `_profile_score`. The
     bracket ends return the values that put them in the bracket: solved again
-    from another start, g near a root could change sign there."""
+    from another start, g near a root could change sign there. An exact 0.0
+    is returned as the smallest positive double: near the root g is rounding
+    noise, and Brent's method would stop on a zero a step before its bracket
+    is narrow enough, so the evaluation count would depend on the order of
+    the sums (and of the units)."""
     if rho in prof.known:
         return prof.known[rho]
     prof.solve(rho)
     prof.evals += 1
     d = prof.design
-    return _rho_block(
+    g = _rho_block(
         d.weights, rho, d.Y, prof.wy, d.Z @ prof.theta, prof.sigma, prof.tuning,
         events=prof.events,
     )
+    return g or _G_TINY
 
 
 def m_fit(

@@ -5,20 +5,21 @@ grid-contiguity schemes, row normalization, and the spectrum of W.
 computed on their first read, not when the object is built, and then kept;
 `dataclasses.replace` reads them and passes them on to the copy. They give
 the admissible interval for rho, log|det(I - rho W)| and
-tr W (I - rho W)^{-1} in O(n) per rho (Ord 1975). The eigenbasis is built on
-first use, by the M-estimator's rho block only. Prediction through the
-reduced form needs neither: `check_rho` admits rho from the largest absolute
-row sum of W while the spectrum is still unknown (see there).
+tr W (I - rho W)^{-1} in O(n) per rho (Ord 1975). The resolvent solve
+((1 + ridge) I - rho W)^{-1} b (`solve`), which the M-estimator's rho block
+and the reduced form use, needs no spectrum, and `check_rho` admits rho
+from the largest absolute row sum of W while the spectrum is still unknown
+(see there): prediction decomposes nothing.
 
-The spectrum takes one of two routes, chosen from W itself. Every built-in
-scheme, and most custom matrices, are W = D^{-1} A with symmetric A: W is
-then similar to the symmetric S = D^{1/2} W D^{-1/2} (LeSage & Pace 2009,
-ch. 4). `_symmetrizer` finds such a diagonal D when one exists, for
-row-normalized and unnormalized matrices alike; the eigenvalues are then one
-symmetric `eigvalsh(S)` (real and sorted), and the eigenbasis one `eigh(S)`,
-S = U Lambda U', with V = D^{-1/2} U and V^{-1} = U' D^{1/2}. Any other W
-takes the general nonsymmetric `eigvals` and has no eigenbasis: the
-M-estimator's rho block then makes a dense LU solve per rho.
+The spectrum and the solve take one of two routes, chosen from W itself.
+Every built-in scheme, and most custom matrices, are W = D^{-1} A with
+symmetric A: W is then similar to the symmetric S = D^{1/2} W D^{-1/2}
+(LeSage & Pace 2009, ch. 4). `_symmetrizer` finds such a diagonal D when one
+exists, for row-normalized and unnormalized matrices alike; the eigenvalues
+are then one symmetric `eigvalsh(S)` (real and sorted), and `solve` runs
+conjugate gradients on the symmetric positive definite I - rho S, falling
+back to dense LU near a bound. Any other W takes the general nonsymmetric
+`eigvals`, and `solve` is a dense LU solve.
 
 The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
 lambda_min and lambda_max are the smallest and largest real eigenvalues of W.
@@ -42,6 +43,8 @@ EARTH_RADIUS_KM = 6371.0
 _REAL_EIG_TOL = 1e-9
 _SYM_RTOL = 1e-12
 _SYM_BLOCK = 1 << 15  # entries per row block of the symmetry check
+_CG_TOL = 1e-13  # relative residual at which CG stops
+_CG_ITER_CAP = 200  # CG steps before the dense LU solve takes over
 
 
 def _symmetrizer(w: np.ndarray):
@@ -82,21 +85,51 @@ def _symmetrizer(w: np.ndarray):
     step = max(1, _SYM_BLOCK // n)
     for i0 in range(0, n, step):
         rows = d[i0:i0 + step, None] * w[i0:i0 + step]
-        mirror = (w[:, i0:i0 + step] * d[:, None]).T
+        mirror = np.multiply(w[:, i0:i0 + step].T, d, order="C")
         mirror -= rows
+        np.abs(mirror, out=mirror)
         np.abs(rows, out=rows)
-        if np.any(np.abs(mirror) > _SYM_RTOL * rows):
+        rows *= _SYM_RTOL
+        if np.any(mirror > rows):
             return None
     return d
 
 
 def _symmetric_form(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """S = D^{1/2} W D^{-1/2}, transposed: the one Fortran-ordered n x n
-    copy that the symmetric solvers may overwrite in place."""
+    copy, which `eigvalsh` may overwrite in place."""
     s = np.sqrt(d)
     sym = w * s[:, None]
     sym /= s
     return sym.T
+
+
+def _cg(w, s, c, rho, b):
+    """x = (c I - rho W)^{-1} b by conjugate gradients on the symmetric
+    c I - rho S in the scaled variable z = s x, with S p = s (W (p / s));
+    None when CG stops short (see `SpatialWeights.solve`)."""
+    rhs = s * b
+    z = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = rhs.copy()
+    rr = float(r @ r)
+    stop = rr * _CG_TOL**2
+    for _ in range(_CG_ITER_CAP):
+        if rr <= stop:
+            x = z / s
+            r = rhs - (c * z - rho * s * (w @ x))
+            return x if float(r @ r) <= stop else None
+        ap = c * p - rho * s * (w @ (p / s))
+        curv = float(p @ ap)
+        if not curv > 0.0:
+            return None
+        alpha = rr / curv
+        z += alpha * p
+        r -= alpha * ap
+        rr, rr_old = float(r @ r), rr
+        p *= rr / rr_old
+        p += r
+    return None
 
 
 def haversine_distance(lat1, lon1, lat2, lon2, radius_km: float = EARTH_RADIUS_KM):
@@ -141,7 +174,8 @@ class _Spectral:
 
 @dataclass(frozen=True, eq=False)
 class SpatialWeights:
-    """n x n spatial weight matrix with zero diagonal, and its spectrum.
+    """n x n spatial weight matrix with zero diagonal, its spectrum, and
+    the resolvent solve ((1 + ridge) I - rho W)^{-1} b (`solve`).
 
     `eigvals` is computed on its first read unless it is given; so are
     `lambda_min` and `rho_bounds`, which are derived from it (at once when
@@ -194,48 +228,51 @@ class SpatialWeights:
 
     @cached_property
     def _scaling(self):
-        """d of `_symmetrizer(w)`, or None: the route both spectra take."""
+        """d of `_symmetrizer(w)`, or None: the route that the spectrum and
+        `solve` take."""
         return _symmetrizer(self.w)
 
-    @cached_property
-    def eigenbasis(self):
-        """(lam, V, V^{-1}) with W V = V diag(lam), built on first use; None
-        when W has no symmetrizer.
-
-        One symmetric `eigh` of S = D^{1/2} W D^{-1/2} = U diag(lam) U' gives
-        real lam (ascending), V = D^{-1/2} U and V^{-1} = U' D^{1/2}, with no
-        inverse and no check. `lam` comes from the same decomposition as V
-        and is the one to pair with it: it need not equal `eigvals` to the
-        last bit.
-        """
-        d = self._scaling
-        if d is None:
-            return None
-        lam, V = scipy.linalg.eigh(
-            _symmetric_form(self.w, d), overwrite_a=True,
-            check_finite=False, driver="evd",
-        )
-        s = np.sqrt(d)
-        Vinv = V.T * s
-        V /= s[:, None]
-        return lam, V, Vinv
-
-    def logdet(self, rho: float) -> float:
-        """log |det(I - rho W)|."""
-        mag = np.abs(1.0 - rho * self.eigvals)
+    def logdet(self, rho):
+        """log |det(I - rho W)| at rho, or at each rho of a 1-D array."""
+        mag = np.abs(1.0 - np.multiply.outer(rho, self.eigvals))
         if np.any(mag <= 0.0):
             raise NumericalError("I - rho W singular at this rho")
-        return float(np.sum(np.log(mag)))
+        out = np.log(mag).sum(axis=-1)
+        return out if out.ndim else float(out)
 
     def trace_g(self, rho: float, ridge: float = 0.0) -> float:
         """trace[W ((1 + ridge) I - rho W)^{-1}]."""
         return float(np.sum(self.eigvals / ((1.0 + ridge) - rho * self.eigvals)).real)
 
+    def solve(self, rho: float, b: np.ndarray, ridge: float = 0.0, events=None) -> np.ndarray:
+        """((1 + ridge) I - rho W)^{-1} b for a vector b.
+
+        With a symmetrizer d, (1 + ridge) I - rho W = D^{-1/2} A D^{1/2} with
+        A = (1 + ridge) I - rho S, and conjugate gradients solve A z = D^{1/2} b
+        for z = D^{1/2} x (LeSage & Pace 2009, ch. 4): A is symmetric positive
+        definite for every rho inside `rho_bounds`, and S p = s (W (p / s))
+        with s = sqrt(d) needs no n x n copy. CG stops when its residual
+        falls to `_CG_TOL` of |D^{1/2} b|, and its solution is kept when the
+        residual recomputed from it does too. When that check fails (A is
+        near singular: close to a bound or at a pole), CG reaches
+        `_CG_ITER_CAP` steps, or it meets a direction of nonpositive
+        curvature (rho outside the interval), the dense LU solve takes over
+        and, when `events` is given, a line is added to it. A W with no
+        symmetrizer always takes the dense LU solve.
+        """
+        if self._scaling is not None:
+            x = _cg(self.w, np.sqrt(self._scaling), 1.0 + ridge, rho, b)
+            if x is not None:
+                return x
+            if events is not None:
+                events.append(f"dense solve at rho={rho:.6g}")
+        return np.linalg.solve(np.eye(self.n) * (1.0 + ridge) - rho * self.w, b)
+
     def reduced_form(self, rho: float, mu: np.ndarray) -> np.ndarray:
         """(I - rho W)^{-1} mu."""
         if rho == 0.0:
             return mu
-        return np.linalg.solve(np.eye(mu.size) - rho * self.w, mu)
+        return self.solve(rho, mu)
 
 
 def from_matrix(raw: np.ndarray, scheme: str = "custom", normalize: bool = True) -> SpatialWeights:

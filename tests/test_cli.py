@@ -187,6 +187,22 @@ class TestFitCommand:
         assert "unknown selection rule" in capsys.readouterr().err
         assert not (tmp_path / "fit_bad").exists()
 
+    def test_too_many_cv_folds_exits_2(self, simulated_dir, tmp_path, capsys):
+        # 64 units: cv:33 would leave a test fold of one unit
+        code = run_cli(
+            "fit", "--curves", simulated_dir / "curves.csv",
+            "--response", simulated_dir / "response.csv",
+            "--weights-matrix", simulated_dir / "weights_matrix.csv",
+            "--basis", "fourier", "--num-basis", 5,
+            "--method", "fpc", "--select", "cv:33",
+            "--out", tmp_path / "fit_bad",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cv:33 leaves a test fold with fewer than 2 units" in err
+        assert "64 units allow at most cv:32" in err
+        assert not (tmp_path / "fit_bad").exists()
+
 
     def test_tuning_defaults_come_from_the_dataclasses(self):
         from ssofr import MTuning

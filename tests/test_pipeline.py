@@ -251,6 +251,15 @@ class TestSelectK:
             with pytest.raises(ValidationError, match="unknown selection rule"):
                 select_K(ds, w, BS, "fpc", rule=bad)
 
+    def test_cv_folds_leave_two_test_units(self):
+        # folds are units i with i % folds == f, so the smallest test fold
+        # holds n // folds units; one unit has no weights among its fold
+        ds, w, _ = sim(seed=16, n=36, shape=(6, 6))
+        for folds in (19, 36, 40):
+            with pytest.raises(ValidationError, match=rf"cv:{folds} leaves .* at most cv:18"):
+                select_K(ds, w, BS, "fpc", rule=f"cv:{folds}")
+        assert 1 <= select_K(ds, w, BS, "fpc", rule="cv:18", K_max=2) <= 2
+
     def test_rule_parsing(self):
         from ssofr.pipeline import _parse_rule
 

@@ -24,6 +24,7 @@ from ssofr import (
     ml_fit,
     rho_tilde,
 )
+from ssofr.weights import _symmetrizer
 
 
 def dense_rho_block(w, rho, y, wy, zt, sigma, tuning=MTuning(), ridge=0.0):
@@ -267,16 +268,17 @@ def random_state(rng, w, scale=2.0):
 
 class TestResolventCache:
     """The spectral routes of `SpatialWeights` (logdet, trace_g and the rho
-    block in the eigenbasis or by dense LU) against dense oracles."""
+    block, whose solve is CG on the symmetrized system or dense LU) against
+    dense oracles."""
 
     def test_defective_w_falls_back_to_dense(self):
-        # nilpotent chain graph: W has no symmetrizer, so no eigenbasis, and
-        # the rho block routes through dense linear algebra
+        # nilpotent chain graph: W has no symmetrizer, so the rho block's
+        # solve is dense LU
         from ssofr import from_matrix
 
         raw = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         w = from_matrix(raw, normalize=False)
-        assert w.eigenbasis is None
+        assert w._scaling is None
         rho = 0.4
         a = np.eye(3) - rho * w.w
         assert w.logdet(rho) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-12)
@@ -308,13 +310,13 @@ class TestResolventCache:
                 dense_rho_block(w.w, rho, y, wy, zt, sigma), abs=1e-9
             )
 
-    def test_eigen_route_matches_dense(self, rng):
+    def test_cg_route_matches_dense(self, rng):
         # a symmetric raw matrix, row-normalized: W has a symmetrizer
         from ssofr import row_normalize
 
         raw = rng.uniform(0, 1, (15, 15))
         w = row_normalize(raw + raw.T)
-        assert w.eigenbasis is not None
+        assert w._scaling is not None
         self.assert_rho_block_matches_dense(rng, w)
 
     def test_lu_route_matches_dense(self, rng):
@@ -322,17 +324,18 @@ class TestResolventCache:
         from ssofr import row_normalize
 
         w = row_normalize(rng.uniform(0, 1, (15, 15)))
-        assert w.eigenbasis is None
+        assert w._scaling is None
         self.assert_rho_block_matches_dense(rng, w)
 
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["eigen", "lu"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["cg", "lu"])
     def test_ridge_path(self, rng, symmetric):
-        # rho = 1 is a pole of the resolvent of a row-normalized W
+        # rho = 1 is a pole of the resolvent of a row-normalized W; there the
+        # CG route hands the near-singular system to dense LU and says so
         from ssofr import row_normalize
 
         raw = rng.uniform(0, 1, (10, 10))
         w = row_normalize(raw + raw.T if symmetric else raw)
-        assert (w.eigenbasis is not None) == symmetric
+        assert (w._scaling is not None) == symmetric
         y, wy, zt, sigma = random_state(rng, w)
         tuning = MTuning()
         events = []
@@ -340,7 +343,7 @@ class TestResolventCache:
         assert events == []
         assert got == pytest.approx(dense_rho_block(w.w, 0.5, y, wy, zt, sigma, tuning), abs=1e-9)
         got = sar._rho_block(w, 1.0, y, wy, zt, sigma, tuning, events=events)
-        assert events == ["ridge applied at rho=1"]
+        assert events == ["ridge applied at rho=1"] + ["dense solve at rho=1"] * symmetric
         assert got == pytest.approx(
             dense_rho_block(w.w, 1.0, y, wy, zt, sigma, tuning, 1e-8), rel=1e-6
         )
@@ -362,6 +365,53 @@ def theta_sigma_oracle(yr, Z, theta, sigma, tuning=MTuning()):
     sol = root(blocks, np.append(theta, np.log(sigma)), method="lm", tol=1e-14)
     assert np.abs(blocks(sol.x)).max() <= 1e-12 * n
     return sol.x[:k], float(np.exp(sol.x[k]))
+
+
+class TestThetaSigma:
+    """The Newton theta/sigma solve at fixed rho against the general
+    nonlinear solver of `theta_sigma_oracle`."""
+
+    @staticmethod
+    def contaminated(seed=61):
+        design, params, w = make_design(seed=seed, n_side=12, rho=0.4, sigma=1.0)
+        y = design.Y.copy()
+        y[np.random.default_rng(8).choice(design.n, design.n // 10, replace=False)] += 20.0
+        return y, design.Z, w, params
+
+    @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.2, 0.4, 0.7, 0.95])
+    @pytest.mark.parametrize("sigma0", [1.0, 1e-6], ids=["start", "tiny-sigma"])
+    def test_matches_oracle(self, rho, sigma0):
+        # a start with sigma 1e-6 puts every residual outside the cutoffs:
+        # the Jacobian is singular there and the safeguard's IRLS step runs
+        y, Z, w, params = self.contaminated()
+        yr = y - rho * (w.w @ y)
+        tuning = MTuning()
+        theta, sigma, steps, converged, singular = sar._theta_sigma(
+            yr, Z, params.theta, sigma0, tuning, rho_tilde(tuning.c2)
+        )
+        assert converged and not singular
+        assert steps <= 30
+        ref_theta, ref_sigma = theta_sigma_oracle(yr, Z, params.theta, 1.0)
+        assert np.abs(theta - ref_theta).max() <= 1e-9 * ref_sigma
+        assert sigma == pytest.approx(ref_sigma, rel=1e-9)
+
+    def test_inner_steps_per_fit(self, monkeypatch):
+        # machine-independent work guard: the Newton steps of every
+        # theta/sigma solve in one fit (57 when written; the Huber IRLS loop
+        # it replaced took 159)
+        calls = []
+        solve = sar._theta_sigma
+
+        def counted(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            calls.append(out[2])
+            return out
+
+        monkeypatch.setattr(sar, "_theta_sigma", counted)
+        fit = m_fit(make_design(seed=81)[0])
+        assert fit.converged
+        assert len(calls) == fit.iterations + 1
+        assert sum(calls) <= 80
 
 
 def patch_block(monkeypatch, b):
@@ -451,11 +501,14 @@ class TestProfiledRoot:
     def test_ml_maximum_at_the_bound(self, monkeypatch):
         # Y on the eigenvector of W's smallest eigenvalue: (I - rho W) Y
         # vanishes at the lower bound, where the profile grows without limit
+        # (W = D^{-1/2} S D^{1/2} with symmetric S, so S's eigenvector u
+        # gives W's as u / sqrt(d))
         _, _, w = make_design()
-        lam, V, _ = w.eigenbasis
+        s = np.sqrt(_symmetrizer(w.w))
+        lam, U = np.linalg.eigh(w.w * s[:, None] / s)
         rng = np.random.default_rng(3)
         Z = np.column_stack([np.ones(w.n), rng.standard_normal((w.n, 2))])
-        design = SarDesign(Y=V[:, np.argmin(lam)], Z=Z, weights=w)
+        design = SarDesign(Y=U[:, np.argmin(lam)] / s, Z=Z, weights=w)
         monkeypatch.setattr(sar, "brentq", forbidden)
         fit = ml_fit(design)
         lo, hi = w.rho_bounds
@@ -531,16 +584,17 @@ class TestEigenWork:
         ml_fit(design)
         assert eig_calls == ["eigvalsh"]
 
-    def test_m_fit_builds_the_eigenbasis_once(self, eig_calls):
+    def test_m_fit_makes_one_eigvalsh(self, eig_calls):
+        # the rho block solves by CG and reads only the eigenvalues
         design, _, _ = make_design(seed=81)
         m_fit(design)
-        assert eig_calls == ["eigvalsh", "eigh"]
+        assert eig_calls == ["eigvalsh"]
         m_fit(design)
-        assert eig_calls == ["eigvalsh", "eigh"]
+        assert eig_calls == ["eigvalsh"]
 
     def test_asymmetric_w_takes_the_general_route(self, eig_calls):
-        # general eigenvalues, and no eigenbasis: the rho block is a dense LU
-        # solve per rho
+        # general eigenvalues, and no symmetrizer: the rho block is a dense
+        # LU solve per rho
         design = self.asymmetric_design()
         assert eig_calls == []
         ml_fit(design)
@@ -609,12 +663,11 @@ class TestMFit:
         assert np.allclose(scaled.theta / c, base.theta, rtol=1e-8, atol=0.0)
 
     def test_fit_keeps_no_weights_alive(self):
-        # neither fit may leave a reference cycle holding the weights: their
-        # eigenbasis (two n x n arrays) would live until the next garbage
-        # collection
+        # neither fit may leave a reference cycle holding the weights: W and
+        # its spectrum would live until the next garbage collection
         for estimator in (m_fit, ml_fit):
             design, _, w = make_design(seed=81)
-            w.eigenbasis
+            w.eigvals
             ref = weakref.ref(w)
             gc.disable()
             try:

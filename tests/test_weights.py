@@ -46,10 +46,6 @@ def assert_symmetric_route_matches_general(w, row_normalized):
         assert w.trace_g(rho) == pytest.approx(
             np.trace(w.w @ np.linalg.inv(a)), rel=1e-10, abs=1e-10
         )
-    lam, V, Vinv = w.eigenbasis
-    assert lam.dtype == V.dtype == Vinv.dtype == np.float64
-    assert np.abs(w.w @ V - V * lam).max() <= 1e-10
-    assert np.abs(Vinv @ V - eye).max() <= 1e-10
 
 
 class TestHaversine:
@@ -323,4 +319,68 @@ class TestSpectrum:
         eigs, bounds = general_spectrum(w.w)
         assert np.array_equal(w.eigvals, eigs)
         assert w.rho_bounds == bounds
-        assert w.eigenbasis is None
+        b = np.arange(1.0, w.n + 1.0)
+        assert np.array_equal(w.solve(0.3, b), np.linalg.solve(np.eye(w.n) - 0.3 * w.w, b))
+
+
+def solve_weights(kind, normalize, size, seed):
+    """Weights of one kind: rook or queen contiguity on a grid, inverse
+    distances, or a dense random matrix (no symmetrizer), row-normalized or
+    raw."""
+    rng = np.random.default_rng(seed)
+    if kind in ("rook", "queen"):
+        raw = (grid_contiguity(size, size + 1, kind).w > 0.0).astype(float)
+    elif kind == "idw":
+        lat, lon = rng.uniform(-5.0, 5.0, (2, 4 * size))
+        d = haversine_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+        raw = 1.0 / (d + np.eye(d.shape[0]))  # from_matrix zeroes the diagonal
+    else:
+        raw = rng.uniform(0.0, 1.0, (4 * size, 4 * size))
+    return from_matrix(raw, normalize=normalize)
+
+
+class TestSolve:
+    """`solve` and `reduced_form` against dense LU: CG on the symmetrized
+    system, the LU it falls back to near the bounds, and LU for a W with no
+    symmetrizer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rook", "queen", "idw", "asymmetric"]),
+        normalize=st.booleans(),
+        size=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_matches_dense_solve(self, kind, normalize, size, seed, t):
+        w = solve_weights(kind, normalize, size, seed)
+        assert (w._scaling is None) == (kind == "asymmetric")
+        b = np.random.default_rng(seed).standard_normal(w.n)
+        lo, hi = w.rho_bounds
+        margin = 1e-8 * (hi - lo)
+        eye = np.eye(w.n)
+        for rho in (lo + margin, lo + margin + t * (hi - lo - 2.0 * margin), hi - margin):
+            x = w.solve(rho, b)
+            ref = np.linalg.solve(eye - rho * w.w, b)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.array_equal(w.reduced_form(rho, b), x) or rho == 0.0
+        assert w.reduced_form(0.0, b) is b
+
+    def test_lu_takes_over_near_the_bounds(self):
+        # CG solves inside the interval; within 1e-8 of its width from a
+        # bound, the solution is dominated by the near-null direction of
+        # I - rho W, the recomputed residual fails and dense LU answers
+        w = grid_contiguity(6, 7, "queen")
+        b = np.random.default_rng(5).standard_normal(w.n)
+        lo, hi = w.rho_bounds
+        margin = 1e-8 * (hi - lo)
+        eye = np.eye(w.n)
+        for rho, dense in ((0.5, False), (-0.9, False), (lo + margin, True), (hi - margin, True)):
+            events = []
+            x = w.solve(rho, b, events=events)
+            assert events == ([f"dense solve at rho={rho:.6g}"] if dense else [])
+            ref = np.linalg.solve(eye - rho * w.w, b)
+            if dense:
+                assert np.array_equal(x, ref)
+            else:
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
