@@ -29,6 +29,10 @@ _REFINE_TOL = 1e-8
 _REFINE_SWEEPS = 100
 _GRID = 13  # angles per zoom grid of `_rotate`, both ends included
 _ZOOMS = 6
+# grid points `_rotate` scores: at zoom 0 all but the centre (u itself) and
+# the last end (the first one up to sign); later, all but the centre and ends
+_SCORED_FIRST = np.r_[0:_GRID // 2, _GRID // 2 + 1:_GRID - 1]
+_SCORED_ZOOM = np.r_[1:_GRID // 2, _GRID // 2 + 1:_GRID - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +125,8 @@ def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
     if norm < 1e-12:
         return u, crit
     v = v / norm
-    half = _GRID // 2
     thetas = np.linspace(-np.pi / 2, np.pi / 2, _GRID)
-    scored = np.r_[0:half, half + 1:_GRID - 1]
+    scored = _SCORED_FIRST
     best_theta, best_val = 0.0, crit
     for _zoom in range(_ZOOMS):
         t = thetas[scored]
@@ -134,7 +137,7 @@ def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
             best_theta, best_val = float(t[i]), float(vals[i])
         step = thetas[1] - thetas[0]
         thetas = np.linspace(best_theta - step, best_theta + step, _GRID)
-        scored = np.r_[1:half, half + 1:_GRID - 1]
+        scored = _SCORED_ZOOM
     if best_val > crit:
         u = np.cos(best_theta) * u + np.sin(best_theta) * v
         u = u / np.linalg.norm(u)

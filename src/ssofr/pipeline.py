@@ -190,6 +190,16 @@ def _subset(dataset, weights, units):
     return part, row_normalize(weights.w[np.ix_(units, units)], weights.scheme)
 
 
+def _numerical_rank(coeffs, basis) -> int:
+    """Numerical rank of the Gram-scaled, mean-centred coefficients: the
+    eigenvalues of their scatter above 1e-12 times the largest. Components
+    beyond it have scores that are rounding noise or constant across units,
+    so the design of the spatial model loses rank."""
+    a = coeffs.coeffs
+    s = np.linalg.svd((a - a.mean(axis=0)) @ basis.gram_sqrt, compute_uv=False)
+    return int(np.count_nonzero(s * s > 1e-12 * s[0] * s[0]))
+
+
 def select_K(
     dataset: FunctionalDataset,
     weights: SpatialWeights,
@@ -200,19 +210,24 @@ def select_K(
     K_max: int | None = None,
     **fit_kwargs,
 ) -> int:
-    """Choose the truncation level by explained variance, BIC, or CV."""
+    """Choose the truncation level by explained variance, BIC, or CV.
+
+    K_max, given or by default min(n - 1, M, 20), is capped at the numerical
+    rank of the centred curves (`_numerical_rank`), so no candidate K asks
+    for components the curves do not have.
+    """
     parsed = _parse_rule(rule)
     method = _choice(decomposition_method, DECOMPOSITION_METHODS, "method")
     basis = basis_spec.build(dataset.grid)
+    coeffs = project_curves(dataset, basis)
     if K_max is None:
         K_max = min(dataset.n - 1, basis.M, 20)
-    K_max = max(1, K_max)
+    K_max = max(1, min(K_max, _numerical_rank(coeffs, basis)))
 
     if parsed[0] == "ev":
         tau = parsed[1]
         if not 0.0 < tau < 1.0:
             raise ValidationError("explained-variance threshold must be in (0,1)")
-        coeffs = project_curves(dataset, basis)
         decomp = _decompose(
             method, coeffs, basis, dataset.response, K_max,
             fit_kwargs.get("m_scale_config", DEFAULT_MSCALE),

@@ -409,15 +409,21 @@ def m_fit(
     """Robust M-estimator, profiled over rho.
 
     `_theta_sigma` solves the theta and sigma blocks at fixed rho, which
-    leaves the rho block a scalar function g(rho). Points at distance 0.02,
-    0.04, 0.08, ... alternately below and above the initial rho (the ML
-    estimate by default), clipped to the bounds, are evaluated until g
-    changes sign between two neighbouring points on one side; rho is the
-    Brent root in that bracket, the root nearest the start. Without a sign
-    change, rho is the bound with the smaller |g| and the fit is not
-    converged; nor is it when an inner solve did not converge. `iterations`
-    counts the evaluations of g. The inner stop rule is in units of sigma,
-    so a rescaled Y takes the same path.
+    leaves the rho block a scalar function g(rho). The bracket grows from
+    the initial rho (the ML estimate by default) toward the root that g
+    points to: points at distance 0.02, 0.04, 0.08, ..., clipped to the
+    bounds, are evaluated on one side until g changes sign between two
+    neighbouring points. The first side is above the start when g > 0 there
+    and below it when g < 0, as for a g that falls through its root; if the
+    first point on that side shows |g| growing, g rises through the root it
+    points to and the other side goes first. A side is left only at its
+    bound without a sign change, so g is evaluated at most once on the side
+    away from the root. rho is the Brent root in the first bracket found;
+    where g has several roots, that is the nearest one in its direction.
+    Without a sign change on either side, rho is the bound with the smaller
+    |g| and the fit is not converged; nor is it when an inner solve did not
+    converge. `iterations` counts the evaluations of g. The inner stop rule
+    is in units of sigma, so a rescaled Y takes the same path.
     """
     if init is None:
         init = ml_fit(design).params
@@ -429,24 +435,35 @@ def m_fit(
 
     rho0 = min(max(float(init.rho), glo), ghi)
     g0 = _profiled_block(rho0, prof)
-    outer = [(rho0, g0), (rho0, g0)]  # outermost point evaluated below, above
+    bound = {-1.0: glo, 1.0: ghi}
+    outer = {-1.0: (rho0, g0), 1.0: (rho0, g0)}  # outermost point on each side
+    h = {-1.0: 0.02, 1.0: 0.02}
     bracket = None
-    h = 0.02
-    while bracket is None and (outer[0][0] > glo or outer[1][0] < ghi):
-        for side, r in enumerate((max(rho0 - h, glo), min(rho0 + h, ghi))):
-            near, g_near = outer[side]
-            if r != near:
-                g = _profiled_block(r, prof)
-                outer[side] = (r, g)
-                if np.sign(g) != np.sign(g_near):
-                    prof.known = {near: g_near, r: g}
-                    bracket = sorted(prof.known)
-                    break
-        h *= 2.0
+
+    def grow(side):
+        """Evaluate the next point on `side`; the bracket, if g changed sign."""
+        near, g_near = outer[side]
+        r = min(max(rho0 + side * h[side], glo), ghi)
+        h[side] *= 2.0
+        g = _profiled_block(r, prof)
+        outer[side] = (r, g)
+        if np.sign(g) != np.sign(g_near):
+            prof.known = {near: g_near, r: g}
+            return sorted(prof.known)
+        return None
+
+    first = 1.0 if g0 > 0.0 else -1.0
+    if rho0 != bound[first]:
+        bracket = grow(first)
+    if bracket is None and abs(outer[first][1]) > abs(g0):
+        first = -first
+    for side in (first, -first):
+        while bracket is None and outer[side][0] != bound[side]:
+            bracket = grow(side)
     if bracket is not None:
         rho = float(brentq(_profiled_block, *bracket, args=(prof,), xtol=1e-12))
     else:
-        rho = min(outer, key=lambda p: abs(p[1]))[0]
+        rho = min(outer.values(), key=lambda p: abs(p[1]))[0]
         prof.converged = False
         prof.events.append("rho block has no root inside the bounds")
     prof.solve(rho)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssofr.exceptions import NonConvergenceError
-from ssofr.mscale import _MAX_ITER, _TOL, DEFAULT_MSCALE, MAD_SCALE
+from ssofr.mscale import _MAX_ITER, _NEWTON_TOL, _TOL, DEFAULT_MSCALE, MAD_SCALE
 
 
 def subspace_angle_deg(u, v, gram):
@@ -50,8 +50,10 @@ def oracle_start(x, cfg):
 
 def oracle_solve(resid, sigma, cfg):
     """Column-layout safeguarded Newton solve of mean rho_norm(r / sigma) =
-    delta, the loss and slope summed term by term down each column.
-    Returns (sigma, iterations)."""
+    delta, the loss, slope and curvature summed term by term down each
+    column. A column stops after a Newton step whose modelled error
+    sigma^2 |f''| d^2 / (2 sigma |f'|) is at most _NEWTON_TOL, or once the
+    step is at most _TOL sigma. Returns (sigma, iterations)."""
     n = resid.shape[0]
     r2 = (resid / cfg.c) ** 2
     sigma = np.array(sigma, dtype=float)
@@ -61,12 +63,15 @@ def oracle_solve(resid, sigma, cfg):
         t = np.minimum(r2 / (s * s), 1.0)
         mean_rho = (t * (3.0 - t * (3.0 - t))).sum(axis=0) / n
         slope = 6.0 / n * (t * (1.0 - t) ** 2).sum(axis=0)
+        curv = 6.0 / n * (t * (1.0 - t) * (3.0 - 7.0 * t)).sum(axis=0)
         gap = mean_rho - cfg.delta
         newton = (-0.5 * slope < gap) & (gap < slope)
         ratio = np.divide(gap, slope, out=np.zeros_like(gap), where=newton)
         new = np.where(newton, s * (1.0 + ratio), s * np.sqrt(mean_rho / cfg.delta))
         sigma[cols] = new
-        going = np.abs(new - s) > _TOL * s
+        model = np.divide(np.abs(curv) * ratio**2, 2.0 * slope,
+                          out=np.full_like(gap, np.inf), where=newton)
+        going = (np.abs(new - s) > _TOL * s) & (model > _NEWTON_TOL)
         if not going.any():
             return sigma, it
         if not going.all():

@@ -173,6 +173,25 @@ class TestFitCommand:
         report = json.loads(read_bytes(out / "fit_report.json"))
         assert 1 <= report["K"] <= 5
 
+    @pytest.mark.parametrize("method", ["fpc", "rfpc"])
+    def test_bic_on_low_rank_simulated_curves_exits_0(self, tmp_path, method):
+        # the default simulation spans 5 of the 15 default B-spline
+        # directions; components beyond that rank made Z rank deficient
+        sim = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--weights-scheme", "rook", "--grid-shape", 6, 6,
+            "--n", 36, "--out", sim,
+        ) == 0
+        out = tmp_path / "fit_bic"
+        code = run_cli(
+            "fit", "--curves", sim / "curves.csv", "--response", sim / "response.csv",
+            "--weights-matrix", sim / "weights_matrix.csv",
+            "--method", method, "--select", "bic", "--out", out,
+        )
+        assert code == 0
+        report = json.loads(read_bytes(out / "fit_report.json"))
+        assert 1 <= report["K"] <= 5
+
     @pytest.mark.parametrize("rule", ["ev:abc", "evil"])
     def test_bad_select_rule_exits_2(self, simulated_dir, tmp_path, capsys, rule):
         code = run_cli(

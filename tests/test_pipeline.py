@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ssofr.fpca
 from ssofr import (
@@ -20,6 +24,8 @@ from ssofr import (
     simulate,
 )
 from ssofr.fpls import HampelConfig
+from ssofr.functional import project_curves
+from ssofr.pipeline import _numerical_rank
 
 
 BS = BasisSpec(kind="fourier", M=5)
@@ -275,6 +281,27 @@ class TestSelectK:
         with pytest.raises(ValidationError, match="method must be one of"):
             select_K(ds, w, BS, "pca", "ev:0.9")
 
+    @pytest.mark.parametrize("estimator", ["ml", "m"])
+    @pytest.mark.parametrize("method", ["fpc", "rfpc", "fpls", "rfpls"])
+    def test_every_rule_returns_a_k_on_simulated_curves(self, method, estimator):
+        # simulated curves span 5 of the 15 B-spline directions, so the
+        # default K_max of 15 is capped at 5: beyond it, scores are rounding
+        # noise (fpc, fpls) or constant (rfpc, centred at the median) and
+        # the design of the spatial model loses rank
+        ds, w, _ = simulate(SimSpec(n=36, weights_scheme="rook", grid_shape=(6, 6)))
+        basis = BasisSpec()
+        system = basis.build(ds.grid)
+        assert _numerical_rank(project_curves(ds, system), system) == 5
+        for rule in ("ev:0.95", "bic", "cv:3"):
+            k = select_K(ds, w, basis, method, rule=rule, estimator=estimator)
+            assert 1 <= k <= 5
+        assert 1 <= select_K(ds, w, basis, method, "bic", estimator, K_max=20) <= 5
+
+    @pytest.mark.parametrize("method", ["fpc", "rfpc", "fpls", "rfpls"])
+    def test_explained_variance_on_a_queen_draw(self, method):
+        ds, w, _ = simulate(SimSpec(n=144, weights_scheme="queen", grid_shape=(12, 12), seed=7))
+        assert 1 <= select_K(ds, w, BasisSpec(), method, "ev:0.95") <= 5
+
     def test_cv_builds_each_fold_once(self, eig_calls):
         # machine-independent work guard: the weights of each training fold
         # are built once and their eigenvalues read once, whatever K_max; the
@@ -313,3 +340,42 @@ class TestSerialization:
         text = model_to_json(model).replace('"schema_version": 1', '"schema_version": 99')
         with pytest.raises(ValidationError):
             model_from_json(text)
+
+
+@functools.lru_cache(maxsize=None)
+def rook8():
+    return simulate(SimSpec(n=64, weights_scheme="rook", grid_shape=(8, 8), seed=0))
+
+
+@functools.lru_cache(maxsize=None)
+def rook8_fit(method, estimator):
+    ds, w, _ = rook8()
+    return fit(ds, w, BasisSpec(), method, K=3, estimator=estimator)
+
+
+class TestCurveShift:
+    """Adding one function c(t) to every curve moves the centre of the
+    curves and nothing else: the decompositions work on centred curves."""
+
+    @pytest.mark.parametrize("estimator", ["ml", "m"])
+    @pytest.mark.parametrize("method", ["fpc", "rfpc", "fpls", "rfpls"])
+    @settings(max_examples=4, deadline=None)
+    @given(
+        level=st.floats(-3.0, 3.0),
+        amplitude=st.floats(-2.0, 2.0),
+        frequency=st.floats(1.0, 5.0),
+    )
+    @example(level=2.0, amplitude=1.0, frequency=3.0)
+    def test_shift_leaves_beta_and_params(self, method, estimator, level, amplitude,
+                                          frequency):
+        ds, w, _ = rook8()
+        base = rook8_fit(method, estimator)
+        shift = level + amplitude * np.sin(frequency * ds.grid)
+        shifted = FunctionalDataset(
+            grid=ds.grid, curves=ds.curves + shift, response=ds.response,
+        )
+        model = fit(shifted, w, BasisSpec(), method, K=3, estimator=estimator)
+        np.testing.assert_allclose(model.beta_coeffs, base.beta_coeffs, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            model.params.as_vector(), base.params.as_vector(), rtol=0, atol=1e-10,
+        )
