@@ -4,6 +4,17 @@ All files are UTF-8 comma-separated with a mandatory header row. Floats are
 written with repr so values round-trip exactly. Curves travel in long format
 (id, t, value) by default; wide format has one row per curve with the grid
 in the header. Writes are atomic (temp file + rename).
+
+Each input file is read once and handled as columns. The body is split on
+commas and newlines in one call when the file has a header line and a body,
+its text holds no quote, carriage return or NUL, no blank line and no field
+longer than the csv module's field limit, and every body line holds the
+number of commas its reader expects (counted in numpy on the bytes): on such
+text these are exactly the fields `csv.reader` returns. Any other file
+(quoted fields, CRLF line ends, blank lines, extra columns or short rows)
+goes through `csv.reader`, which parses quoting and gives the same values
+and the same errors. Writers join the repr tokens into one text; each id is
+quoted as `csv.writer` quotes it.
 """
 
 from __future__ import annotations
@@ -12,10 +23,14 @@ import csv
 import io as _io
 import os
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
 from .exceptions import ValidationError
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
+_NOT_BULK = (b'"', b"\r", b"\0", b"\n\n")
 
 
 def _fmt(x) -> str:
@@ -51,24 +66,106 @@ def _parse_float(token: str, path: str):
         raise ValidationError(f"{path}: cannot parse {token!r} as a number") from exc
 
 
-def _parse_row(tokens, path: str) -> list:
-    """Floats of a row of tokens; a token that is not a number is named by
-    `_parse_float`."""
-    try:
-        return list(map(float, tokens))
-    except ValueError:
-        for token in tokens:
+def _name_bad_token(columns, path: str) -> None:
+    """Raise `_parse_float`'s error for the first token, in row order, of
+    equal-length token columns that is not a number."""
+    for row in zip(*columns):
+        for token in row:
             _parse_float(token, path)
+
+
+def _floats(columns, path: str) -> list:
+    """A float array per token column, parsed by `float`; a token that is
+    not a number is named by `_name_bad_token`."""
+    try:
+        return [np.fromiter(map(float, column), dtype=float, count=len(column))
+                for column in columns]
+    except ValueError:
+        _name_bad_token(columns, path)
         raise
 
 
-def _body(rows, width: int, path: str):
-    """The rows after the header, each with at least `width` fields."""
+def _strip_all(tokens) -> list:
+    return list(map(str.strip, tokens))
+
+
+def _first_repeat(flat: np.ndarray):
+    """Position of the first entry of `flat` equal to an earlier one, or None."""
+    _, first = np.unique(flat, return_index=True)
+    if first.size == flat.size:
+        return None
+    repeated = np.ones(flat.size, dtype=bool)
+    repeated[first] = False
+    return int(np.argmax(repeated))
+
+
+def _body(rows, width: int, path: str, mismatch=None):
+    """The rows after the header, each with at least `width` fields.
+
+    With `mismatch`, for a table of an id column and number columns, each
+    row must have exactly `width` fields. At the first that has not, the
+    first field of an earlier row that is not a number is named, as a reader
+    going row by row meets it; failing that, `mismatch` is the error.
+    """
     body = rows[1:]
-    for row in body:
+    for r, row in enumerate(body):
+        if mismatch is not None and len(row) != width:
+            _name_bad_token([[token for before in body[:r] for token in before[1:]]], path)
+            raise ValidationError(mismatch)
         if len(row) < width:
             raise ValidationError(f"{path}: short row {row!r}")
     return body
+
+
+class _Table:
+    """A CSV file read once: its header fields, then its body's fields."""
+
+    def __init__(self, path: str):
+        if not os.path.exists(path):
+            raise ValidationError(f"file not found: {path}")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.path = path
+        self._rows = None
+        head = data.find(b"\n")
+        if 0 < head < len(data) - 1 and not any(c in data for c in _NOT_BULK):
+            b = np.frombuffer(data, dtype=np.uint8)
+            at = np.flatnonzero((b == _COMMA) | (b == _NEWLINE))
+            longest = int(np.diff(at, prepend=-1, append=b.size).max()) - 1
+            if longest <= csv.field_size_limit():
+                seps = b[at]
+                # the body's separators, each line ended by a newline
+                self._seps = seps[np.argmax(seps == _NEWLINE) + 1:]
+                if data[-1] != _NEWLINE:
+                    self._seps = np.append(self._seps, _NEWLINE)
+                self._text = data.decode("utf-8")
+                self.header = self._text[:self._text.index("\n")].split(",")
+                return
+        self._rows = _read_rows(path)
+        self.header = self._rows[0]
+
+    def fields(self, width=None, mismatch=None) -> list:
+        """The first `width` fields of each body row (by default as many as
+        the header has), as one list of str in row order; field k of each
+        row is `fields[k::width]`. A row with fewer fields raises the
+        short-row error; with `mismatch`, so does a row with more, with that
+        error."""
+        width = len(self.header) if width is None else width
+        if self._rows is None:
+            # every line holds width - 1 commas: every width-th separator,
+            # and only those, is a newline
+            ends = self._seps == _NEWLINE
+            if np.array_equal(ends, np.arange(ends.size) % width == width - 1):
+                body = self._text[self._text.index("\n") + 1:].removesuffix("\n")
+                return body.replace("\n", ",").split(",")
+            self._rows = _read_rows(self.path)
+        body = _body(self._rows, width, self.path, mismatch)
+        return [field for row in body for field in row[:width]]
+
+    def expect(self, names: tuple) -> None:
+        """Require the header to start with `names`, up to case and spaces."""
+        if [h.strip().lower() for h in self.header[:len(names)]] != list(names):
+            raise ValidationError(f"{self.path}: expected header {','.join(names)}")
 
 
 def read_curves_long(path: str):
@@ -78,35 +175,28 @@ def read_curves_long(path: str):
     sorted set of t; each row then has one flat index into the n x p curves,
     which must be hit exactly once.
     """
-    rows = _read_rows(path)
-    header = [h.strip().lower() for h in rows[0]]
-    if header[:3] != ["id", "t", "value"]:
-        raise ValidationError(f"{path}: expected header id,t,value")
-    body = _body(rows, 3, path)
-    codes: dict = {}
-    unit = np.array([codes.setdefault(row[0].strip(), len(codes)) for row in body], dtype=np.intp)
-    t_tokens = [row[1] for row in body]
+    table = _Table(path)
+    table.expect(("id", "t", "value"))
+    tokens = table.fields(3)
+    ids, t_tokens, v_tokens = _strip_all(tokens[0::3]), tokens[1::3], tokens[2::3]
+    codes = {u: k for k, u in enumerate(dict.fromkeys(ids))}
+    unit = np.fromiter(map(codes.__getitem__, ids), dtype=np.intp, count=len(ids))
     try:
         # a grid has few distinct t tokens: parse each once
         t_of = {token: float(token) for token in set(t_tokens)}
-        t = np.array([t_of[token] for token in t_tokens])
-        v = np.array(list(map(float, [row[2] for row in body])))
+        t = np.fromiter(map(t_of.__getitem__, t_tokens), dtype=float, count=len(t_tokens))
+        v = np.fromiter(map(float, v_tokens), dtype=float, count=len(v_tokens))
     except ValueError:
-        for row in body:
-            _parse_float(row[1], path)
-            _parse_float(row[2], path)
+        _name_bad_token((t_tokens, v_tokens), path)
         raise
     grid, t_code = np.unique(t, return_inverse=True)
     n, p = len(codes), grid.size
     flat = unit * p + t_code
     if n == 0 or flat.size != n * p or not np.bincount(flat, minlength=n * p).all():
-        _, first = np.unique(flat, return_index=True)
-        if first.size < flat.size:
-            repeated = np.ones(flat.size, dtype=bool)
-            repeated[first] = False
-            row = body[int(np.argmax(repeated))]
+        r = _first_repeat(flat)
+        if r is not None:
             raise ValidationError(
-                f"{path}: pair ({row[0].strip()}, {row[1].strip()}) is given more than once"
+                f"{path}: pair ({ids[r]}, {t_tokens[r].strip()}) is given more than once"
             )
         raise ValidationError(f"{path}: curves observed on different grids")
     curves = np.empty(n * p)
@@ -114,84 +204,71 @@ def read_curves_long(path: str):
     return list(codes), grid, curves.reshape(n, p)
 
 
+def _dense(table: _Table, mismatch: str):
+    """(ids, values) of a table whose first column holds ids and whose other
+    columns all hold numbers, one row per header field."""
+    tokens = table.fields(mismatch=mismatch)
+    width = len(table.header)
+    ids = _strip_all(tokens[0::width])
+    del tokens[0::width]
+    (values,) = _floats([tokens], table.path)
+    return ids, values.reshape(len(ids), width - 1) if ids else values
+
+
 def read_curves_wide(path: str):
     """Wide-format curves (id, t1, t2, ...) -> (ids, grid, curves)."""
-    rows = _read_rows(path)
-    header = rows[0]
+    table = _Table(path)
+    header = table.header
     if header[0].strip().lower() != "id":
         raise ValidationError(f"{path}: first header column must be 'id'")
     grid = np.array([_parse_float(h, path) for h in header[1:]])
-    ids, curves = [], []
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: row length does not match header")
-        ids.append(row[0].strip())
-        curves.append(_parse_row(row[1:], path))
-    return ids, grid, np.array(curves)
+    ids, curves = _dense(table, f"{path}: row length does not match header")
+    return ids, grid, curves
 
 
 def read_response(path: str):
     """Response file (id, y) -> (ids, values)."""
-    rows = _read_rows(path)
-    header = [h.strip().lower() for h in rows[0]]
-    if header[:2] != ["id", "y"]:
-        raise ValidationError(f"{path}: expected header id,y")
-    ids, vals = [], []
-    for row in _body(rows, 2, path):
-        ids.append(row[0].strip())
-        vals.append(_parse_float(row[1], path))
-    return ids, np.array(vals)
+    table = _Table(path)
+    table.expect(("id", "y"))
+    tokens = table.fields(2)
+    (y,) = _floats([tokens[1::2]], path)
+    return _strip_all(tokens[0::2]), y
 
 
 def read_coords(path: str):
     """Coordinates file (id, lat, lon) -> (ids, lat, lon)."""
-    rows = _read_rows(path)
-    header = [h.strip().lower() for h in rows[0]]
-    if header[:3] != ["id", "lat", "lon"]:
-        raise ValidationError(f"{path}: expected header id,lat,lon")
-    ids, lat, lon = [], [], []
-    for row in _body(rows, 3, path):
-        ids.append(row[0].strip())
-        lat.append(_parse_float(row[1], path))
-        lon.append(_parse_float(row[2], path))
-    return ids, np.array(lat), np.array(lon)
+    table = _Table(path)
+    table.expect(("id", "lat", "lon"))
+    tokens = table.fields(3)
+    lat, lon = _floats([tokens[1::3], tokens[2::3]], path)
+    return _strip_all(tokens[0::3]), lat, lon
 
 
 def read_weights_matrix(path: str):
     """Dense (header = id,<ids...>) or triplet (i,j,w) weight matrix."""
-    rows = _read_rows(path)
-    header = [h.strip().lower() for h in rows[0]]
+    table = _Table(path)
+    header = [h.strip().lower() for h in table.header]
     if header[:3] == ["i", "j", "w"]:
-        entries = [(r[0].strip(), r[1].strip(), _parse_float(r[2], path)) for r in _body(rows, 3, path)]
-        ids = []
-        seen = set()
-        for i, j, _ in entries:
-            for u in (i, j):
-                if u not in seen:
-                    seen.add(u)
-                    ids.append(u)
+        tokens = table.fields(3)
+        (values,) = _floats([tokens[2::3]], path)
+        i_ids, j_ids = _strip_all(tokens[0::3]), _strip_all(tokens[1::3])
+        ids = list(dict.fromkeys(u for pair in zip(i_ids, j_ids) for u in pair))
         index = {u: k for k, u in enumerate(ids)}
+        rows = np.fromiter(map(index.__getitem__, i_ids), dtype=np.intp, count=len(i_ids))
+        cols = np.fromiter(map(index.__getitem__, j_ids), dtype=np.intp, count=len(j_ids))
+        r = _first_repeat(rows * len(ids) + cols)
+        if r is not None:
+            raise ValidationError(f"{path}: pair ({i_ids[r]}, {j_ids[r]}) is given more than once")
         w = np.zeros((len(ids), len(ids)))
-        given = set()
-        for i, j, v in entries:
-            if (i, j) in given:
-                raise ValidationError(f"{path}: pair ({i}, {j}) is given more than once")
-            given.add((i, j))
-            w[index[i], index[j]] = v
+        w[rows, cols] = values
         return ids, w
     if header[0] != "id":
         raise ValidationError(f"{path}: expected dense header starting with 'id' or triplet i,j,w")
-    ids = [h.strip() for h in rows[0][1:]]
-    mat = []
-    row_ids = []
-    for row in rows[1:]:
-        if len(row) != len(ids) + 1:
-            raise ValidationError(f"{path}: dense row length mismatch")
-        row_ids.append(row[0].strip())
-        mat.append(_parse_row(row[1:], path))
+    ids = _strip_all(table.header[1:])
+    row_ids, w = _dense(table, f"{path}: dense row length mismatch")
     if row_ids != ids:
         raise ValidationError(f"{path}: dense matrix row ids must match header ids")
-    return ids, np.array(mat)
+    return ids, w
 
 
 def align_to(ids_ref, ids_other, values: np.ndarray, what: str) -> np.ndarray:
@@ -216,14 +293,25 @@ def write_csv(path: str, header, rows) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _quoted(ids) -> list:
+    """Each id as `write_csv` writes it in a row of two or more fields."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    for cid in ids:
+        writer.writerow((cid, ""))
+    return [line[:-2] for line in lines]
+
+
 def write_curves_long(path: str, ids, grid, curves) -> None:
-    t_tokens = _fmt_all(grid)
-    rows = (
-        (cid, t, v)
-        for cid, curve in zip(ids, np.asarray(curves, dtype=float))
-        for t, v in zip(t_tokens, _fmt_all(curve))
-    )
-    write_csv(path, ("id", "t", "value"), rows)
+    curves = np.asarray(curves, dtype=float)
+    n, p = curves.shape[0], len(grid)
+    tokens = [None] * (4 * n * p)
+    id_cells = [f"{cid}," for cid in _quoted(ids)]
+    tokens[0::4] = [cell for cell in id_cells for _ in range(p)]
+    tokens[1::4] = [f"{t}," for t in _fmt_all(grid)] * n
+    tokens[2::4] = _fmt_all(curves.ravel())
+    tokens[3::4] = ["\n"] * (n * p)
+    atomic_write_text(path, "id,t,value\n" + "".join(tokens))
 
 
 def write_response(path: str, ids, values) -> None:
@@ -235,5 +323,9 @@ def write_coords(path: str, ids, lat, lon) -> None:
 
 
 def write_weights_matrix(path: str, ids, w: np.ndarray) -> None:
-    rows = ([cid, *_fmt_all(row)] for cid, row in zip(ids, np.asarray(w, dtype=float)))
-    write_csv(path, ["id"] + list(ids), rows)
+    quoted = _quoted(ids)
+    lines = [",".join(["id", *quoted])]
+    lines += [
+        f"{cid},{','.join(_fmt_all(row))}" for cid, row in zip(quoted, np.asarray(w, dtype=float))
+    ]
+    atomic_write_text(path, "\n".join(lines) + "\n")

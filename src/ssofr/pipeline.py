@@ -10,7 +10,7 @@ versioned JSON document that round-trips exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,11 +84,17 @@ def _choice(value: str, allowed: tuple, what: str) -> str:
 
 
 def _decompose(method, coeffs, basis, Y, K, m_scale_config, hampel_config):
-    """The decomposition of `method`, one of DECOMPOSITION_METHODS."""
-    if method == "fpc":
-        return fpc(coeffs, basis, K)
-    if method == "rfpc":
-        return rfpc(coeffs, basis, K, m_scale_config)
+    """The decomposition of `method`, one of DECOMPOSITION_METHODS.
+
+    fpc and rfpc return at most as many components as the curves' numerical
+    rank (`_numerical_rank`), with `truncated` set when that is fewer than
+    K, as fpls and rfpls stop where the covariance with Y vanishes.
+    """
+    if method in ("fpc", "rfpc"):
+        fpca._check_k(K, *coeffs.coeffs.shape)
+        k = max(1, min(K, _numerical_rank(coeffs, basis)))
+        decomp = fpc(coeffs, basis, k) if method == "fpc" else rfpc(coeffs, basis, k, m_scale_config)
+        return replace(decomp, truncated=True) if k < K else decomp
     if method == "fpls":
         return fpls(coeffs, basis, Y, K)
     return rfpls(coeffs, basis, Y, K, hampel_config, m_scale_config)

@@ -60,8 +60,15 @@ def _symmetrizer(w: np.ndarray):
     is S = D^{1/2} W D^{-1/2} matching its transpose entry by entry. The
     pattern takes n^2 bytes and the value check runs in row blocks, so the
     memory all this takes stays well below that of the n x n S itself.
+
+    An exactly symmetric W, such as an unnormalized built-in scheme, gets
+    d = 1 without the search, which finds exactly that. Its first row is
+    compared with its first column before the whole matrix with its
+    transpose, so a row-normalized W is turned away after one row.
     """
     n = w.shape[0]
+    if np.array_equal(w[0], w[:, 0]) and np.array_equal(w, w.T):
+        return np.ones(n)
     pattern = w != 0.0
     if not np.array_equal(pattern, pattern.T):
         return None

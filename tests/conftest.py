@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssofr.exceptions import NonConvergenceError
+from ssofr.exceptions import NonConvergenceError, ValidationError
 from ssofr.mscale import _MAX_ITER, _NEWTON_TOL, _TOL, DEFAULT_MSCALE, MAD_SCALE
 
 
@@ -100,3 +100,138 @@ def oracle_m_scale_info(x, config):
         return 0.0, 0, True
     sigma, iterations = oracle_solve(resid, sigma, config)
     return float(sigma[0]), iterations, False
+
+
+# Row-based reference readers: each file goes through csv.reader and is
+# handled row by row. The columnar readers of `ssofr.io` must return the same
+# ids, bit-identical arrays and the same errors on every table.
+
+def _ref_rows(path):
+    import csv
+    import os
+
+    if not os.path.exists(path):
+        raise ValidationError(f"file not found: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(filter(None, csv.reader(fh)))
+    if not rows:
+        raise ValidationError(f"empty file: {path}")
+    return rows
+
+
+def _ref_float(token, path):
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: cannot parse {token!r} as a number") from exc
+
+
+def _ref_row(tokens, path):
+    return [_ref_float(token, path) for token in tokens]
+
+
+def _ref_body(rows, width, path):
+    body = rows[1:]
+    for row in body:
+        if len(row) < width:
+            raise ValidationError(f"{path}: short row {row!r}")
+    return body
+
+
+def reference_read_curves_long(path):
+    rows = _ref_rows(path)
+    header = [h.strip().lower() for h in rows[0]]
+    if header[:3] != ["id", "t", "value"]:
+        raise ValidationError(f"{path}: expected header id,t,value")
+    body = _ref_body(rows, 3, path)
+    codes = {}
+    unit = np.array([codes.setdefault(row[0].strip(), len(codes)) for row in body], dtype=np.intp)
+    t, v = np.array([_ref_row(row[1:3], path) for row in body]).reshape(-1, 2).T
+    grid, t_code = np.unique(t, return_inverse=True)
+    n, p = len(codes), grid.size
+    flat = unit * p + t_code
+    if n == 0 or flat.size != n * p or not np.bincount(flat, minlength=n * p).all():
+        seen = set()
+        for row, f in zip(body, flat.tolist()):
+            if f in seen:
+                raise ValidationError(
+                    f"{path}: pair ({row[0].strip()}, {row[1].strip()}) is given more than once"
+                )
+            seen.add(f)
+        raise ValidationError(f"{path}: curves observed on different grids")
+    curves = np.empty(n * p)
+    curves[flat] = v
+    return list(codes), grid, curves.reshape(n, p)
+
+
+def reference_read_curves_wide(path):
+    rows = _ref_rows(path)
+    header = rows[0]
+    if header[0].strip().lower() != "id":
+        raise ValidationError(f"{path}: first header column must be 'id'")
+    grid = np.array([_ref_float(h, path) for h in header[1:]])
+    ids, curves = [], []
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row length does not match header")
+        ids.append(row[0].strip())
+        curves.append(_ref_row(row[1:], path))
+    return ids, grid, np.array(curves)
+
+
+def reference_read_response(path):
+    rows = _ref_rows(path)
+    header = [h.strip().lower() for h in rows[0]]
+    if header[:2] != ["id", "y"]:
+        raise ValidationError(f"{path}: expected header id,y")
+    ids, vals = [], []
+    for row in _ref_body(rows, 2, path):
+        ids.append(row[0].strip())
+        vals.append(_ref_float(row[1], path))
+    return ids, np.array(vals)
+
+
+def reference_read_coords(path):
+    rows = _ref_rows(path)
+    header = [h.strip().lower() for h in rows[0]]
+    if header[:3] != ["id", "lat", "lon"]:
+        raise ValidationError(f"{path}: expected header id,lat,lon")
+    ids, lat, lon = [], [], []
+    for row in _ref_body(rows, 3, path):
+        ids.append(row[0].strip())
+        lat.append(_ref_float(row[1], path))
+        lon.append(_ref_float(row[2], path))
+    return ids, np.array(lat), np.array(lon)
+
+
+def reference_read_weights_matrix(path):
+    rows = _ref_rows(path)
+    header = [h.strip().lower() for h in rows[0]]
+    if header[:3] == ["i", "j", "w"]:
+        entries = [(r[0].strip(), r[1].strip(), _ref_float(r[2], path))
+                   for r in _ref_body(rows, 3, path)]
+        ids = []
+        for i, j, _ in entries:
+            for u in (i, j):
+                if u not in ids:
+                    ids.append(u)
+        w = np.zeros((len(ids), len(ids)))
+        given = set()
+        for i, j, v in entries:
+            if (i, j) in given:
+                raise ValidationError(f"{path}: pair ({i}, {j}) is given more than once")
+            given.add((i, j))
+            w[ids.index(i), ids.index(j)] = v
+        return ids, w
+    if header[0] != "id":
+        raise ValidationError(f"{path}: expected dense header starting with 'id' or triplet i,j,w")
+    ids = [h.strip() for h in rows[0][1:]]
+    mat, row_ids = [], []
+    for row in rows[1:]:
+        if len(row) != len(ids) + 1:
+            raise ValidationError(f"{path}: dense row length mismatch")
+        row_ids.append(row[0].strip())
+        mat.append(_ref_row(row[1:], path))
+    if row_ids != ids:
+        raise ValidationError(f"{path}: dense matrix row ids must match header ids")
+    return ids, np.array(mat)

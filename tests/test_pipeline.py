@@ -132,6 +132,16 @@ class TestFit:
         ]
         assert "sweep" not in model_to_json(capped)
 
+    @pytest.mark.parametrize("estimator", ["ml", "m"])
+    @pytest.mark.parametrize("method", ["fpc", "rfpc", "fpls", "rfpls"])
+    def test_k_above_the_rank_is_truncated(self, method, estimator):
+        # K = 6 on curves of rank 5: fpc and rfpc stop at the rank, as fpls
+        # and rfpls stop where the covariance with Y vanishes
+        ds, w, _ = simulate(SimSpec(n=36, weights_scheme="rook", grid_shape=(6, 6)))
+        model = fit(ds, w, BasisSpec(), method, K=6, estimator=estimator)
+        assert model.K == 5
+        assert model.decomposition.truncated is True
+
 
 class TestBsplineIntegration:
     def test_contaminated_fit_with_default_basis(self):

@@ -306,6 +306,14 @@ class TestSpectrum:
             from_matrix(raw, normalize=False), row_normalized=False
         )
 
+    @pytest.mark.parametrize("kind", ["rook", "queen", "idw"])
+    def test_symmetric_w_has_the_unit_symmetrizer(self, kind):
+        # every built-in scheme's unnormalized adjacency is exactly
+        # symmetric: d = 1, which the breadth-first search also finds
+        w = solve_weights(kind, normalize=False, size=5, seed=3).w
+        assert np.array_equal(w, w.T)
+        assert np.array_equal(_symmetrizer(w), np.ones(w.shape[0]))
+
     @pytest.mark.parametrize("raw, normalize", [
         # W_01 > 0 but W_10 = 0
         (np.array([[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0.0]]), True),
