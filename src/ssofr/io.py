@@ -14,13 +14,13 @@ text these are exactly the fields `csv.reader` returns. Any other file
 (quoted fields, CRLF line ends, blank lines, extra columns or short rows)
 goes through `csv.reader`, which parses quoting and gives the same values
 and the same errors. Writers join the repr tokens into one text; each id is
-quoted as `csv.writer` quotes it.
+quoted as `csv.writer` quotes it, and one holding a carriage return is
+quoted too, so that every id reads back.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 import os
 from collections import Counter
 from types import SimpleNamespace
@@ -285,21 +285,24 @@ def align_to(ids_ref, ids_other, values: np.ndarray, what: str) -> np.ndarray:
     return values[sel] if values.ndim == 1 else values[np.ix_(sel, sel)]
 
 
-def write_csv(path: str, header, rows) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+def _lines(rows) -> list:
+    """Each row as `csv.writer` writes it, without its line end. Fields are
+    quoted as under a "\\r\\n" line end: one holding a carriage return is
+    quoted as one holding a newline is, since `csv.reader` would end the row
+    at a bare one."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    return [line[:-2] for line in lines]
+
+
+def write_csv(path: str, header, rows) -> None:
+    atomic_write_text(path, "\n".join(_lines([header, *rows])) + "\n")
 
 
 def _quoted(ids) -> list:
     """Each id as `write_csv` writes it in a row of two or more fields."""
-    lines = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    for cid in ids:
-        writer.writerow((cid, ""))
-    return [line[:-2] for line in lines]
+    return [line[:-1] for line in _lines((cid, "") for cid in ids)]
 
 
 def write_curves_long(path: str, ids, grid, curves) -> None:

@@ -11,14 +11,19 @@ and the reduced form use, needs no spectrum, and `check_rho` admits rho
 from the largest absolute row sum of W while the spectrum is still unknown
 (see there): prediction decomposes nothing.
 
-The spectrum and the solve take one of two routes, chosen from W itself.
-Every built-in scheme, and most custom matrices, are W = D^{-1} A with
-symmetric A: W is then similar to the symmetric S = D^{1/2} W D^{-1/2}
-(LeSage & Pace 2009, ch. 4). `_symmetrizer` finds such a diagonal D when one
-exists, for row-normalized and unnormalized matrices alike; the eigenvalues
-are then one symmetric `eigvalsh(S)` (real and sorted), and `solve` runs
-conjugate gradients on the symmetric positive definite I - rho S, falling
-back to dense LU near a bound. Any other W takes the general nonsymmetric
+The spectrum and the solve take their route from W itself; nothing else
+chooses it. Every built-in scheme, and most custom matrices, are
+W = D^{-1} A with symmetric A: W is then similar to the symmetric
+S = D^{1/2} W D^{-1/2} (LeSage & Pace 2009, ch. 4). `_symmetrizer` finds
+such a diagonal D when one exists, for row-normalized and unnormalized
+matrices alike, and `solve` then runs conjugate gradients on the symmetric
+positive definite I - rho S, falling back to dense LU near a bound. The
+eigenvalues (real and sorted) then take one of two routes. When the nonzero
+pattern of W is bipartite, as rook contiguity on a rectangular grid and any
+tree are, ordering the units by colour gives S = [[0, B], [B^T, 0]], whose
+eigenvalues are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965): one
+SVD of the half-size block B. Any other pattern takes one symmetric
+`eigvalsh(S)`. A W with no symmetrizer takes the general nonsymmetric
 `eigvals`, and `solve` is a dense LU solve.
 
 The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
@@ -47,6 +52,30 @@ _CG_TOL = 1e-13  # relative residual at which CG stops
 _CG_ITER_CAP = 200  # CG steps before the dense LU solve takes over
 
 
+def _levels(pattern: np.ndarray):
+    """Levels of a breadth-first forest of a symmetric boolean pattern, in
+    the order they are built, as (parent, level) pairs: `level` holds the
+    units first reached from the level before it, and parent[k] is a unit of
+    that level joined to level[k]. The first unseen unit of each component
+    (an isolated unit is one) is a level of its own, with parent None. Each
+    level is built from the dense rows of the one before it."""
+    unseen = np.ones(pattern.shape[0], dtype=bool)
+    for root in range(pattern.shape[0]):
+        if not unseen[root]:
+            continue
+        unseen[root] = False
+        frontier = np.array([root])
+        yield None, frontier
+        while True:
+            reach = pattern[frontier] & unseen
+            new = np.flatnonzero(reach.any(axis=0))
+            if not new.size:
+                break
+            unseen[new] = False
+            yield frontier[reach[:, new].argmax(axis=0)], new
+            frontier = new
+
+
 def _symmetrizer(w: np.ndarray):
     """Positive d with D^{1/2} W D^{-1/2} symmetric, or None if there is none.
 
@@ -73,19 +102,9 @@ def _symmetrizer(w: np.ndarray):
     if not np.array_equal(pattern, pattern.T):
         return None
     d = np.ones(n)
-    unseen = np.ones(n, dtype=bool)
-    for root in range(n):
-        if not unseen[root]:
-            continue
-        unseen[root] = False
-        frontier = np.array([root])
-        while frontier.size:
-            reach = pattern[frontier] & unseen
-            new = np.flatnonzero(reach.any(axis=0))
-            parent = frontier[reach[:, new].argmax(axis=0)]
-            d[new] = d[parent] * (w[parent, new] / w[new, parent])
-            unseen[new] = False
-            frontier = new
+    for parent, level in _levels(pattern):
+        if parent is not None:
+            d[level] = d[parent] * (w[parent, level] / w[level, parent])
     del pattern
     if not np.all(np.isfinite(d) & (d > 0.0)):
         return None
@@ -102,13 +121,55 @@ def _symmetrizer(w: np.ndarray):
     return d
 
 
-def _symmetric_form(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """S = D^{1/2} W D^{-1/2}, transposed: the one Fortran-ordered n x n
-    copy, which `eigvalsh` may overwrite in place."""
+def _two_colouring(w: np.ndarray):
+    """(P, Q): the units of each colour of a 2-colouring of the nonzero
+    pattern of W, which must be symmetric, or None when the pattern has an
+    odd cycle.
+
+    Units are coloured by the parity of their level in a breadth-first
+    forest (`_levels`), the roots in P. Every edge joins two units on the
+    same level or on adjacent ones, so the colouring is proper exactly when
+    no edge joins two units on one level; each level is checked as it is
+    built, so an odd cycle near the first root stops the search early. A W
+    with no edges has every unit in P.
+    """
+    pattern = w != 0.0
+    in_q = np.zeros(w.shape[0], dtype=bool)
+    for parent, level in _levels(pattern):
+        if parent is not None:
+            if pattern[level][:, level].any():
+                return None
+            in_q[level] = ~in_q[parent]
+    return np.flatnonzero(~in_q), np.flatnonzero(in_q)
+
+
+def _symmetric_spectrum(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Eigenvalues of S = D^{1/2} W D^{-1/2}, real and sorted.
+
+    When the pattern of W is bipartite (`_two_colouring`), ordering the units
+    by colour gives S = [[0, B], [B^T, 0]] with B = S[P, Q], whose
+    eigenvalues are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965):
+    the singular values of the |P| x |Q| block B cost about a quarter of the
+    flops of the n x n `eigvalsh`, and S itself is never built. Any other
+    pattern takes `eigvalsh` of S.
+    """
     s = np.sqrt(d)
-    sym = w * s[:, None]
-    sym /= s
-    return sym.T
+    classes = _two_colouring(w)
+    if classes is None:
+        sym = w * s[:, None]
+        sym /= s
+        # the transpose is Fortran-ordered, so `eigvalsh` works in place
+        return scipy.linalg.eigvalsh(
+            sym.T, overwrite_a=True, check_finite=False, driver="evd"
+        )
+    p, q = classes
+    if not q.size:
+        return np.zeros(w.shape[0])
+    block = w[np.ix_(p, q)]
+    block *= s[p, None]
+    block /= s[q]
+    sigma = np.linalg.svd(block, compute_uv=False)  # in decreasing order
+    return np.concatenate((-sigma, np.zeros(abs(p.size - q.size)), sigma[::-1]))
 
 
 def _cg(w, s, c, rho, b):
@@ -188,7 +249,9 @@ class SpatialWeights:
     `lambda_min` and `rho_bounds`, which are derived from it (at once when
     `eigvals` is given). `dataclasses.replace` reads `eigvals` and passes it
     on to the copy. When W has a symmetrizer (see `_symmetrizer`), `eigvals`
-    is real and sorted, from one symmetric `eigvalsh`; otherwise it is the
+    is real and sorted: +-sigma(B) from one SVD of the off-diagonal block B
+    of S when the pattern of W is bipartite, one symmetric `eigvalsh`
+    otherwise (`_symmetric_spectrum`). Without a symmetrizer it is the
     complex array of the general `eigvals`.
     """
 
@@ -213,16 +276,20 @@ class SpatialWeights:
 
     def _read_spectrum(self) -> None:
         """Compute `eigvals` unless it is known, and derive `lambda_min` and
-        `rho_bounds` from it."""
+        `rho_bounds` from it.
+
+        Three routes, chosen from W: with a symmetrizer and a bipartite
+        pattern, the singular values of the off-diagonal block of S, whose
+        eigenvalues are exactly +-sigma(B) plus zeros (Golub & Kahan 1965);
+        with a symmetrizer otherwise, `eigvalsh(S)`; without one, `eigvals(W)`.
+        The 2-colouring behind the first route runs here only, on the first
+        read, never in `solve` or `check_rho`."""
         eigs = self.__dict__.get("eigvals")
         if eigs is None:
             if self._scaling is None:
                 eigs = np.linalg.eigvals(self.w)
             else:
-                eigs = scipy.linalg.eigvalsh(
-                    _symmetric_form(self.w, self._scaling), overwrite_a=True,
-                    check_finite=False, driver="evd",
-                )
+                eigs = _symmetric_spectrum(self.w, self._scaling)
         scale = max(1.0, float(np.abs(eigs).max()))
         real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
         lam_min = float(real.min()) if real.size and real.min() < 0.0 else -1.0

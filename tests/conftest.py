@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ def rng():
 @pytest.fixture()
 def eig_calls(monkeypatch):
     """Names of the eigensolvers called while the test runs, in order: a
-    machine-independent count of the eigendecompositions of W."""
+    machine-independent count of the eigendecompositions of W. `svd` counts
+    only the calls from `ssofr.weights`, the spectrum of a bipartite W; the
+    rank checks elsewhere also call it."""
     import scipy.linalg
 
     calls = []
@@ -32,6 +36,13 @@ def eig_calls(monkeypatch):
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(lib, name, counted)
+
+    def svd(*args, _real=np.linalg.svd, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "ssofr.weights":
+            calls.append("svd")
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
     return calls
 
 

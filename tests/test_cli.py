@@ -324,31 +324,34 @@ class TestPredictCommand:
 
 class TestEigenWork:
     def test_predict_makes_no_eigendecomposition_of_w(self, tmp_path, eig_calls):
-        # the reduced form needs rho_hat and one solve; the row sums of the
-        # rook W admit rho_hat without its spectrum. Every command also
-        # takes one `eigh` of the 5 x 5 basis Gram matrix.
-        sim_out, fit_out = tmp_path / "sim", tmp_path / "fit"
-        run_cli(
-            "simulate", "--n", 36, "--p", 21, "--weights-scheme", "rook",
-            "--grid-shape", 6, 6, "--seed", 3, "--out", sim_out,
-        )
-        common = (
-            "--curves", sim_out / "curves.csv",
-            "--weights-matrix", sim_out / "weights_matrix.csv",
-        )
-        eig_calls.clear()
-        code = run_cli(
-            "fit", *common, "--response", sim_out / "response.csv",
-            "--basis", "fourier", "--num-basis", 5, "--method", "fpls",
-            "--estimator", "ml", "--out", fit_out,
-        )
-        assert code == 0 and eig_calls == ["eigh", "eigvalsh"]
-        eig_calls.clear()
-        code = run_cli(
-            "predict", "--model", fit_out / "model.json", *common,
-            "--out", tmp_path / "pred",
-        )
-        assert code == 0 and eig_calls == ["eigh"]
+        # the reduced form needs rho_hat and one solve; the row sums of W
+        # admit rho_hat without its spectrum. A fit reads the spectrum once:
+        # the singular values of the off-diagonal block of the bipartite rook
+        # W, `eigvalsh` for the queen W. Every command also takes one `eigh`
+        # of the 5 x 5 basis Gram matrix.
+        for scheme, spectrum in (("rook", "svd"), ("queen", "eigvalsh")):
+            sim_out, fit_out = tmp_path / f"sim_{scheme}", tmp_path / f"fit_{scheme}"
+            run_cli(
+                "simulate", "--n", 36, "--p", 21, "--weights-scheme", scheme,
+                "--grid-shape", 6, 6, "--seed", 3, "--out", sim_out,
+            )
+            common = (
+                "--curves", sim_out / "curves.csv",
+                "--weights-matrix", sim_out / "weights_matrix.csv",
+            )
+            eig_calls.clear()
+            code = run_cli(
+                "fit", *common, "--response", sim_out / "response.csv",
+                "--basis", "fourier", "--num-basis", 5, "--method", "fpls",
+                "--estimator", "ml", "--out", fit_out,
+            )
+            assert code == 0 and eig_calls == ["eigh", spectrum], scheme
+            eig_calls.clear()
+            code = run_cli(
+                "predict", "--model", fit_out / "model.json", *common,
+                "--out", tmp_path / f"pred_{scheme}",
+            )
+            assert code == 0 and eig_calls == ["eigh"], scheme
 
 
 class TestPredictRhoZero:
@@ -581,9 +584,10 @@ class TestWriters:
             return buf.getvalue().encode()
 
         # ids that csv.writer quotes (comma, quote, newline, a lone quote, a
-        # quoted comma) and ones it leaves bare (empty, spaces, a carriage
-        # return under a "\n" line end, numbers)
-        ids = ["a", "b,c", 'q"d', "e\nf", '"', 'x,"y"', "", " g h ", "i\rj", 7, 2.5]
+        # quoted comma) and ones it leaves bare (empty, spaces, a tab,
+        # numbers); an id holding a carriage return is quoted where csv.writer
+        # leaves it bare (test_carriage_return_ids_read_back)
+        ids = ["a", "b,c", 'q"d', "e\nf", '"', 'x,"y"', "", " g h ", "i\tj", 7, 2.5]
         values = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 2.5, -1e-7, 123456789.0,
                            float("inf"), 0.1, -3.0, 1e-310])
         grid = values[:3]
@@ -602,6 +606,35 @@ class TestWriters:
             path = tmp_path / f"{writer.__name__}.csv"
             writer(str(path), *args)
             assert read_bytes(path) == oracle(header, rows), writer.__name__
+
+    def test_carriage_return_ids_read_back(self, tmp_path):
+        # csv.writer under a "\n" line end leaves a lone "\r" bare, and
+        # csv.reader then ends the row there
+        path = tmp_path / "response.csv"
+        sio.write_response(str(path), ["a\rb", "c"], [1.0, 2.0])
+        assert read_bytes(path) == b'id,y\n"a\rb",1.0\nc,2.0\n'
+        ids = ["a\rb", "c\r\nd", "e\nf", 'g"h', "i,j", "k"]
+        values = np.array([0.1, -2.5, 1e300, 5e-324, 3.0, -0.0])
+        grid = values[:2]
+        curves = np.outer(values, [1.0, -2.0])
+        w = np.outer(values, [0.5, 2.0, -1.0, 3.0, -2.0, 1.5])
+        sio.write_response(str(path), ids, values)
+        assert sio.read_response(str(path))[0] == ids
+        assert np.array_equal(sio.read_response(str(path))[1], values)
+        path = tmp_path / "coords.csv"
+        sio.write_coords(str(path), ids, values, -values)
+        got_ids, lat, lon = sio.read_coords(str(path))
+        assert got_ids == ids and np.array_equal(lat, values) and np.array_equal(lon, -values)
+        path = tmp_path / "curves.csv"
+        sio.write_curves_long(str(path), ids, grid, curves)
+        got_ids, got_grid, got_curves = sio.read_curves_long(str(path))
+        assert got_ids == ids
+        assert np.array_equal(got_grid, np.sort(grid))
+        assert np.array_equal(got_curves, curves[:, np.argsort(grid)])
+        path = tmp_path / "weights.csv"
+        sio.write_weights_matrix(str(path), ids, w)
+        got_ids, got_w = sio.read_weights_matrix(str(path))
+        assert got_ids == ids and np.array_equal(got_w, w)
 
 
 _READERS = {

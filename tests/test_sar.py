@@ -40,9 +40,9 @@ def dense_rho_block(w, rho, y, wy, zt, sigma, tuning=MTuning(), ridge=0.0):
 
 
 def make_design(seed=5, n_side=10, rho=0.3, sigma=0.8, K=2,
-                theta=(1.0, 0.5, -0.3)):
+                theta=(1.0, 0.5, -0.3), kind="queen"):
     rng = np.random.default_rng(seed)
-    w = grid_contiguity(n_side, n_side, "queen")
+    w = grid_contiguity(n_side, n_side, kind)
     n = n_side * n_side
     Z = np.column_stack([np.ones(n), rng.standard_normal((n, K))])
     theta = np.asarray(theta, dtype=float)
@@ -591,6 +591,19 @@ class TestEigenWork:
         assert eig_calls == ["eigvalsh"]
         m_fit(design)
         assert eig_calls == ["eigvalsh"]
+
+    def test_bipartite_w_takes_the_singular_values(self, eig_calls):
+        # the rook W is bipartite: its spectrum is read from one SVD of the
+        # off-diagonal block of S, by ML and M alike
+        design, _, _ = make_design(seed=81, kind="rook")
+        ml_fit(design)
+        assert eig_calls == ["svd"]
+        m_fit(design)
+        assert eig_calls == ["svd"]
+        design, _, _ = make_design(seed=81, kind="rook")
+        m_fit(design)
+        ml_fit(design)
+        assert eig_calls == ["svd", "svd"]
 
     def test_asymmetric_w_takes_the_general_route(self, eig_calls):
         # general eigenvalues, and no symmetrizer: the rho block is a dense

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssofr import (
     NumericalError,
+    SarDesign,
     ValidationError,
     from_matrix,
     grid_contiguity,
     haversine_distance,
     inverse_distance_weights,
+    ml_fit,
     row_normalize,
 )
-from ssofr.weights import _symmetrizer, check_rho
+from ssofr.weights import _symmetrizer, _two_colouring, check_rho
 
 
 def general_spectrum(w):
@@ -331,6 +334,37 @@ class TestSpectrum:
         assert np.array_equal(w.solve(0.3, b), np.linalg.solve(np.eye(w.n) - 0.3 * w.w, b))
 
 
+def assert_bipartite_route(raw, normalize, seed):
+    """W from `raw` and the same W with its units in random order: both
+    take the singular values of the off-diagonal block, match `eigvalsh` of
+    S = D^{1/2} W D^{-1/2} to 1e-12 of max(1, max |lambda|), and give ML
+    fits whose rho agrees to 1e-12."""
+    rng = np.random.default_rng(seed)
+    n = raw.shape[0]
+    perm = rng.permutation(n)
+    Z = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    e = rng.standard_normal(n)
+    rhos = []
+    for order in (np.arange(n), perm):
+        w = from_matrix(raw[np.ix_(order, order)], normalize=normalize)
+        assert _two_colouring(w.w) is not None
+        s = np.sqrt(_symmetrizer(w.w))
+        ref = scipy.linalg.eigvalsh(w.w * s[:, None] / s)
+        tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
+        lam_min = float(ref.min()) if ref.min() < 0.0 else -1.0
+        lam_max = float(ref.max()) if ref.max() > 1.0 + 1e-9 else 1.0
+        assert w.eigvals.dtype == np.float64
+        assert np.all(np.diff(w.eigvals) >= 0.0)
+        assert np.abs(w.eigvals - ref).max() <= tol
+        assert abs(w.lambda_min - lam_min) <= tol
+        # the bounds are the reciprocals of lambda_min and max(1, lambda_max)
+        assert np.abs(1.0 / np.array(w.rho_bounds) - [lam_min, lam_max]).max() <= tol
+        mu = Z[order] @ np.array([1.0, 0.5]) + e[order]
+        design = SarDesign(Y=w.reduced_form(0.4 * w.rho_bounds[1], mu), Z=Z[order], weights=w)
+        rhos.append(ml_fit(design).rho)
+    assert abs(rhos[1] - rhos[0]) <= 1e-12
+
+
 def solve_weights(kind, normalize, size, seed):
     """Weights of one kind: rook or queen contiguity on a grid, inverse
     distances, or a dense random matrix (no symmetrizer), row-normalized or
@@ -392,3 +426,70 @@ class TestSolve:
                 assert np.array_equal(x, ref)
             else:
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestBipartiteSpectrum:
+    """A bipartite pattern takes the singular values of the off-diagonal
+    block of S; any other pattern takes `eigvalsh`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(2, 12),
+        cols=st.integers(2, 12),
+        normalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rook_grids(self, rows, cols, normalize, seed):
+        raw = (grid_contiguity(rows, cols, "rook").w > 0.0).astype(float)
+        assert_bipartite_route(raw, normalize, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(["path", "tree", "even cycle"]),
+        size=st.integers(3, 20),
+        isolated=st.integers(0, 3),
+        normalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_weights_on_forests_and_even_cycles(
+        self, shape, size, isolated, normalize, seed
+    ):
+        rng = np.random.default_rng(seed)
+        m = 2 * size if shape == "even cycle" else size
+        n = m + isolated
+        parent = np.arange(-1, m - 1) if shape != "tree" else [
+            -1, *(rng.integers(0, i) for i in range(1, m))
+        ]
+        raw = np.zeros((n, n))
+        for i in range(1, m):
+            raw[i, parent[i]] = raw[parent[i], i] = rng.uniform(0.1, 2.0)
+        if shape == "even cycle":
+            raw[0, m - 1] = raw[m - 1, 0] = rng.uniform(0.1, 2.0)
+        assert_bipartite_route(raw, normalize, seed)
+
+    @pytest.mark.parametrize("build", [
+        lambda: from_matrix(np.ones((3, 3)), normalize=False),
+        lambda: row_normalize(
+            np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)
+        ),
+        lambda: grid_contiguity(5, 6, "queen"),
+        lambda: inverse_distance_weights([0.0, 1.0, 2.0, 5.0], [0.0, 3.0, 1.0, 2.0]),
+    ], ids=["triangle", "5-cycle", "queen", "inverse distance"])
+    def test_odd_cycles_take_eigvalsh(self, build, eig_calls):
+        w = build()
+        d = _symmetrizer(w.w)
+        assert d is not None
+        assert _two_colouring(w.w) is None
+        s = np.sqrt(d)
+        eig_calls.clear()
+        eigs = w.eigvals
+        assert eig_calls == ["eigvalsh"]
+        ref = scipy.linalg.eigvalsh(w.w * s[:, None] / s)
+        assert np.abs(eigs - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+    def test_no_edges_has_zero_eigenvalues(self, eig_calls):
+        w = from_matrix(np.zeros((5, 5)))
+        assert w.isolated.all()
+        assert np.array_equal(w.eigvals, np.zeros(5))
+        assert w.rho_bounds == (-1.0, 1.0)
+        assert eig_calls == []
