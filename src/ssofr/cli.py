@@ -62,10 +62,7 @@ def _load_weights(args, ids):
 
 
 def _tuning(args) -> MTuning:
-    return MTuning(
-        c1=args.c1, c2=args.c2, c3=args.c3,
-        eps_conv=args.eps_conv, max_iter=args.max_iter,
-    )
+    return MTuning(c1=args.c1, c2=args.c2, c3=args.c3)
 
 
 def _mscale_config(args) -> MScaleConfig:
@@ -273,10 +270,6 @@ def _add_tuning_args(p):
     p.add_argument("--c1", type=float, default=tuning.c1)
     p.add_argument("--c2", type=float, default=tuning.c2)
     p.add_argument("--c3", type=float, default=tuning.c3)
-    p.add_argument("--eps-conv", type=float, default=tuning.eps_conv,
-                   help="M estimator: step tolerance of the theta/sigma solve at fixed rho")
-    p.add_argument("--max-iter", type=int, default=tuning.max_iter,
-                   help="M estimator: iteration cap of the theta/sigma solve at each rho")
 
 
 def build_parser() -> argparse.ArgumentParser:

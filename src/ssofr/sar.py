@@ -15,6 +15,10 @@ log|det(I - rho W)| and tr W (I - rho W)^{-1} from its eigenvalues (Ord
 1975), and the one resolvent solve per rho with which one evaluator computes
 the rho block for the estimating equations and for the profiled
 M-estimator: conjugate gradients on the symmetrized system, or dense LU.
+These need rho inside the admissible interval of W, where I - rho W is
+regular: the likelihood and both sets of estimating equations refuse any
+other rho with `NumericalError` (`check_rho`), and the fits search only
+inside it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .weights import SpatialWeights, check_rho
 _SIGMA_FLOOR = 1e-300
 _RSS_FLOOR = 1e-300
 _RHO_MARGIN = 1e-8
-_RIDGE_EPS = 1e-8
+_STEP_TOL = 1e-10  # theta/sigma step, in units of sigma, that stops the inner solve
+_STEP_CAP = 100  # Newton steps of the inner solve at one rho
 _G_TINY = 5e-324  # the smallest positive double
 
 
@@ -115,20 +120,15 @@ class SarParams:
 @dataclass(frozen=True)
 class MTuning:
     """Huber cutoffs of the theta (c1), sigma (c2) and rho (c3) blocks of the
-    robust equations, and the step tolerance and step cap of the inner
-    Newton theta/sigma solve at fixed rho (`_theta_sigma`)."""
+    robust equations."""
 
     c1: float = 1.4
     c2: float = 2.4
     c3: float = 1.65
-    eps_conv: float = 1e-10
-    max_iter: int = 100
 
     def __post_init__(self):
         if min(self.c1, self.c2, self.c3) <= 0:
             raise ValidationError("Huber cutoffs must be positive")
-        if self.eps_conv <= 0 or self.max_iter < 1:
-            raise ValidationError("bad convergence settings")
 
 
 def log_likelihood(params: SarParams, design: SarDesign) -> float:
@@ -148,7 +148,9 @@ def log_likelihood(params: SarParams, design: SarDesign) -> float:
 
 
 def eta_ml(params: SarParams, design: SarDesign) -> np.ndarray:
-    """Score of the log-likelihood: blocks for theta, sigma, rho."""
+    """Score of the log-likelihood: blocks for theta, sigma, rho.
+    NumericalError for rho outside the admissible interval (`check_rho`)."""
+    check_rho(params.rho, design.weights)
     wy = design.weights.w @ design.Y
     r = design.Y - params.rho * wy - design.Z @ params.theta
     s, n = params.sigma, design.n
@@ -163,21 +165,15 @@ def _rho_block(weights, rho, y, wy, zt, sigma, tuning, events=None) -> float:
 
         b(rho) = psi3' W x - rho_tilde(c3) tr G,   x = A^{-1} (Z theta / sigma + psi3),
 
-    with psi3 = psi_{c3}((Y - rho W Y - Z theta) / sigma),
-    A = (1 + ridge) I - rho W and G = W A^{-1}: one `weights.solve` and one matvec,
-    and the trace from the eigenvalues (Ord 1975). The ridge is 0, or 1e-8 at
-    a pole, where |1 - rho lambda| < 1e-12 for some eigenvalue. A pole, and a
-    solve that falls back from conjugate gradients to dense LU, each add a
-    line to `events` when given.
+    with psi3 = psi_{c3}((Y - rho W Y - Z theta) / sigma), A = I - rho W and
+    G = W A^{-1}: one `weights.solve` and one matvec, and the trace from the
+    eigenvalues (Ord 1975). rho must lie inside `rho_bounds`, where A is
+    regular; the callers see to that. A solve that falls back from conjugate
+    gradients to dense LU adds a line to `events` when given.
     """
     psi3 = np.clip(((y - zt) - rho * wy) / sigma, -tuning.c3, tuning.c3)
-    ridge = 0.0
-    if np.abs(1.0 - rho * weights.eigvals).min() < 1e-12:
-        ridge = _RIDGE_EPS
-        if events is not None:
-            events.append(f"ridge applied at rho={rho:.6g}")
-    x = weights.solve(rho, zt / sigma + psi3, ridge, events)
-    return float(psi3 @ (weights.w @ x) - rho_tilde(tuning.c3) * weights.trace_g(rho, ridge))
+    x = weights.solve(rho, zt / sigma + psi3, events)
+    return float(psi3 @ (weights.w @ x) - rho_tilde(tuning.c3) * weights.trace_g(rho))
 
 
 def eta_robust(
@@ -185,7 +181,9 @@ def eta_robust(
     design: SarDesign,
     tuning: MTuning = MTuning(),
 ) -> np.ndarray:
-    """Robust estimating equations with Huber-transformed residuals."""
+    """Robust estimating equations with Huber-transformed residuals.
+    NumericalError for rho outside the admissible interval (`check_rho`)."""
+    check_rho(params.rho, design.weights)
     wy = design.weights.w @ design.Y
     zt = design.Z @ params.theta
     s = params.sigma
@@ -310,13 +308,13 @@ def _theta_sigma(yr, Z, theta, sigma, tuning, rt2):
     finite, or sigma would fall below half its value, the step is instead one
     Huber-weighted least-squares solve for theta followed by the
     multiplicative sigma update. The loop stops when the step
-    [d theta, d sigma] / sigma is below eps_conv, at most max_iter times.
+    [d theta, d sigma] / sigma is below `_STEP_TOL`, at most `_STEP_CAP` times.
     Returns (theta, sigma, steps, converged, singular), where singular tells
     that a least-squares solve replaced singular weighted normal equations."""
     n, k = Z.shape
     nrt2 = n * rt2
     singular = False
-    for steps in range(1, tuning.max_iter + 1):
+    for steps in range(1, _STEP_CAP + 1):
         u = (yr - Z @ theta) / sigma
         in1 = np.abs(u) <= tuning.c1
         in2 = np.abs(u) <= tuning.c2
@@ -347,9 +345,9 @@ def _theta_sigma(yr, Z, theta, sigma, tuning, rt2):
             new_sigma = max(sigma * float(np.sqrt((psi2 @ psi2) / nrt2)), _SIGMA_FLOOR)
         step = np.append(new_theta - theta, new_sigma - sigma) / new_sigma
         theta, sigma = new_theta, new_sigma
-        if float(np.linalg.norm(step)) < tuning.eps_conv:
+        if float(np.linalg.norm(step)) < _STEP_TOL:
             return theta, sigma, steps, True, singular
-    return theta, sigma, tuning.max_iter, False, singular
+    return theta, sigma, _STEP_CAP, False, singular
 
 
 @dataclass(eq=False)

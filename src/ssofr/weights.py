@@ -6,8 +6,8 @@ computed on their first read, not when the object is built, and then kept;
 `dataclasses.replace` reads them and passes them on to the copy. They give
 the admissible interval for rho, log|det(I - rho W)| and
 tr W (I - rho W)^{-1} in O(n) per rho (Ord 1975). The resolvent solve
-((1 + ridge) I - rho W)^{-1} b (`solve`), which the M-estimator's rho block
-and the reduced form use, needs no spectrum, and `check_rho` admits rho
+(I - rho W)^{-1} b (`solve`), which the M-estimator's rho block and the
+reduced form use, needs no spectrum, and `check_rho` admits rho
 from the largest absolute row sum of W while the spectrum is still unknown
 (see there): prediction decomposes nothing.
 
@@ -17,12 +17,14 @@ W = D^{-1} A with symmetric A: W is then similar to the symmetric
 S = D^{1/2} W D^{-1/2} (LeSage & Pace 2009, ch. 4). `_symmetrizer` finds
 such a diagonal D when one exists, for row-normalized and unnormalized
 matrices alike, and `solve` then runs conjugate gradients on the symmetric
-positive definite I - rho S, falling back to dense LU near a bound. The
-eigenvalues (real and sorted) then take one of two routes. When the nonzero
-pattern of W is bipartite, as rook contiguity on a rectangular grid and any
-tree are, ordering the units by colour gives S = [[0, B], [B^T, 0]], whose
-eigenvalues are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965): one
-SVD of the half-size block B. Any other pattern takes one symmetric
+positive definite I - rho S, falling back to dense LU near a bound. The same
+breadth-first search of the pattern of W that finds D also 2-colours the
+pattern when it can, once per `SpatialWeights`. The eigenvalues (real and
+sorted) then take one of two routes. When the nonzero pattern of W is
+bipartite, as rook contiguity on a rectangular grid and any tree are,
+ordering the units by colour gives S = [[0, B], [B^T, 0]], whose eigenvalues
+are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965): one SVD of the
+half-size block B. Any other pattern takes one symmetric
 `eigvalsh(S)`. A W with no symmetrizer takes the general nonsymmetric
 `eigvals`, and `solve` is a dense LU solve.
 
@@ -52,60 +54,66 @@ _CG_TOL = 1e-13  # relative residual at which CG stops
 _CG_ITER_CAP = 200  # CG steps before the dense LU solve takes over
 
 
-def _levels(pattern: np.ndarray):
-    """Levels of a breadth-first forest of a symmetric boolean pattern, in
-    the order they are built, as (parent, level) pairs: `level` holds the
-    units first reached from the level before it, and parent[k] is a unit of
-    that level joined to level[k]. The first unseen unit of each component
-    (an isolated unit is one) is a level of its own, with parent None. Each
-    level is built from the dense rows of the one before it."""
-    unseen = np.ones(pattern.shape[0], dtype=bool)
-    for root in range(pattern.shape[0]):
+def _symmetrizer(w: np.ndarray):
+    """(d, classes) for W, or None when W has no symmetrizer.
+
+    d is positive with D^{1/2} W D^{-1/2} symmetric. Such a d exists exactly
+    when the nonzero pattern of W is symmetric and d_i W_ij = d_j W_ji for
+    every i, j; for W = D^{-1} A with symmetric A, d is the row sums of A up
+    to one factor per connected component. One breadth-first forest of the
+    pattern gives it: each level is built from the dense rows of the one
+    before, the first unseen unit of each component (an isolated unit is one)
+    is a root with d = 1, and d_j = d_i W_ij / W_ji from a parent i on the
+    level before. d is accepted only when every entry of D W matches its
+    mirror to 1e-12 relative, which is S = D^{1/2} W D^{-1/2} matching its
+    transpose entry by entry. The pattern takes n^2 bytes and the value check
+    runs in row blocks, so the memory all this takes stays well below that of
+    the n x n S itself.
+
+    classes is (P, Q), the units of each colour of a 2-colouring of the
+    pattern, or None when the pattern has an odd cycle. The same search
+    colours each unit by the parity of its level, the roots in P. Every edge
+    joins two units on one level or on adjacent ones, so the colouring is
+    proper exactly when no edge joins two units on one level, which is tested
+    on the rows each level is built from. A W with no edges has every unit
+    in P.
+
+    An exactly symmetric W, such as an unnormalized built-in scheme, has
+    d = 1: its search only colours, and the pattern-symmetry test and the
+    value check are skipped. Its first row is compared with its first column
+    before the whole matrix with its transpose, so a row-normalized W is
+    turned away after one row.
+    """
+    n = w.shape[0]
+    exact = np.array_equal(w[0], w[:, 0]) and np.array_equal(w, w.T)
+    pattern = w != 0.0
+    if not exact and not np.array_equal(pattern, pattern.T):
+        return None
+    d = np.ones(n)
+    in_q = np.zeros(n, dtype=bool)
+    odd = False
+    unseen = np.ones(n, dtype=bool)
+    for root in range(n):
         if not unseen[root]:
             continue
         unseen[root] = False
         frontier = np.array([root])
-        yield None, frontier
         while True:
-            reach = pattern[frontier] & unseen
-            new = np.flatnonzero(reach.any(axis=0))
+            rows = pattern[frontier]
+            odd = odd or rows[:, frontier].any()
+            new = np.flatnonzero(rows.any(axis=0) & unseen)
             if not new.size:
                 break
             unseen[new] = False
-            yield frontier[reach[:, new].argmax(axis=0)], new
+            in_q[new] = not in_q[frontier[0]]
+            if not exact:
+                parent = frontier[rows[:, new].argmax(axis=0)]
+                d[new] = d[parent] * (w[parent, new] / w[new, parent])
             frontier = new
-
-
-def _symmetrizer(w: np.ndarray):
-    """Positive d with D^{1/2} W D^{-1/2} symmetric, or None if there is none.
-
-    Such a d exists exactly when the nonzero pattern of W is symmetric and
-    d_i W_ij = d_j W_ji for every i, j; for W = D^{-1} A with symmetric A, d
-    is the row sums of A up to one factor per connected component. d comes
-    from d_j = d_i W_ij / W_ji along a breadth-first forest of the pattern,
-    built level by level on the dense rows, with the first unit of each
-    component (an isolated unit is one) as a root with d = 1. It is accepted
-    only when every entry of D W matches its mirror to 1e-12 relative, which
-    is S = D^{1/2} W D^{-1/2} matching its transpose entry by entry. The
-    pattern takes n^2 bytes and the value check runs in row blocks, so the
-    memory all this takes stays well below that of the n x n S itself.
-
-    An exactly symmetric W, such as an unnormalized built-in scheme, gets
-    d = 1 without the search, which finds exactly that. Its first row is
-    compared with its first column before the whole matrix with its
-    transpose, so a row-normalized W is turned away after one row.
-    """
-    n = w.shape[0]
-    if np.array_equal(w[0], w[:, 0]) and np.array_equal(w, w.T):
-        return np.ones(n)
-    pattern = w != 0.0
-    if not np.array_equal(pattern, pattern.T):
-        return None
-    d = np.ones(n)
-    for parent, level in _levels(pattern):
-        if parent is not None:
-            d[level] = d[parent] * (w[parent, level] / w[level, parent])
     del pattern
+    classes = None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
+    if exact:
+        return d, classes
     if not np.all(np.isfinite(d) & (d > 0.0)):
         return None
     step = max(1, _SYM_BLOCK // n)
@@ -118,43 +126,21 @@ def _symmetrizer(w: np.ndarray):
         rows *= _SYM_RTOL
         if np.any(mirror > rows):
             return None
-    return d
+    return d, classes
 
 
-def _two_colouring(w: np.ndarray):
-    """(P, Q): the units of each colour of a 2-colouring of the nonzero
-    pattern of W, which must be symmetric, or None when the pattern has an
-    odd cycle.
+def _symmetric_spectrum(w: np.ndarray, d: np.ndarray, classes) -> np.ndarray:
+    """Eigenvalues of S = D^{1/2} W D^{-1/2}, real and sorted, from d and the
+    colour classes of `_symmetrizer`.
 
-    Units are coloured by the parity of their level in a breadth-first
-    forest (`_levels`), the roots in P. Every edge joins two units on the
-    same level or on adjacent ones, so the colouring is proper exactly when
-    no edge joins two units on one level; each level is checked as it is
-    built, so an odd cycle near the first root stops the search early. A W
-    with no edges has every unit in P.
-    """
-    pattern = w != 0.0
-    in_q = np.zeros(w.shape[0], dtype=bool)
-    for parent, level in _levels(pattern):
-        if parent is not None:
-            if pattern[level][:, level].any():
-                return None
-            in_q[level] = ~in_q[parent]
-    return np.flatnonzero(~in_q), np.flatnonzero(in_q)
-
-
-def _symmetric_spectrum(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Eigenvalues of S = D^{1/2} W D^{-1/2}, real and sorted.
-
-    When the pattern of W is bipartite (`_two_colouring`), ordering the units
-    by colour gives S = [[0, B], [B^T, 0]] with B = S[P, Q], whose
-    eigenvalues are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965):
-    the singular values of the |P| x |Q| block B cost about a quarter of the
-    flops of the n x n `eigvalsh`, and S itself is never built. Any other
-    pattern takes `eigvalsh` of S.
+    When the pattern of W is bipartite, ordering the units by colour gives
+    S = [[0, B], [B^T, 0]] with B = S[P, Q], whose eigenvalues are
+    +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965): the singular
+    values of the |P| x |Q| block B cost about a quarter of the flops of the
+    n x n `eigvalsh`, and S itself is never built. Any other pattern takes
+    `eigvalsh` of S.
     """
     s = np.sqrt(d)
-    classes = _two_colouring(w)
     if classes is None:
         sym = w * s[:, None]
         sym /= s
@@ -172,9 +158,9 @@ def _symmetric_spectrum(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.concatenate((-sigma, np.zeros(abs(p.size - q.size)), sigma[::-1]))
 
 
-def _cg(w, s, c, rho, b):
-    """x = (c I - rho W)^{-1} b by conjugate gradients on the symmetric
-    c I - rho S in the scaled variable z = s x, with S p = s (W (p / s));
+def _cg(w, s, rho, b):
+    """x = (I - rho W)^{-1} b by conjugate gradients on the symmetric
+    I - rho S in the scaled variable z = s x, with S p = s (W (p / s));
     None when CG stops short (see `SpatialWeights.solve`)."""
     rhs = s * b
     z = np.zeros_like(rhs)
@@ -185,9 +171,9 @@ def _cg(w, s, c, rho, b):
     for _ in range(_CG_ITER_CAP):
         if rr <= stop:
             x = z / s
-            r = rhs - (c * z - rho * s * (w @ x))
+            r = rhs - (z - rho * s * (w @ x))
             return x if float(r @ r) <= stop else None
-        ap = c * p - rho * s * (w @ (p / s))
+        ap = p - rho * s * (w @ (p / s))
         curv = float(p @ ap)
         if not curv > 0.0:
             return None
@@ -243,16 +229,18 @@ class _Spectral:
 @dataclass(frozen=True, eq=False)
 class SpatialWeights:
     """n x n spatial weight matrix with zero diagonal, its spectrum, and
-    the resolvent solve ((1 + ridge) I - rho W)^{-1} b (`solve`).
+    the resolvent solve (I - rho W)^{-1} b (`solve`).
 
     `eigvals` is computed on its first read unless it is given; so are
     `lambda_min` and `rho_bounds`, which are derived from it (at once when
     `eigvals` is given). `dataclasses.replace` reads `eigvals` and passes it
-    on to the copy. When W has a symmetrizer (see `_symmetrizer`), `eigvals`
-    is real and sorted: +-sigma(B) from one SVD of the off-diagonal block B
-    of S when the pattern of W is bipartite, one symmetric `eigvalsh`
-    otherwise (`_symmetric_spectrum`). Without a symmetrizer it is the
-    complex array of the general `eigvals`.
+    on to the copy. The pattern of W is searched at most once per object,
+    by `_symmetrizer` on the first `solve` or spectrum read, which finds the
+    symmetrizer d and the colour classes together. When W has a symmetrizer,
+    `eigvals` is real and sorted: +-sigma(B) from one SVD of the
+    off-diagonal block B of S when the pattern of W is bipartite, one
+    symmetric `eigvalsh` otherwise (`_symmetric_spectrum`). Without a
+    symmetrizer it is the complex array of the general `eigvals`.
     """
 
     w: np.ndarray
@@ -282,14 +270,15 @@ class SpatialWeights:
         pattern, the singular values of the off-diagonal block of S, whose
         eigenvalues are exactly +-sigma(B) plus zeros (Golub & Kahan 1965);
         with a symmetrizer otherwise, `eigvalsh(S)`; without one, `eigvals(W)`.
-        The 2-colouring behind the first route runs here only, on the first
-        read, never in `solve` or `check_rho`."""
+        The colour classes behind the first route come from the search that
+        found the symmetrizer (`_scaling`), which `solve` may already have
+        run."""
         eigs = self.__dict__.get("eigvals")
         if eigs is None:
             if self._scaling is None:
                 eigs = np.linalg.eigvals(self.w)
             else:
-                eigs = _symmetric_spectrum(self.w, self._scaling)
+                eigs = _symmetric_spectrum(self.w, *self._scaling)
         scale = max(1.0, float(np.abs(eigs).max()))
         real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
         lam_min = float(real.min()) if real.size and real.min() < 0.0 else -1.0
@@ -302,8 +291,8 @@ class SpatialWeights:
 
     @cached_property
     def _scaling(self):
-        """d of `_symmetrizer(w)`, or None: the route that the spectrum and
-        `solve` take."""
+        """(d, classes) of `_symmetrizer(w)`, or None: the route that the
+        spectrum and `solve` take, from the one search of W's pattern."""
         return _symmetrizer(self.w)
 
     def logdet(self, rho):
@@ -314,33 +303,33 @@ class SpatialWeights:
         out = np.log(mag).sum(axis=-1)
         return out if out.ndim else float(out)
 
-    def trace_g(self, rho: float, ridge: float = 0.0) -> float:
-        """trace[W ((1 + ridge) I - rho W)^{-1}]."""
-        return float(np.sum(self.eigvals / ((1.0 + ridge) - rho * self.eigvals)).real)
+    def trace_g(self, rho: float) -> float:
+        """trace[W (I - rho W)^{-1}]."""
+        return float(np.sum(self.eigvals / (1.0 - rho * self.eigvals)).real)
 
-    def solve(self, rho: float, b: np.ndarray, ridge: float = 0.0, events=None) -> np.ndarray:
-        """((1 + ridge) I - rho W)^{-1} b for a vector b.
+    def solve(self, rho: float, b: np.ndarray, events=None) -> np.ndarray:
+        """(I - rho W)^{-1} b for a vector b.
 
-        With a symmetrizer d, (1 + ridge) I - rho W = D^{-1/2} A D^{1/2} with
-        A = (1 + ridge) I - rho S, and conjugate gradients solve A z = D^{1/2} b
-        for z = D^{1/2} x (LeSage & Pace 2009, ch. 4): A is symmetric positive
+        With a symmetrizer d, I - rho W = D^{-1/2} A D^{1/2} with
+        A = I - rho S, and conjugate gradients solve A z = D^{1/2} b for
+        z = D^{1/2} x (LeSage & Pace 2009, ch. 4): A is symmetric positive
         definite for every rho inside `rho_bounds`, and S p = s (W (p / s))
         with s = sqrt(d) needs no n x n copy. CG stops when its residual
         falls to `_CG_TOL` of |D^{1/2} b|, and its solution is kept when the
         residual recomputed from it does too. When that check fails (A is
-        near singular: close to a bound or at a pole), CG reaches
-        `_CG_ITER_CAP` steps, or it meets a direction of nonpositive
-        curvature (rho outside the interval), the dense LU solve takes over
-        and, when `events` is given, a line is added to it. A W with no
-        symmetrizer always takes the dense LU solve.
+        near singular, close to a bound), CG reaches `_CG_ITER_CAP` steps,
+        or it meets a direction of nonpositive curvature (rho outside the
+        interval), the dense LU solve takes over and, when `events` is
+        given, a line is added to it. A W with no symmetrizer always takes
+        the dense LU solve.
         """
         if self._scaling is not None:
-            x = _cg(self.w, np.sqrt(self._scaling), 1.0 + ridge, rho, b)
+            x = _cg(self.w, np.sqrt(self._scaling[0]), rho, b)
             if x is not None:
                 return x
             if events is not None:
                 events.append(f"dense solve at rho={rho:.6g}")
-        return np.linalg.solve(np.eye(self.n) * (1.0 + ridge) - rho * self.w, b)
+        return np.linalg.solve(np.eye(self.n) - rho * self.w, b)
 
     def reduced_form(self, rho: float, mu: np.ndarray) -> np.ndarray:
         """(I - rho W)^{-1} mu."""

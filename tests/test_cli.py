@@ -259,7 +259,6 @@ class TestFitCommand:
         )
         tuning = MTuning()
         assert (args.c1, args.c2, args.c3) == (tuning.c1, tuning.c2, tuning.c3)
-        assert (args.eps_conv, args.max_iter) == (tuning.eps_conv, tuning.max_iter)
         assert (args.mscale_c, args.mscale_delta) == (DEFAULT_MSCALE.c, DEFAULT_MSCALE.delta)
 
 

@@ -216,6 +216,31 @@ class TestPredict:
         assert bad.rho_bounds[1] < 0.3 < model.rho
 
 
+class TestOneSearch:
+    """Machine-independent work guard: each `SpatialWeights` searches the
+    pattern of W (`weights._symmetrizer`) at most once, across its solves
+    and its spectrum read."""
+
+    @pytest.mark.parametrize("estimator", ["ml", "m"])
+    def test_fit_and_predict_each_search_once(self, monkeypatch, estimator):
+        import ssofr.weights
+
+        ds = rook8()[0]
+        calls = []
+        search = ssofr.weights._symmetrizer
+
+        def counted(w):
+            calls.append(w.shape[0])
+            return search(w)
+
+        monkeypatch.setattr(ssofr.weights, "_symmetrizer", counted)
+        model = fit(ds, grid_contiguity(8, 8, "rook"), BasisSpec(), "fpls", K=3,
+                    estimator=estimator)
+        assert calls == [64]
+        predict(model, ds, grid_contiguity(8, 8, "rook"))
+        assert calls == [64, 64]
+
+
 class TestSelectK:
     def test_explained_variance_rank2(self):
         rng = np.random.default_rng(15)
@@ -389,3 +414,39 @@ class TestCurveShift:
         np.testing.assert_allclose(
             model.params.as_vector(), base.params.as_vector(), rtol=0, atol=1e-10,
         )
+
+
+class TestUnitPermutation:
+    """The order of the units is arbitrary: fitting the same draw with its
+    units permuted (curves, response and both axes of W) gives the same
+    rho, sigma, theta and beta, for every method and estimator."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["vertical", "leverage"]),
+        perm_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(seed=0, kind="vertical", perm_seed=1)
+    @example(seed=0, kind="leverage", perm_seed=1)
+    def test_fit_is_invariant(self, seed, kind, perm_seed):
+        ds, w, _ = simulate(SimSpec(
+            n=144, weights_scheme="queen", grid_shape=(12, 12), seed=seed,
+            contamination_fraction=0.1, contamination_kind=kind,
+        ))
+        perm = np.random.default_rng(perm_seed).permutation(ds.n)
+        permuted = FunctionalDataset(
+            grid=ds.grid, curves=ds.curves[perm], response=ds.response[perm],
+        )
+        for method in ("fpc", "rfpc", "fpls", "rfpls"):
+            for estimator in ("ml", "m"):
+                base, other = (
+                    fit(data, from_matrix(wm, w.scheme, normalize=False), BasisSpec(),
+                        method, K=3, estimator=estimator)
+                    for data, wm in ((ds, w.w), (permuted, w.w[np.ix_(perm, perm)]))
+                )
+                for a, b in ((base.rho, other.rho), (base.sigma, other.sigma),
+                             (base.params.theta, other.params.theta),
+                             (base.beta_coeffs, other.beta_coeffs)):
+                    a, b = np.atleast_1d(a), np.atleast_1d(b)
+                    assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max(), (method, estimator)

@@ -27,11 +27,11 @@ from ssofr import (
 from ssofr.weights import _symmetrizer
 
 
-def dense_rho_block(w, rho, y, wy, zt, sigma, tuning=MTuning(), ridge=0.0):
+def dense_rho_block(w, rho, y, wy, zt, sigma, tuning=MTuning()):
     """Oracle: the rho block of the robust equations with W (I - rho W)^{-1}
     applied by dense solves."""
     n = w.shape[0]
-    a = np.eye(n) * (1.0 + ridge) - rho * w
+    a = np.eye(n) - rho * w
     psi3 = np.clip((y - rho * wy - zt) / sigma, -tuning.c3, tuning.c3)
     g_zt = w @ np.linalg.solve(a, zt)
     g_psi = w @ np.linalg.solve(a, psi3)
@@ -266,7 +266,7 @@ def random_state(rng, w, scale=2.0):
     return y, w.w @ y, rng.standard_normal(w.n), 0.7
 
 
-class TestResolventCache:
+class TestRhoBlockRoutes:
     """The spectral routes of `SpatialWeights` (logdet, trace_g and the rho
     block, whose solve is CG on the symmetrized system or dense LU) against
     dense oracles."""
@@ -328,25 +328,29 @@ class TestResolventCache:
         self.assert_rho_block_matches_dense(rng, w)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["cg", "lu"])
-    def test_ridge_path(self, rng, symmetric):
-        # rho = 1 is a pole of the resolvent of a row-normalized W; there the
-        # CG route hands the near-singular system to dense LU and says so
+    def test_rho_outside_the_interval_is_refused(self, rng, symmetric):
+        # I - rho W is singular at a bound (rho = 1 is a pole of the
+        # resolvent of a row-normalized W): both sets of estimating
+        # equations refuse each bound and any rho beyond it, as the
+        # likelihood does, on fresh weights whose spectrum is still unknown
         from ssofr import row_normalize
 
         raw = rng.uniform(0, 1, (10, 10))
-        w = row_normalize(raw + raw.T if symmetric else raw)
-        assert (w._scaling is not None) == symmetric
-        y, wy, zt, sigma = random_state(rng, w)
-        tuning = MTuning()
-        events = []
-        got = sar._rho_block(w, 0.5, y, wy, zt, sigma, tuning, events=events)
-        assert events == []
-        assert got == pytest.approx(dense_rho_block(w.w, 0.5, y, wy, zt, sigma, tuning), abs=1e-9)
-        got = sar._rho_block(w, 1.0, y, wy, zt, sigma, tuning, events=events)
-        assert events == ["ridge applied at rho=1"] + ["dense solve at rho=1"] * symmetric
-        assert got == pytest.approx(
-            dense_rho_block(w.w, 1.0, y, wy, zt, sigma, tuning, 1e-8), rel=1e-6
-        )
+        if symmetric:
+            raw = raw + raw.T
+        y, z = rng.standard_normal(10), rng.standard_normal(10)
+        lo, hi = row_normalize(raw).rho_bounds
+        for rho in (lo, hi, lo - 0.1, hi + 0.1, 2.0 * lo, 2.0 * hi):
+            for eta in (eta_ml, eta_robust):
+                w = row_normalize(raw)
+                assert (w._scaling is not None) == symmetric
+                design = SarDesign(Y=y, Z=np.column_stack([np.ones(10), z]), weights=w)
+                params = SarParams(theta=[0.5, 0.2], sigma=0.7, rho=rho)
+                with pytest.raises(NumericalError, match="outside the admissible"):
+                    eta(params, design)
+        params = SarParams(theta=[0.5, 0.2], sigma=0.7, rho=0.5 * hi)
+        for eta in (eta_ml, eta_robust):
+            assert np.all(np.isfinite(eta(params, design)))
 
 
 def theta_sigma_oracle(yr, Z, theta, sigma, tuning=MTuning()):
@@ -504,7 +508,7 @@ class TestProfiledRoot:
         # (W = D^{-1/2} S D^{1/2} with symmetric S, so S's eigenvector u
         # gives W's as u / sqrt(d))
         _, _, w = make_design()
-        s = np.sqrt(_symmetrizer(w.w))
+        s = np.sqrt(_symmetrizer(w.w)[0])
         lam, U = np.linalg.eigh(w.w * s[:, None] / s)
         rng = np.random.default_rng(3)
         Z = np.column_stack([np.ones(w.n), rng.standard_normal((w.n, 2))])
@@ -655,7 +659,7 @@ class TestMFit:
         fit2 = m_fit(design, t, init=fit1.params)
         assert (
             np.linalg.norm(fit2.params.as_vector() - fit1.params.as_vector())
-            < t.eps_conv
+            < sar._STEP_TOL
         )
 
     @settings(max_examples=12, deadline=None)

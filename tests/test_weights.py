@@ -15,7 +15,7 @@ from ssofr import (
     ml_fit,
     row_normalize,
 )
-from ssofr.weights import _symmetrizer, _two_colouring, check_rho
+from ssofr.weights import _symmetrizer, check_rho
 
 
 def general_spectrum(w):
@@ -312,10 +312,10 @@ class TestSpectrum:
     @pytest.mark.parametrize("kind", ["rook", "queen", "idw"])
     def test_symmetric_w_has_the_unit_symmetrizer(self, kind):
         # every built-in scheme's unnormalized adjacency is exactly
-        # symmetric: d = 1, which the breadth-first search also finds
+        # symmetric: d = 1
         w = solve_weights(kind, normalize=False, size=5, seed=3).w
         assert np.array_equal(w, w.T)
-        assert np.array_equal(_symmetrizer(w), np.ones(w.shape[0]))
+        assert np.array_equal(_symmetrizer(w)[0], np.ones(w.shape[0]))
 
     @pytest.mark.parametrize("raw, normalize", [
         # W_01 > 0 but W_10 = 0
@@ -336,6 +336,7 @@ class TestSpectrum:
 
 def assert_bipartite_route(raw, normalize, seed):
     """W from `raw` and the same W with its units in random order: both
+    have colour classes that no nonzero entry of W joins to themselves,
     take the singular values of the off-diagonal block, match `eigvalsh` of
     S = D^{1/2} W D^{-1/2} to 1e-12 of max(1, max |lambda|), and give ML
     fits whose rho agrees to 1e-12."""
@@ -347,8 +348,12 @@ def assert_bipartite_route(raw, normalize, seed):
     rhos = []
     for order in (np.arange(n), perm):
         w = from_matrix(raw[np.ix_(order, order)], normalize=normalize)
-        assert _two_colouring(w.w) is not None
-        s = np.sqrt(_symmetrizer(w.w))
+        d, classes = w._scaling
+        assert classes is not None
+        p, q = classes
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n))
+        assert not w.w[np.ix_(p, p)].any() and not w.w[np.ix_(q, q)].any()
+        s = np.sqrt(d)
         ref = scipy.linalg.eigvalsh(w.w * s[:, None] / s)
         tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
         lam_min = float(ref.min()) if ref.min() < 0.0 else -1.0
@@ -477,9 +482,9 @@ class TestBipartiteSpectrum:
     ], ids=["triangle", "5-cycle", "queen", "inverse distance"])
     def test_odd_cycles_take_eigvalsh(self, build, eig_calls):
         w = build()
-        d = _symmetrizer(w.w)
-        assert d is not None
-        assert _two_colouring(w.w) is None
+        assert w._scaling is not None
+        d, classes = w._scaling
+        assert classes is None
         s = np.sqrt(d)
         eig_calls.clear()
         eigs = w.eigvals
