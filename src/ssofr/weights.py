@@ -80,9 +80,10 @@ def _symmetrizer(w: np.ndarray):
 
     An exactly symmetric W, such as an unnormalized built-in scheme, has
     d = 1: its search only colours, and the pattern-symmetry test and the
-    value check are skipped. Its first row is compared with its first column
-    before the whole matrix with its transpose, so a row-normalized W is
-    turned away after one row.
+    value check are skipped, which together cost several times the
+    comparison of W with its transpose. Its first row is compared with its
+    first column before the whole matrix with its transpose, so a
+    row-normalized W is turned away after one row.
     """
     n = w.shape[0]
     exact = np.array_equal(w[0], w[:, 0]) and np.array_equal(w, w.T)

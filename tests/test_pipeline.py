@@ -26,6 +26,7 @@ from ssofr import (
 from ssofr.fpls import HampelConfig
 from ssofr.functional import project_curves
 from ssofr.pipeline import _numerical_rank
+from ssofr.weights import SpatialWeights
 
 
 BS = BasisSpec(kind="fourier", M=5)
@@ -217,28 +218,33 @@ class TestPredict:
 
 
 class TestOneSearch:
-    """Machine-independent work guard: each `SpatialWeights` searches the
-    pattern of W (`weights._symmetrizer`) at most once, across its solves
-    and its spectrum read."""
+    """Machine-independent work guard: each `SpatialWeights` builds the
+    nonzero pattern of W (`w != 0.0`) at most once, across its solves and
+    its spectrum read. W is a view that counts the n x n patterns built
+    from it, whichever function builds them."""
 
+    @staticmethod
+    def counted(weights, builds):
+        class PatternCount(np.ndarray):
+            def __ne__(self, other):
+                if self.shape == weights.w.shape:
+                    builds.append(self.shape[0])
+                return np.asarray(self) != other
+
+        return SpatialWeights(w=weights.w.view(PatternCount), scheme=weights.scheme)
+
+    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("estimator", ["ml", "m"])
-    def test_fit_and_predict_each_search_once(self, monkeypatch, estimator):
-        import ssofr.weights
-
+    def test_fit_and_predict_each_search_once(self, estimator, normalize):
         ds = rook8()[0]
-        calls = []
-        search = ssofr.weights._symmetrizer
-
-        def counted(w):
-            calls.append(w.shape[0])
-            return search(w)
-
-        monkeypatch.setattr(ssofr.weights, "_symmetrizer", counted)
-        model = fit(ds, grid_contiguity(8, 8, "rook"), BasisSpec(), "fpls", K=3,
+        rook = from_matrix(grid_contiguity(8, 8, "rook").w > 0.0, normalize=normalize)
+        builds = []
+        model = fit(ds, self.counted(rook, builds), BasisSpec(), "fpls", K=3,
                     estimator=estimator)
-        assert calls == [64]
-        predict(model, ds, grid_contiguity(8, 8, "rook"))
-        assert calls == [64, 64]
+        assert builds == [64]
+        builds.clear()
+        predict(model, ds, self.counted(rook, builds))
+        assert builds == [64]
 
 
 class TestSelectK:
