@@ -33,6 +33,7 @@ _ZOOMS = 6
 # the last end (the first one up to sign); later, all but the centre and ends
 _SCORED_FIRST = np.r_[0:_GRID // 2, _GRID // 2 + 1:_GRID - 1]
 _SCORED_ZOOM = np.r_[1:_GRID // 2, _GRID // 2 + 1:_GRID - 1]
+_GRID_STEPS = np.arange(_GRID, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +103,15 @@ def fpc(coeff_matrix: CoefficientMatrix, basis: BasisSystem, K: int) -> Decompos
     )
 
 
+def _grid(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, _GRID), bit for bit, by numpy's own formula
+    without its per-call checks, which cost more than the grid itself.
+    The step (hi - lo) / (_GRID - 1) is never 0 here."""
+    grid = _GRID_STEPS * ((hi - lo) / (_GRID - 1)) + lo
+    grid[-1] = hi
+    return grid
+
+
 def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
             config: MScaleConfig) -> tuple:
     """Best rotation of the unit direction u in the plane of u and v.
@@ -125,18 +135,18 @@ def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
     if norm < 1e-12:
         return u, crit
     v = v / norm
-    thetas = np.linspace(-np.pi / 2, np.pi / 2, _GRID)
+    thetas = _grid(-np.pi / 2, np.pi / 2)
     scored = _SCORED_FIRST
     best_theta, best_val = 0.0, crit
     for _zoom in range(_ZOOMS):
         t = thetas[scored]
-        cand = np.outer(np.cos(t), u) + np.outer(np.sin(t), v)
+        cand = np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
         vals = m_scale_columns((cand @ b.T).T, config)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_theta, best_val = float(t[i]), float(vals[i])
         step = thetas[1] - thetas[0]
-        thetas = np.linspace(best_theta - step, best_theta + step, _GRID)
+        thetas = _grid(best_theta - step, best_theta + step)
         scored = _SCORED_ZOOM
     if best_val > crit:
         u = np.cos(best_theta) * u + np.sin(best_theta) * v

@@ -273,11 +273,14 @@ def read_weights_matrix(path: str):
 
 def align_to(ids_ref, ids_other, values: np.ndarray, what: str) -> np.ndarray:
     """Reorder values (indexed by ids_other) into the order of ids_ref. Each
-    id must appear once in each list."""
+    id must appear once in each list. Values already in that order are
+    returned as they are, not copied."""
     for ids, where in ((ids_other, what), (ids_ref, f"units aligned with {what}")):
         repeated = [u for u, count in Counter(ids).items() if count > 1]
         if repeated:
             raise ValidationError(f"{where}: id {repeated[0]!r} is given more than once")
+    if ids_other == ids_ref:
+        return values
     if sorted(ids_ref) != sorted(ids_other):
         raise ValidationError(f"{what}: ids do not match the curves file")
     index = {u: k for k, u in enumerate(ids_other)}

@@ -20,10 +20,21 @@ and no step is spent only to confirm convergence. The loss is C^2 at the
 cutoff (f'' is continuous there), so the model holds across it. The
 location is the median and the sums run over sorted residuals, so the
 M-scale is exactly invariant to the order of the units.
+
+Each iteration splits in two. The three power sums are array reductions
+over all active rows at once: they are the only work that grows with the
+sample size. The rest of a row's step (mean loss, slope, the choice between
+Newton and fixed-point step, the new iterate, its error model and the stop
+tests) is a few scalar operations per row, done on Python floats. Robust
+FPCA scores about ten candidate directions per call, and on arrays that
+short each NumPy operation costs more in call overhead than in arithmetic.
+Python floats round as float64 arrays do, so the split changes no bit of
+any iterate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +128,9 @@ def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
     n = x.shape[1]
     mu = _middle(np.sort(x, axis=1))
     a = np.sort(np.abs(x - mu[:, None]), axis=1)
-    degenerate = a[:, int(np.floor((1.0 - cfg.delta) * n))] == 0.0
+    # floor((1 - delta) n) <= n - 1 for delta > 0, but (1 - delta) n rounds
+    # to n once delta is below about 1e-16
+    degenerate = a[:, min(int(np.floor((1.0 - cfg.delta) * n)), n - 1)] == 0.0
     sigma = MAD_SCALE * _middle(a)
     collapsed = sigma == 0.0
     if collapsed.any():
@@ -145,11 +158,20 @@ def _solve(q: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
     sigma^2 f''(sigma) = 6 (3 S_1 - 10 S_2 + 7 S_3) / n from the same sums;
     the step test |step| <= 1e-10 sigma stays as the fallback, and is the
     only test after a fixed-point step.
+
+    Each iteration takes S_1, S_2 and S_3 as array reductions over the
+    active rows, then each row's step on Python floats: on the ten or so
+    rows of an rfpc batch, the step as array operations would cost a NumPy
+    call per operation, most of the iteration's time. The scalar step keeps
+    the expression tree of the array form, and Python floats and math.sqrt
+    round as float64 arrays and np.sqrt do, so every iterate, iteration
+    count and history entry has the same bits in either form.
     The sums run over each row as given; over sorted rows (as `_start`
     returns them) the result does not depend on the order of the units.
     Returns (sigma, iterations); history, if given, receives every iterate.
     """
     n = q.shape[1]
+    delta = cfg.delta
     sigma = np.array(sigma, dtype=float)
     rows = np.arange(sigma.size)
     if history is not None:
@@ -163,24 +185,31 @@ def _solve(q: np.ndarray, sigma: np.ndarray, cfg: MScaleConfig,
         s2 = tk.sum(axis=1)
         tk *= t
         s3 = tk.sum(axis=1)
-        mean_rho = (3.0 * (s1 - s2) + s3) / n
-        slope = 6.0 / n * (s1 - 2.0 * s2 + s3)  # -sigma f'(sigma)
-        gap = mean_rho - cfg.delta
-        # the Newton iterate s (1 + gap / slope) must lie in (s/2, 2s)
-        newton = (-0.5 * slope < gap) & (gap < slope)
-        ratio = np.divide(gap, slope, out=np.zeros_like(gap), where=newton)
-        new = np.where(newton, s * (1.0 + ratio),
-                       s * np.sqrt(mean_rho / cfg.delta))
+        new, going = [], []
+        for row, (si, a1, a2, a3) in enumerate(
+                zip(s.tolist(), s1.tolist(), s2.tolist(), s3.tolist())):
+            mean_rho = (3.0 * (a1 - a2) + a3) / n
+            slope = 6.0 / n * (a1 - 2.0 * a2 + a3)  # -sigma f'(sigma)
+            gap = mean_rho - delta
+            # the Newton iterate si (1 + gap / slope) must lie in (si/2, 2 si)
+            if -0.5 * slope < gap < slope:
+                ratio = gap / slope
+                s_new = si * (1.0 + ratio)
+                # sigma^2 f''(sigma); the error model is |curv| ratio^2 / (2 slope)
+                curv = 6.0 / n * (3.0 * a1 - 10.0 * a2 + 7.0 * a3)
+                settled = abs(curv) * ratio * ratio <= 2.0 * _NEWTON_TOL * slope
+            else:
+                s_new = si * math.sqrt(mean_rho / delta)
+                settled = False
+            new.append(s_new)
+            if abs(s_new - si) > _TOL * si and not settled:
+                going.append(row)
         sigma[rows] = new
         if history is not None:
             history.append(sigma.copy())
-        # sigma^2 f''(sigma); the Newton error model is |curv| ratio^2 / (2 slope)
-        curv = 6.0 / n * (3.0 * s1 - 10.0 * s2 + 7.0 * s3)
-        settled = newton & (np.abs(curv) * ratio * ratio <= 2.0 * _NEWTON_TOL * slope)
-        going = (np.abs(new - s) > _TOL * s) & ~settled
-        if not going.any():
+        if not going:
             return sigma, it
-        if not going.all():
+        if len(going) < len(new):
             rows = rows[going]
             q = q[going]
     raise NonConvergenceError(f"m_scale did not converge in {_MAX_ITER} iterations")

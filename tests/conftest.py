@@ -91,6 +91,46 @@ def oracle_solve(resid, sigma, cfg):
     raise NonConvergenceError(f"m_scale did not converge in {_MAX_ITER} iterations")
 
 
+def vectorized_solve(q, sigma, cfg, history=None):
+    """The row-layout solver as it was before its per-row step moved to
+    Python floats: every step operation on arrays of the active rows. The
+    scalar step must reproduce its iterates, iteration counts and history
+    bit for bit."""
+    n = q.shape[1]
+    sigma = np.array(sigma, dtype=float)
+    rows = np.arange(sigma.size)
+    if history is not None:
+        history.append(sigma.copy())
+    for it in range(1, _MAX_ITER + 1):
+        s = sigma[rows]
+        t = q / (s * s)[:, None]
+        np.minimum(t, 1.0, out=t)
+        s1 = t.sum(axis=1)
+        tk = t * t
+        s2 = tk.sum(axis=1)
+        tk *= t
+        s3 = tk.sum(axis=1)
+        mean_rho = (3.0 * (s1 - s2) + s3) / n
+        slope = 6.0 / n * (s1 - 2.0 * s2 + s3)
+        gap = mean_rho - cfg.delta
+        newton = (-0.5 * slope < gap) & (gap < slope)
+        ratio = np.divide(gap, slope, out=np.zeros_like(gap), where=newton)
+        new = np.where(newton, s * (1.0 + ratio),
+                       s * np.sqrt(mean_rho / cfg.delta))
+        sigma[rows] = new
+        if history is not None:
+            history.append(sigma.copy())
+        curv = 6.0 / n * (3.0 * s1 - 10.0 * s2 + 7.0 * s3)
+        settled = newton & (np.abs(curv) * ratio * ratio <= 2.0 * _NEWTON_TOL * slope)
+        going = (np.abs(new - s) > _TOL * s) & ~settled
+        if not going.any():
+            return sigma, it
+        if not going.all():
+            rows = rows[going]
+            q = q[going]
+    raise NonConvergenceError(f"m_scale did not converge in {_MAX_ITER} iterations")
+
+
 def oracle_m_scale_columns(x, config=DEFAULT_MSCALE):
     """Column-wise M-scales from the column-layout oracle; degenerate columns
     get 0."""

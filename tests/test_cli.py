@@ -249,6 +249,19 @@ class TestFitCommand:
         assert not (tmp_path / "fit_bad").exists()
 
 
+    def test_rfpc_with_a_tiny_mscale_delta(self, simulated_dir, tmp_path):
+        # (1 - delta) n rounds to n at delta = 1e-17
+        code = run_cli(
+            "fit", "--curves", simulated_dir / "curves.csv",
+            "--response", simulated_dir / "response.csv",
+            "--weights-matrix", simulated_dir / "weights_matrix.csv",
+            "--basis", "fourier", "--num-basis", 5,
+            "--method", "rfpc", "--num-components", 2, "--mscale-delta", "1e-17",
+            "--out", tmp_path / "fit",
+        )
+        assert code == 0
+        assert (tmp_path / "fit" / "fit_report.json").exists()
+
     def test_tuning_defaults_come_from_the_dataclasses(self):
         from ssofr import MTuning
         from ssofr.cli import build_parser
@@ -524,6 +537,15 @@ class TestIdAlignment:
         aligned = sio.align_to(["a", "b", "c"], ids, got, "w")
         perm = [1, 0, 2]
         assert np.array_equal(aligned, w[np.ix_(perm, perm)])
+
+
+    @pytest.mark.parametrize("values", [np.array([1.0, 2.0, 3.0]), np.eye(3)])
+    def test_values_in_order_are_not_copied(self, values):
+        assert sio.align_to(["a", "b", "c"], ["a", "b", "c"], values, "f.csv") is values
+
+    def test_ids_in_order_still_checked_for_repeats(self):
+        with pytest.raises(ValidationError, match=r"^w\.csv: id 'a' is given more than once"):
+            sio.align_to(["a", "a", "b"], ["a", "a", "b"], np.eye(3), "w.csv")
 
 
 class TestLongFormatValidation:

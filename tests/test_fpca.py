@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ssofr.fpca
 from ssofr import DegenerateDataError, SimSpec, ValidationError, build_basis, fpc, rfpc, scores_for, simulate
@@ -215,6 +217,15 @@ class TestProjectionPursuit:
         u = axes[:, -1] + 0.3 * axes[:, 1]
         u /= np.linalg.norm(u)
         return b, u, list(axes.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-4.0, 4.0), hi=st.floats(-4.0, 4.0))
+    @example(lo=-np.pi / 2, hi=np.pi / 2)
+    def test_grid_is_linspace_bit_for_bit(self, lo, hi):
+        assume(abs(hi - lo) > 1e-300)  # a step of 0 is never asked for
+        got = ssofr.fpca._grid(lo, hi)
+        expect = np.linspace(lo, hi, ssofr.fpca._GRID)
+        np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64))
 
     def test_each_plane_scores_61_distinct_angles(self, scored):
         b, u, axes = self.planes()

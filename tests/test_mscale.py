@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 import ssofr.mscale
 from ssofr import (
-    BasisSpec, MScaleConfig, SimSpec, ValidationError, m_scale, m_scale_info,
+    BasisSpec, MScaleConfig, NonConvergenceError, SimSpec, ValidationError, m_scale,
+    m_scale_info,
     project_curves, rfpc, simulate, tukey_loss, tukey_loss_norm,
 )
 from ssofr.mscale import DEFAULT_MSCALE, _solve, _start, m_scale_columns
 
-from conftest import oracle_m_scale_columns, oracle_m_scale_info
+from conftest import (
+    oracle_m_scale_columns, oracle_m_scale_info, oracle_start, vectorized_solve,
+)
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -132,6 +135,39 @@ class TestMScale:
             MScaleConfig(delta=1.5)
         with pytest.raises(ValidationError):
             MScaleConfig(c=-1.0)
+
+
+class TestTinyDelta:
+    """Below delta ~ 1e-16, (1 - delta) n rounds to n; the degeneracy test
+    reads the last sorted residual instead of one past it."""
+
+    @pytest.mark.parametrize("delta", [1e-17, 1e-200])
+    def test_columns_and_info_solve(self, delta):
+        cfg = MScaleConfig(delta=delta)
+        assert int(np.floor((1.0 - delta) * 50)) == 50
+        x = np.random.default_rng(3).standard_normal((50, 3))
+        x[:, 2] = 1.0
+        cols = m_scale_columns(x, cfg)
+        assert cols[2] == 0.0
+        assert m_scale_info(x[:, 2], cfg).degenerate
+        for j in range(2):
+            # t = (r / (c sigma))^2 is ~delta, so the mean loss is 3 mean t
+            q = ((x[:, j] - np.median(x[:, j])) / cfg.c) ** 2
+            oracle = np.sqrt(3.0 * q.mean() / delta)
+            res = m_scale_info(x[:, j], cfg)
+            assert not res.degenerate
+            assert res.sigma == cols[j] == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.25, 0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("n", [2, 3, 7, 50, 301])
+    def test_degenerate_flags_match_the_tie_count(self, n, delta):
+        # 0 to n ties at 0 and distinct values elsewhere: the sorted-residual
+        # index agrees with counting the values at the median
+        cfg = MScaleConfig(delta=delta)
+        spread = np.arange(1.0, n + 1.0) * np.where(np.arange(n) % 2, 1.0, -1.0)
+        x = np.column_stack([np.r_[np.zeros(ties), spread[ties:]] for ties in range(n + 1)])
+        _, degenerate, _ = oracle_start(x, cfg)
+        np.testing.assert_array_equal(_start(x.T, cfg)[2], degenerate)
 
 
 class TestNewtonSolver:
@@ -270,6 +306,44 @@ class TestRowKernel:
         np.testing.assert_array_equal(m_scale_columns(x[perm]), m_scale_columns(x))
         for j in range(x.shape[1]):
             assert m_scale(x[perm, j]) == m_scale(x[:, j])
+
+
+def solve_outcome(solve, q, sigma, cfg):
+    """(sigma as int64 bits, iterations, history as int64 bits) of one
+    solve, or the type of the error it raised."""
+    history = []
+    try:
+        out, iterations = solve(q, sigma, cfg, history)
+    except NonConvergenceError as exc:
+        return type(exc)
+    return out.view(np.int64).tolist(), iterations, [h.view(np.int64).tolist() for h in history]
+
+
+class TestScalarStep:
+    """The solver's per-row step on Python floats against the array step it
+    replaced (`vectorized_solve` in conftest): the same bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 300),
+        rows=st.integers(1, 24),
+        df=st.sampled_from([1.0, 1.5, 3.0, 30.0]),
+        delta=st.sampled_from([0.25, 0.5]),
+        start=st.sampled_from([1.0, 1e-3, 1e3]),
+    )
+    @example(seed=5, n=400, rows=400, df=1.5, delta=0.5, start=1.0)
+    def test_bit_identical_to_array_step(self, seed, n, rows, df, delta, start):
+        # heavy-tailed columns at three scales and a tied one per sample;
+        # a start far below or above the root takes fixed-point steps first
+        cfg = MScaleConfig(delta=delta)
+        x = np.column_stack([
+            kernel_sample(seed + k, n, df, delta)[:, :4] for k in range(-(-rows // 4))
+        ])[:, :rows]
+        _, q, degenerate, sigma = _start(x.T, cfg)
+        q, sigma = q[~degenerate], start * sigma[~degenerate]
+        assert solve_outcome(_solve, q, sigma, cfg) == solve_outcome(
+            vectorized_solve, q, sigma, cfg)
 
 
 def bisection_scale(x, cfg):
