@@ -121,7 +121,18 @@ def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
     sorted absolute residual at index floor((1 - delta) n) is still 0. The
     start scale is the normalized MAD, or the root mean square where the MAD
     collapses on a row that is not degenerate, whose equation is still
-    solvable. The returned q = (|x - mu| / c)^2 is sorted along each row, so
+    solvable.
+
+    A row with exactly delta n nonzero residuals, k = (1 - delta) n zeros
+    and (n - k) / n == delta in floating point, is not degenerate, but its
+    mean loss is at most delta and equals it on the whole interval
+    (0, sigma*], sigma* = a[k] / c the smallest nonzero |r| / c. Iterates
+    from above creep toward sigma* by ever smaller steps and never meet the
+    stop rule, so such a row starts at sigma*: there every t is exactly 1
+    (sigma*^2 rounds to q[k]), the mean loss is delta to the bit, and the
+    solver's first step returns sigma* unchanged.
+
+    The returned q = (|x - mu| / c)^2 is sorted along each row, so
     everything computed from it depends on the order of the units only
     through mu, and the median does not.
     """
@@ -130,11 +141,17 @@ def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
     a = np.sort(np.abs(x - mu[:, None]), axis=1)
     # floor((1 - delta) n) <= n - 1 for delta > 0, but (1 - delta) n rounds
     # to n once delta is below about 1e-16
-    degenerate = a[:, min(int(np.floor((1.0 - cfg.delta) * n)), n - 1)] == 0.0
+    k = min(int(np.floor((1.0 - cfg.delta) * n)), n - 1)
+    degenerate = a[:, k] == 0.0
     sigma = MAD_SCALE * _middle(a)
     collapsed = sigma == 0.0
     if collapsed.any():
         sigma[collapsed] = np.sqrt(np.mean(a[collapsed] ** 2, axis=1))
+    # a Python scan of one column: cheaper than a reduction on the short
+    # batches of rfpc, which call this thousands of times per fit
+    if k and (n - k) / n == cfg.delta and 0.0 in a[:, k - 1].tolist():
+        edge = (a[:, k - 1] == 0.0) & ~degenerate
+        sigma[edge] = a[edge, k] / cfg.c
     return mu, (a / cfg.c) ** 2, degenerate, sigma
 
 

@@ -137,7 +137,7 @@ def log_likelihood(params: SarParams, design: SarDesign) -> float:
     weights = design.weights
     check_rho(params.rho, weights)
     n = design.n
-    r = design.Y - params.rho * (weights.w @ design.Y) - design.Z @ params.theta
+    r = design.Y - params.rho * weights.matvec(design.Y) - design.Z @ params.theta
     s = params.sigma
     return float(
         -0.5 * n * np.log(2.0 * np.pi)
@@ -151,7 +151,7 @@ def eta_ml(params: SarParams, design: SarDesign) -> np.ndarray:
     """Score of the log-likelihood: blocks for theta, sigma, rho.
     NumericalError for rho outside the admissible interval (`check_rho`)."""
     check_rho(params.rho, design.weights)
-    wy = design.weights.w @ design.Y
+    wy = design.weights.matvec(design.Y)
     r = design.Y - params.rho * wy - design.Z @ params.theta
     s, n = params.sigma, design.n
     b_theta = design.Z.T @ r / s**2
@@ -173,7 +173,7 @@ def _rho_block(weights, rho, y, wy, zt, sigma, tuning, events=None) -> float:
     """
     psi3 = np.clip(((y - zt) - rho * wy) / sigma, -tuning.c3, tuning.c3)
     x = weights.solve(rho, zt / sigma + psi3, events)
-    return float(psi3 @ (weights.w @ x) - rho_tilde(tuning.c3) * weights.trace_g(rho))
+    return float(psi3 @ weights.matvec(x) - rho_tilde(tuning.c3) * weights.trace_g(rho))
 
 
 def eta_robust(
@@ -184,7 +184,7 @@ def eta_robust(
     """Robust estimating equations with Huber-transformed residuals.
     NumericalError for rho outside the admissible interval (`check_rho`)."""
     check_rho(params.rho, design.weights)
-    wy = design.weights.w @ design.Y
+    wy = design.weights.matvec(design.Y)
     zt = design.Z @ params.theta
     s = params.sigma
     eps = (design.Y - params.rho * wy - zt) / s
@@ -253,7 +253,7 @@ def ml_fit(design: SarDesign) -> SarFit:
     n = design.n
     Y, Z = design.Y, design.Z
     weights = design.weights
-    wy = weights.w @ Y
+    wy = weights.matvec(Y)
 
     theta_y, *_ = np.linalg.lstsq(Z, Y, rcond=None)
     theta_w, *_ = np.linalg.lstsq(Z, wy, rcond=None)
@@ -428,7 +428,7 @@ def m_fit(
     lo, hi = design.weights.rho_bounds
     width = hi - lo
     glo, ghi = lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width
-    prof = _Profile(design, design.weights.w @ design.Y, tuning,
+    prof = _Profile(design, design.weights.matvec(design.Y), tuning,
                     np.asarray(init.theta, dtype=float), float(init.sigma))
 
     rho0 = min(max(float(init.rho), glo), ghi)

@@ -28,6 +28,17 @@ half-size block B. Any other pattern takes one symmetric
 `eigvalsh(S)`. A W with no symmetrizer takes the general nonsymmetric
 `eigvals`, and `solve` is a dense LU solve.
 
+Lattice W have at most 8 neighbours per unit, so the same search also keeps
+W in CSR form (`_Csr`) when at most n^2 / 16 of its entries are nonzero
+(`_CSR_FILL`, sized by the measured crossover of the two matvecs): the
+contiguity grids of 20 x 20 to 50 x 50 units fill 0.4-1.9% of W, an
+inverse-distance W 99.8%. With it the value check behind D, each CG step
+and the W x of the estimators (`SpatialWeights.matvec`) cost O(nnz) rather
+than O(n^2).
+Only the rows that hold an entry are reduced, so the empty row of an
+isolated unit stays 0 (see `_matvec`). A dense pattern keeps the BLAS
+matvec and the dense value check.
+
 The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
 lambda_min and lambda_max are the smallest and largest real eigenvalues of W.
 Asymmetric matrices can have complex eigenvalues; only the (numerically)
@@ -40,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -49,13 +61,62 @@ from .exceptions import NumericalError, ValidationError
 EARTH_RADIUS_KM = 6371.0
 _REAL_EIG_TOL = 1e-9
 _SYM_RTOL = 1e-12
-_SYM_BLOCK = 1 << 15  # entries per row block of the symmetry check
+_SYM_BLOCK = 1 << 15  # entries per row block of the dense symmetry check
+# W is kept in CSR form (`_Csr`) when at most this share of its entries is
+# nonzero. On lattice patterns (units within a fixed distance on a square
+# grid), a CSR matvec beat the dense BLAS one up to about 6-7% fill at
+# n = 400 and 15% at n = 900, and took 0.46 of its time at 5.9% fill at
+# n = 2500 (one thread, min of 5 runs); at n = 400 either costs about
+# 20 us. Contiguity grids fill 0.4-1.9%, an inverse-distance W 99.8%.
+_CSR_FILL = 1.0 / 16.0
 _CG_TOL = 1e-13  # relative residual at which CG stops
 _CG_ITER_CAP = 200  # CG steps before the dense LU solve takes over
 
 
+class _Csr(NamedTuple):
+    """The nonzero entries of W in row order, for `_matvec`: data[k] is
+    W[i, cols[k]] for the row i that entry k belongs to. heads are the rows
+    that hold an entry, in order, and starts[m] is the offset of the first
+    entry of row heads[m]; heads is None when every row holds one, and
+    then starts has one offset per row."""
+
+    data: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    heads: np.ndarray | None
+
+
+def _matvec(csr: _Csr, x: np.ndarray) -> np.ndarray:
+    """W x for a vector x from the CSR form of W, in O(nnz).
+
+    `np.add.reduceat` sums each segment of the products that starts at an
+    offset and ends at the next one, but gives the product at an offset
+    itself where the next offset is no larger: for an empty row it would
+    return the next row's first product. So only the rows with entries are
+    reduced, and the others stay 0 (all of them when W has no entry)."""
+    prod = csr.data * x[csr.cols]
+    if csr.heads is None:
+        return np.add.reduceat(prod, csr.starts)
+    out = np.zeros(x.shape[0])
+    if prod.size:
+        out[csr.heads] = np.add.reduceat(prod, csr.starts)
+    return out
+
+
+def _to_csr(w: np.ndarray, pattern: np.ndarray) -> tuple:
+    """(csr, rows): the CSR form of W (`_Csr`) from its nonzero pattern, and
+    the row of each entry."""
+    flat = np.flatnonzero(pattern)
+    rows, cols = np.divmod(flat, w.shape[0])
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    heads = rows[starts]
+    csr = _Csr(w.ravel()[flat], cols, starts,
+               None if heads.size == w.shape[0] else heads)
+    return csr, rows
+
+
 def _symmetrizer(w: np.ndarray):
-    """(d, classes) for W, or None when W has no symmetrizer.
+    """(d, classes, csr) for W, or None when W has no symmetrizer.
 
     d is positive with D^{1/2} W D^{-1/2} symmetric. Such a d exists exactly
     when the nonzero pattern of W is symmetric and d_i W_ij = d_j W_ji for
@@ -66,9 +127,8 @@ def _symmetrizer(w: np.ndarray):
     is a root with d = 1, and d_j = d_i W_ij / W_ji from a parent i on the
     level before. d is accepted only when every entry of D W matches its
     mirror to 1e-12 relative, which is S = D^{1/2} W D^{-1/2} matching its
-    transpose entry by entry. The pattern takes n^2 bytes and the value check
-    runs in row blocks, so the memory all this takes stays well below that of
-    the n x n S itself.
+    transpose entry by entry. The pattern takes n^2 bytes, so the memory all
+    this takes stays well below that of the n x n S itself.
 
     classes is (P, Q), the units of each colour of a 2-colouring of the
     pattern, or None when the pattern has an odd cycle. The same search
@@ -77,6 +137,17 @@ def _symmetrizer(w: np.ndarray):
     proper exactly when no edge joins two units on one level, which is tested
     on the rows each level is built from. A W with no edges has every unit
     in P.
+
+    csr is the CSR form of W (`_Csr`) when the pattern is sparse, at most
+    n^2 / 16 nonzeros (`_CSR_FILL`), and None otherwise. It is read from the
+    bool pattern the search uses, whose nonzero positions cost far less to
+    find than those of the float W. With it the pattern is symmetric when
+    the flat positions j n + i of the mirrors, sorted, are the positions
+    i n + j themselves, and the value check compares each nonzero d_i W_ij
+    with its mirror d_j W_ji, in O(nnz), deciding exactly as the dense
+    check: both compute the same products, and the entries it skips are 0
+    on both sides. A dense pattern is compared with its transpose, and its
+    values are checked in row blocks of D W against column blocks.
 
     An exactly symmetric W, such as an unnormalized built-in scheme, has
     d = 1: its search only colours, and the pattern-symmetry test and the
@@ -88,7 +159,13 @@ def _symmetrizer(w: np.ndarray):
     n = w.shape[0]
     exact = np.array_equal(w[0], w[:, 0]) and np.array_equal(w, w.T)
     pattern = w != 0.0
-    if not exact and not np.array_equal(pattern, pattern.T):
+    csr = None
+    if np.count_nonzero(pattern) <= _CSR_FILL * n * n:
+        csr, nz_i = _to_csr(w, pattern)
+        mirror_at = csr.cols * n + nz_i  # flat position of each W_ji
+        if not exact and not np.array_equal(np.sort(mirror_at), nz_i * n + csr.cols):
+            return None
+    elif not exact and not np.array_equal(pattern, pattern.T):
         return None
     d = np.ones(n)
     in_q = np.zeros(n, dtype=bool)
@@ -114,9 +191,17 @@ def _symmetrizer(w: np.ndarray):
     del pattern
     classes = None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
     if exact:
-        return d, classes
+        return d, classes, csr
     if not np.all(np.isfinite(d) & (d > 0.0)):
         return None
+    if csr is not None:
+        entry = d[nz_i] * csr.data
+        mirror = d[csr.cols] * w.ravel()[mirror_at]
+        mirror -= entry
+        np.abs(mirror, out=mirror)
+        np.abs(entry, out=entry)
+        entry *= _SYM_RTOL
+        return None if np.any(mirror > entry) else (d, classes, csr)
     step = max(1, _SYM_BLOCK // n)
     for i0 in range(0, n, step):
         rows = d[i0:i0 + step, None] * w[i0:i0 + step]
@@ -127,7 +212,7 @@ def _symmetrizer(w: np.ndarray):
         rows *= _SYM_RTOL
         if np.any(mirror > rows):
             return None
-    return d, classes
+    return d, classes, csr
 
 
 def _symmetric_spectrum(w: np.ndarray, d: np.ndarray, classes) -> np.ndarray:
@@ -159,10 +244,10 @@ def _symmetric_spectrum(w: np.ndarray, d: np.ndarray, classes) -> np.ndarray:
     return np.concatenate((-sigma, np.zeros(abs(p.size - q.size)), sigma[::-1]))
 
 
-def _cg(w, s, rho, b):
+def _cg(matvec, s, rho, b):
     """x = (I - rho W)^{-1} b by conjugate gradients on the symmetric
-    I - rho S in the scaled variable z = s x, with S p = s (W (p / s));
-    None when CG stops short (see `SpatialWeights.solve`)."""
+    I - rho S in the scaled variable z = s x, with S p = s (W (p / s)) and
+    W x = matvec(x); None when CG stops short (see `SpatialWeights.solve`)."""
     rhs = s * b
     z = np.zeros_like(rhs)
     r = rhs.copy()
@@ -172,9 +257,9 @@ def _cg(w, s, rho, b):
     for _ in range(_CG_ITER_CAP):
         if rr <= stop:
             x = z / s
-            r = rhs - (z - rho * s * (w @ x))
+            r = rhs - (z - rho * s * matvec(x))
             return x if float(r @ r) <= stop else None
-        ap = p - rho * s * (w @ (p / s))
+        ap = p - rho * s * matvec(p / s)
         curv = float(p @ ap)
         if not curv > 0.0:
             return None
@@ -236,8 +321,10 @@ class SpatialWeights:
     `lambda_min` and `rho_bounds`, which are derived from it (at once when
     `eigvals` is given). `dataclasses.replace` reads `eigvals` and passes it
     on to the copy. The pattern of W is searched at most once per object,
-    by `_symmetrizer` on the first `solve` or spectrum read, which finds the
-    symmetrizer d and the colour classes together. When W has a symmetrizer,
+    by `_symmetrizer` on the first `solve`, `matvec` or spectrum read, which
+    finds the symmetrizer d, the colour classes and, for a sparse pattern,
+    the CSR form of W together; `matvec` computes W x from that CSR form,
+    and with the dense product otherwise. When W has a symmetrizer,
     `eigvals` is real and sorted: +-sigma(B) from one SVD of the
     off-diagonal block B of S when the pattern of W is bipartite, one
     symmetric `eigvalsh` otherwise (`_symmetric_spectrum`). Without a
@@ -279,7 +366,7 @@ class SpatialWeights:
             if self._scaling is None:
                 eigs = np.linalg.eigvals(self.w)
             else:
-                eigs = _symmetric_spectrum(self.w, *self._scaling)
+                eigs = _symmetric_spectrum(self.w, *self._scaling[:2])
         scale = max(1.0, float(np.abs(eigs).max()))
         real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
         lam_min = float(real.min()) if real.size and real.min() < 0.0 else -1.0
@@ -292,9 +379,20 @@ class SpatialWeights:
 
     @cached_property
     def _scaling(self):
-        """(d, classes) of `_symmetrizer(w)`, or None: the route that the
-        spectrum and `solve` take, from the one search of W's pattern."""
+        """(d, classes, csr) of `_symmetrizer(w)`, or None: the route that
+        the spectrum, `solve` and `matvec` take, from the one search of W's
+        pattern."""
         return _symmetrizer(self.w)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """W x for a vector x: from the CSR form of W when `_symmetrizer`
+        kept one (a sparse pattern), in O(nnz), else the dense BLAS product.
+        The CSR sums each row's products in column order, so its result can
+        differ from BLAS's in the last bits."""
+        scaling = self._scaling
+        if scaling is None or scaling[2] is None:
+            return self.w @ x
+        return _matvec(scaling[2], x)
 
     def logdet(self, rho):
         """log |det(I - rho W)| at rho, or at each rho of a 1-D array."""
@@ -315,8 +413,9 @@ class SpatialWeights:
         A = I - rho S, and conjugate gradients solve A z = D^{1/2} b for
         z = D^{1/2} x (LeSage & Pace 2009, ch. 4): A is symmetric positive
         definite for every rho inside `rho_bounds`, and S p = s (W (p / s))
-        with s = sqrt(d) needs no n x n copy. CG stops when its residual
-        falls to `_CG_TOL` of |D^{1/2} b|, and its solution is kept when the
+        with s = sqrt(d) needs no n x n copy: W (p / s) is one `matvec`, in
+        O(nnz) on a sparse pattern. CG stops when its residual falls to
+        `_CG_TOL` of |D^{1/2} b|, and its solution is kept when the
         residual recomputed from it does too. When that check fails (A is
         near singular, close to a bound), CG reaches `_CG_ITER_CAP` steps,
         or it meets a direction of nonpositive curvature (rho outside the
@@ -325,7 +424,7 @@ class SpatialWeights:
         the dense LU solve.
         """
         if self._scaling is not None:
-            x = _cg(self.w, np.sqrt(self._scaling[0]), rho, b)
+            x = _cg(self.matvec, np.sqrt(self._scaling[0]), rho, b)
             if x is not None:
                 return x
             if events is not None:

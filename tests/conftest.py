@@ -286,3 +286,53 @@ def reference_read_weights_matrix(path):
     if row_ids != ids:
         raise ValidationError(f"{path}: dense matrix row ids must match header ids")
     return ids, np.array(mat)
+
+
+def reference_symmetrizer(w):
+    """(d, classes) or None, as `ssofr.weights._symmetrizer` computed them
+    before it kept a CSR form of W: the same breadth-first search of the
+    dense pattern, and the value check in row blocks of D W against column
+    blocks, for every W that is not exactly symmetric. The CSR value check
+    must decide alike, with the same bits of d and the same classes."""
+    n = w.shape[0]
+    exact = np.array_equal(w[0], w[:, 0]) and np.array_equal(w, w.T)
+    pattern = w != 0.0
+    if not exact and not np.array_equal(pattern, pattern.T):
+        return None
+    d = np.ones(n)
+    in_q = np.zeros(n, dtype=bool)
+    odd = False
+    unseen = np.ones(n, dtype=bool)
+    for root in range(n):
+        if not unseen[root]:
+            continue
+        unseen[root] = False
+        frontier = np.array([root])
+        while True:
+            rows = pattern[frontier]
+            odd = odd or rows[:, frontier].any()
+            new = np.flatnonzero(rows.any(axis=0) & unseen)
+            if not new.size:
+                break
+            unseen[new] = False
+            in_q[new] = not in_q[frontier[0]]
+            if not exact:
+                parent = frontier[rows[:, new].argmax(axis=0)]
+                d[new] = d[parent] * (w[parent, new] / w[new, parent])
+            frontier = new
+    classes = None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
+    if exact:
+        return d, classes
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        return None
+    step = max(1, (1 << 15) // n)
+    for i0 in range(0, n, step):
+        rows = d[i0:i0 + step, None] * w[i0:i0 + step]
+        mirror = np.multiply(w[:, i0:i0 + step].T, d, order="C")
+        mirror -= rows
+        np.abs(mirror, out=mirror)
+        np.abs(rows, out=rows)
+        rows *= 1e-12
+        if np.any(mirror > rows):
+            return None
+    return d, classes

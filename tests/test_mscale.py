@@ -170,6 +170,49 @@ class TestTinyDelta:
         np.testing.assert_array_equal(_start(x.T, cfg)[2], degenerate)
 
 
+class TestExactlyDeltaNOffTheTies:
+    """With exactly delta n residuals off a tie at the median, the mean loss
+    equals delta on all of (0, sigma*], sigma* the smallest nonzero |r| / c:
+    the M-scale is sigma*, reached at once."""
+
+    @staticmethod
+    def draw(seed, n=284, zeros=213):
+        """zeros ties at 0 and t(3) values of alternating sign, which keep
+        the median at 0, in random order."""
+        rng = np.random.default_rng(seed)
+        spread = np.abs(rng.standard_t(3.0, n - zeros))
+        spread[1::2] *= -1.0
+        return rng.permutation(np.r_[np.zeros(zeros), spread])
+
+    def test_info_and_columns_return_the_interval_end(self):
+        # n = 284 with 213 zeros at delta = 0.25: 14 of these 20 draws
+        # used to creep toward sigma* and stop at the iteration cap
+        # (NonConvergenceError)
+        cfg = MScaleConfig(delta=0.25)
+        x = np.column_stack([self.draw(seed) for seed in range(20)])
+        ends = np.sort(np.abs(x), axis=0)[213] / cfg.c
+        for j in range(x.shape[1]):
+            res = m_scale_info(x[:, j], cfg)
+            assert not res.degenerate and res.converged
+            assert res.sigma == ends[j] and res.iterations == 1
+            assert equation_gap(x[:, j], res.sigma, cfg) == 0.0
+            assert equation_gap(x[:, j], 1.01 * res.sigma, cfg) > 0.0
+        heavy = heavy_tailed(0, 284, 3.0)
+        cols = m_scale_columns(np.column_stack([x, heavy]), cfg)
+        np.testing.assert_array_equal(cols[:-1], ends)
+        assert cols[-1] == m_scale(heavy, cfg)
+
+    @pytest.mark.parametrize("n, delta", [(400, 0.5), (10, 0.5), (30, 0.4), (8, 0.75)])
+    def test_other_fractions(self, n, delta):
+        cfg = MScaleConfig(delta=delta)
+        zeros = n - round(delta * n)
+        x = self.draw(n, n, zeros)
+        assert np.median(x) == 0.0
+        res = m_scale_info(x, cfg)
+        assert res.sigma == np.sort(np.abs(x))[zeros] / cfg.c
+        assert equation_gap(x, res.sigma, cfg) == 0.0
+
+
 class TestNewtonSolver:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -15,7 +15,9 @@ from ssofr import (
     ml_fit,
     row_normalize,
 )
-from ssofr.weights import _symmetrizer, check_rho
+from ssofr.weights import _CSR_FILL, _matvec, _symmetrizer, _to_csr, check_rho
+
+from conftest import reference_symmetrizer
 
 
 def general_spectrum(w):
@@ -348,7 +350,7 @@ def assert_bipartite_route(raw, normalize, seed):
     rhos = []
     for order in (np.arange(n), perm):
         w = from_matrix(raw[np.ix_(order, order)], normalize=normalize)
-        d, classes = w._scaling
+        d, classes, _ = w._scaling
         assert classes is not None
         p, q = classes
         assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n))
@@ -483,7 +485,7 @@ class TestBipartiteSpectrum:
     def test_odd_cycles_take_eigvalsh(self, build, eig_calls):
         w = build()
         assert w._scaling is not None
-        d, classes = w._scaling
+        d, classes, _ = w._scaling
         assert classes is None
         s = np.sqrt(d)
         eig_calls.clear()
@@ -498,3 +500,123 @@ class TestBipartiteSpectrum:
         assert np.array_equal(w.eigvals, np.zeros(5))
         assert w.rho_bounds == (-1.0, 1.0)
         assert eig_calls == []
+
+
+def grid_with_isolated(rows, cols, kind, where, normalize, seed):
+    """Binary rook or queen contiguity on a rows x cols grid with its units
+    in random order, then isolated units (zero rows and columns) first, in
+    the middle, last or at all three, as `where` names; then `from_matrix`."""
+    n = rows * cols
+    grid = np.zeros((1, 1)) if n == 1 else (grid_contiguity(rows, cols, kind).w > 0.0) * 1.0
+    order = np.random.default_rng(seed).permutation(n)
+    at = {"none": [], "first": [0], "middle": [n // 2], "last": [n], "all": [0, n // 2, n]}
+    at = np.array(at[where], dtype=int)
+    grid = np.insert(np.insert(grid[np.ix_(order, order)], at, 0.0, axis=0), at, 0.0, axis=1)
+    return from_matrix(grid, normalize=normalize)
+
+
+def perturbed(w, off):
+    """Copies of w with one mirror entry W_ji of a nonzero W_ij scaled by
+    1 + off (off = -1 removes it from the pattern): one near the first
+    entry, one mid-way, one near the last."""
+    nz = np.argwhere(w != 0.0)
+    out = []
+    for i, j in nz[[0, len(nz) // 2, -1]]:
+        v = w.copy()
+        v[j, i] *= 1.0 + off
+        out.append(v)
+    return out
+
+
+class TestCsr:
+    """The CSR form of W that the search of its pattern keeps when the
+    pattern is sparse: the matvec it serves, and the value check that reads
+    it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 30),
+        cols=st.integers(1, 30),
+        kind=st.sampled_from(["rook", "queen"]),
+        where=st.sampled_from(["none", "first", "middle", "last", "all"]),
+        normalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matvec_matches_dense_product(self, rows, cols, kind, where, normalize, seed):
+        assume(rows * cols + (where != "none") >= 2)
+        w = grid_with_isolated(rows, cols, kind, where, normalize, seed)
+        x = np.random.default_rng(seed).standard_normal(w.n)
+        ref = w.w @ x
+        tol = 1e-15 * max(1.0, float((np.abs(w.w) @ np.abs(x)).max()))
+        csr, _ = _to_csr(w.w, w.w != 0.0)
+        assert np.abs(_matvec(csr, x) - ref).max() <= tol
+        assert np.abs(w.matvec(x) - ref).max() <= tol
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_no_edges(self, n):
+        w = from_matrix(np.zeros((n, n)))
+        csr = w._scaling[2]
+        assert csr is not None and csr.data.size == 0
+        x = np.arange(1.0, n + 1.0)
+        assert np.array_equal(w.matvec(x), np.zeros(n))
+
+    def test_empty_rows_at_both_ends_and_inside(self):
+        # reduceat over all rows would give an empty row the next row's
+        # first product, and clipping a trailing empty row's offset would
+        # cut the last nonempty row short
+        raw = np.zeros((6, 6))
+        for i, j in ((1, 2), (2, 4), (1, 4)):
+            raw[i, j] = raw[j, i] = 1.0 + i + j
+        csr, _ = _to_csr(raw, raw != 0.0)
+        assert np.array_equal(csr.heads, [1, 2, 4])
+        x = np.array([1e3, 1.0, 2.0, 1e5, 4.0, 1e7])
+        assert np.array_equal(_matvec(csr, x), raw @ x)
+
+    @pytest.mark.parametrize("build, sparse", [
+        (lambda: grid_contiguity(20, 20, "queen"), True),
+        (lambda: grid_contiguity(30, 30, "rook"), True),
+        (lambda: grid_contiguity(12, 13, "queen"), True),
+        (lambda: from_matrix(grid_contiguity(9, 10, "rook").w > 0.0, normalize=False), True),
+        (lambda: grid_contiguity(5, 6, "queen"), False),
+        (lambda: inverse_distance_weights(
+            *np.random.default_rng(3).uniform(-5.0, 5.0, (2, 400))), False),
+    ], ids=["queen 20x20", "rook 30x30", "queen 12x13", "binary rook 9x10",
+            "queen 5x6", "idw 400"])
+    def test_sparse_patterns_keep_csr(self, build, sparse):
+        w = build()
+        csr = w._scaling[2]
+        assert (csr is not None) == sparse
+        assert sparse == (np.count_nonzero(w.w) <= _CSR_FILL * w.n**2)
+        if sparse:
+            assert csr.heads is None
+            assert np.array_equal(csr.data, w.w[w.w != 0.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_contiguity(20, 20, "queen"),
+        lambda: grid_contiguity(9, 10, "rook"),
+        lambda: grid_with_isolated(12, 12, "queen", "all", True, 7),
+        lambda: from_matrix(_random_weights_on(grid_contiguity(12, 13, "queen").w, 11),
+                            normalize=True),
+        lambda: from_matrix(_random_weights_on(grid_contiguity(10, 10, "rook").w, 12),
+                            normalize=False),
+        lambda: inverse_distance_weights(*np.random.default_rng(4).uniform(-5.0, 5.0, (2, 60))),
+    ], ids=["queen 20x20", "rook 9x10", "queen isolated", "weighted queen",
+            "weighted rook raw", "idw 60"])
+    def test_value_check_decides_as_the_row_block_check(self, build):
+        w = build().w
+        for off, accepted in ((0.0, True), (5e-13, True), (2e-12, False), (-1.0, False)):
+            for v in perturbed(w, off) if off else [w]:
+                new, ref = _symmetrizer(v), reference_symmetrizer(v)
+                assert (new is not None) == (ref is not None) == accepted
+                if ref is not None:
+                    assert np.array_equal(new[0], ref[0])
+                    assert (new[1] is None) == (ref[1] is None)
+                    if ref[1] is not None:
+                        assert all(map(np.array_equal, new[1], ref[1]))
+
+
+def _random_weights_on(pattern, seed):
+    """Symmetric random weights in [0.1, 2) on the nonzero pattern given."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.uniform(0.1, 2.0, pattern.shape) * (pattern != 0.0), 1)
+    return a + a.T
