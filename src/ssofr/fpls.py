@@ -187,6 +187,15 @@ def rfpls(
         raise ValidationError("response length must match coefficient rows")
     _check_k(K, n, M)
 
+    # The reweighting runs on the units in one canonical order, their
+    # (coefficients, response) rows sorted lexicographically, so the fit
+    # depends on the set of units and not on their order. Where the Hampel
+    # weights do not settle (they can cycle) the iterates amplify rounding,
+    # and sums taken in another order would end elsewhere. Units tied on
+    # every key are identical, so their order cannot matter.
+    order = np.lexsort(np.vstack([a.T, y]))
+    a, y = a[order], y[order]
+
     e0 = y - np.median(y)
     res0 = m_scale_info(e0, m_scale_config)
     if res0.degenerate or res0.sigma <= 0:
@@ -231,10 +240,15 @@ def rfpls(
                 break
         beta_prev = beta
 
-    W, T, q, covs, truncated, center, y_center = out
+    W, T_sorted, q, covs, truncated, center, y_center = out
+    T = np.empty_like(T_sorted)
+    T[order] = T_sorted
+    weights = np.empty_like(r)
+    weights[order] = r
     return _assemble(
-        a, basis, W, T, q, covs, truncated, "RFPLS",
-        center, r, y_center, iterations=it, converged=converged, residual_scale=sigma,
+        coeff_matrix.coeffs, basis, W, T, q, covs, truncated, "RFPLS",
+        center, weights, y_center, iterations=it, converged=converged,
+        residual_scale=sigma,
     )
 
 

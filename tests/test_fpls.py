@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from ssofr import HampelConfig, ValidationError, build_basis, fpls, hampel_weight, pls_regression_coefficients, rfpls
-from ssofr.functional import CoefficientMatrix
+from ssofr import (
+    BasisSpec,
+    HampelConfig,
+    SimSpec,
+    ValidationError,
+    build_basis,
+    fpls,
+    hampel_weight,
+    pls_regression_coefficients,
+    rfpls,
+    simulate,
+)
+from ssofr.functional import CoefficientMatrix, project_curves
 
 from conftest import subspace_angle_deg
 
@@ -171,6 +182,28 @@ class TestRfpls:
         t = dec.pls_state.components  # from the sqrt-weighted data
         g = t.T @ t
         assert np.abs(g - np.diag(np.diag(g))).max() < 1e-8
+
+    @pytest.mark.parametrize("seed, kind", [(366, "vertical"), (6, "leverage")])
+    def test_unsettled_reweighting_ignores_unit_order(self, seed, kind):
+        # draws whose Hampel weights never settle: the first wanders and
+        # amplifies rounding, the second cycles with period 6
+        ds, _, _ = simulate(SimSpec(
+            n=144, weights_scheme="queen", grid_shape=(12, 12), seed=seed,
+            contamination_fraction=0.1, contamination_kind=kind,
+        ))
+        basis = BasisSpec().build(ds.grid)
+        a = project_curves(ds, basis).coeffs
+        perm = np.random.default_rng(0).permutation(ds.n)
+        base = rfpls(CoefficientMatrix(a), basis, ds.response, 3)
+        other = rfpls(CoefficientMatrix(a[perm]), basis, ds.response[perm], 3)
+        assert not base.pls_state.converged
+        assert other.pls_state.iterations == base.pls_state.iterations
+        np.testing.assert_array_equal(other.pls_state.directions, base.pls_state.directions)
+        np.testing.assert_array_equal(other.center, base.center)
+        np.testing.assert_array_equal(other.pls_state.weights, base.pls_state.weights[perm])
+        np.testing.assert_array_equal(other.pls_state.components,
+                                      base.pls_state.components[perm])
+        np.testing.assert_allclose(other.scores, base.scores[perm], rtol=0, atol=1e-12)
 
 
 class TestRegressionCoefficients:

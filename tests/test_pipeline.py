@@ -435,6 +435,7 @@ class TestUnitPermutation:
     )
     @example(seed=0, kind="vertical", perm_seed=1)
     @example(seed=0, kind="leverage", perm_seed=1)
+    @example(seed=366, kind="vertical", perm_seed=0)
     def test_fit_is_invariant(self, seed, kind, perm_seed):
         ds, w, _ = simulate(SimSpec(
             n=144, weights_scheme="queen", grid_shape=(12, 12), seed=seed,
