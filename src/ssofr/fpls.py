@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import NumericalError, ValidationError
 from .fpca import Decomposition, _check_k
@@ -30,11 +29,12 @@ _REWEIGHT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class HampelConfig:
-    """Three-part redescending weight cutoffs 0 < a < b < q."""
+    """Three-part redescending weight cutoffs 0 < a < b < q; by default the
+    standard normal quantiles at 0.95, 0.975 and 0.999."""
 
-    a: float = float(ndtri(0.95))
-    b: float = float(ndtri(0.975))
-    q: float = float(ndtri(0.999))
+    a: float = 1.6448536269514722
+    b: float = 1.959963984540054
+    q: float = 3.090232306167813
 
     def __post_init__(self):
         if not 0 < self.a < self.b < self.q:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -140,11 +139,34 @@ def _fourier_eval(grid: np.ndarray, M: int) -> np.ndarray:
 
 
 def _bspline_eval(grid: np.ndarray, M: int, degree: int):
+    """The p x M design matrix of the clamped B-spline basis with uniform
+    interior knots on [grid[0], grid[-1]], and its knots.
+
+    Each row holds the degree + 1 basis functions that are nonzero on the
+    knot interval t[l] <= x < t[l+1] of its grid point, l in [k, M - 1] (the
+    right end of the grid takes the last interval). They come from the
+    Cox-de Boor recursion (de Boor 1978) as scipy's `_deBoor_D` runs it,
+    with each step over all grid points and all the step's terms at once:
+    step j splits each value h_i over the span (t[l+i+1-j], t[l+i+1]) into
+    a part for h_i and one for h_{i+1}. The products and sums are scipy's,
+    so the matrix is scipy's to the bit. A zero-length span contributes 0."""
     a, b = grid[0], grid[-1]
-    n_interior = M - degree - 1
-    interior = np.linspace(a, b, n_interior + 2)[1:-1]
-    knots = np.concatenate([np.full(degree + 1, a), interior, np.full(degree + 1, b)])
-    design = BSpline.design_matrix(grid, knots, degree).toarray()
+    k = degree
+    interior = np.linspace(a, b, M - k + 1)[1:-1]
+    knots = np.concatenate([np.full(k + 1, a), interior, np.full(k + 1, b)])
+    ell = np.clip(np.searchsorted(knots, grid, "right") - 1, k, M - 1)
+    t = knots[ell[:, None] + np.arange(1 - k, k + 1)]  # t[l + i], i = 1 - k, ..., k
+    x = grid[:, None]
+    h = np.ones((grid.size, 1))
+    for j in range(1, k + 1):
+        xa, xb = t[:, k - j:k], t[:, k:k + j]
+        span = xb - xa
+        w = np.divide(h, span, out=np.zeros_like(span), where=span != 0.0)
+        h = np.zeros((grid.size, j + 1))
+        h[:, :j] = w * (xb - x)
+        h[:, 1:] += w * (x - xa)
+    design = np.zeros((grid.size, M))
+    design[np.arange(grid.size)[:, None], ell[:, None] - k + np.arange(k + 1)] = h
     return design, knots
 
 

@@ -23,13 +23,12 @@ inside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
-from .exceptions import ValidationError
+from .exceptions import NonConvergenceError, NumericalError, ValidationError
 from .weights import SpatialWeights, check_rho
 
 _SIGMA_FLOOR = 1e-300
@@ -38,6 +37,8 @@ _RHO_MARGIN = 1e-8
 _STEP_TOL = 1e-10  # theta/sigma step, in units of sigma, that stops the inner solve
 _STEP_CAP = 100  # Newton steps of the inner solve at one rho
 _G_TINY = 5e-324  # the smallest positive double
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # the rtol of scipy's brentq
+_BRENT_MAX_ITER = 100
 
 
 def huber_psi(u, c: float):
@@ -63,7 +64,7 @@ def rho_tilde(c: float) -> float:
     if c <= 0:
         raise ValidationError("cutoff c must be positive")
     phi_c = np.exp(-0.5 * c * c) / np.sqrt(2.0 * np.pi)
-    Pi_c = float(ndtr(c))
+    Pi_c = 0.5 * math.erfc(-c / math.sqrt(2.0))
     return 2.0 * c * c * (1.0 - Pi_c) - 2.0 * c * phi_c - 1.0 + 2.0 * Pi_c
 
 
@@ -232,12 +233,69 @@ def _rss(rho, qa: float, qb: float, qc: float):
     return np.maximum(qa - 2.0 * rho * qb + rho * rho * qc, _RSS_FLOOR)
 
 
-def _profile_score(rho, n, qa, qb, qc, weights) -> float:
-    """d/d rho of the profile log-likelihood, n (q_b - rho q_c) / rss(rho) -
-    tr W (I - rho W)^{-1}. brentq keeps the function it is given in a
-    reference cycle, so the data comes in through `args`: a closure would
-    keep the weights alive until the next garbage collection."""
-    return n * (qb - rho * qc) / _rss(rho, qa, qb, qc) - weights.trace_g(rho)
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """A root of f between a and b, where f changes sign, by
+    Brent's method (Brent 1973, ch. 4): interpolation (secant or inverse
+    quadratic) where it shrinks the bracket fast enough, bisection where it
+    does not. A port of scipy's `brentq.c`, step for step and with its
+    relative tolerance of 4 eps, so it evaluates f at the same points, f(a)
+    first and then f(b), and returns the same root. It stops when f is
+    exactly 0 or half the bracket is below (xtol + 4 eps |x|) / 2.
+    ValueError when f(a) and f(b) have the same sign, NumericalError when f
+    is NaN, NonConvergenceError after `_BRENT_MAX_ITER` steps."""
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"Brent's method: f is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # IEEE division gives an infinite or NaN step: bisect
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NonConvergenceError(
+        f"Brent's method did not converge in {_BRENT_MAX_ITER} steps (x={xcur!r})"
+    )
 
 
 def ml_fit(design: SarDesign) -> SarFit:
@@ -264,15 +322,18 @@ def ml_fit(design: SarDesign) -> SarFit:
     def profile(rho):
         return -0.5 * n * np.log(_rss(rho, *q) / n) + weights.logdet(rho)
 
+    def score(rho):
+        """d/d rho of the profile: n (q_b - rho q_c) / rss(rho) - tr W (I - rho W)^{-1}."""
+        return n * (q[1] - rho * q[2]) / _rss(rho, *q) - weights.trace_g(rho)
+
     lo, hi = weights.rho_bounds
     width = hi - lo
     grid = np.linspace(lo + _RHO_MARGIN * width, hi - _RHO_MARGIN * width, 201)
     i = int(np.argmax(profile(grid)))
     blo = grid[max(i - 1, 0)]
     bhi = grid[min(i + 1, grid.size - 1)]
-    args = (n, *q, weights)
-    if _profile_score(blo, *args) >= 0.0 >= _profile_score(bhi, *args):
-        rho_hat = float(brentq(_profile_score, blo, bhi, args=args, xtol=1e-12 * width))
+    if score(blo) >= 0.0 >= score(bhi):
+        rho_hat = _brent(score, blo, bhi, 1e-12 * width)
     else:
         rho_hat = float(grid[i])
 
@@ -380,13 +441,12 @@ class _Profile:
 
 def _profiled_block(rho, prof: _Profile) -> float:
     """g(rho): the rho block at the theta and sigma that solve the other two
-    blocks at this rho; module-level for the reason at `_profile_score`. The
-    bracket ends return the values that put them in the bracket: solved again
-    from another start, g near a root could change sign there. An exact 0.0
-    is returned as the smallest positive double: near the root g is rounding
-    noise, and Brent's method would stop on a zero a step before its bracket
-    is narrow enough, so the evaluation count would depend on the order of
-    the sums (and of the units)."""
+    blocks at this rho. The bracket ends return the values that put them in
+    the bracket: solved again from another start, g near a root could change
+    sign there. An exact 0.0 is returned as the smallest positive double:
+    near the root g is rounding noise, and Brent's method would stop on a
+    zero a step before its bracket is narrow enough, so the evaluation count
+    would depend on the order of the sums (and of the units)."""
     if rho in prof.known:
         return prof.known[rho]
     prof.solve(rho)
@@ -459,7 +519,7 @@ def m_fit(
         while bracket is None and outer[side][0] != bound[side]:
             bracket = grow(side)
     if bracket is not None:
-        rho = float(brentq(_profiled_block, *bracket, args=(prof,), xtol=1e-12))
+        rho = _brent(lambda r: _profiled_block(r, prof), *bracket, 1e-12)
     else:
         rho = min(outer.values(), key=lambda p: abs(p[1]))[0]
         prof.converged = False

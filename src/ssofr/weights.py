@@ -54,7 +54,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalError, ValidationError
 
@@ -230,10 +229,9 @@ def _symmetric_spectrum(w: np.ndarray, d: np.ndarray, classes) -> np.ndarray:
     if classes is None:
         sym = w * s[:, None]
         sym /= s
-        # the transpose is Fortran-ordered, so `eigvalsh` works in place
-        return scipy.linalg.eigvalsh(
-            sym.T, overwrite_a=True, check_finite=False, driver="evd"
-        )
+        # syevd reads one triangle, and S is symmetric only up to rounding;
+        # its lower triangle of S^T is the upper triangle of S
+        return np.linalg.eigvalsh(sym.T)
     p, q = classes
     if not q.size:
         return np.zeros(w.shape[0])
@@ -444,22 +442,24 @@ def from_matrix(raw: np.ndarray, scheme: str = "custom", normalize: bool = True)
     The diagonal is zeroed; with normalize=True each nonzero row is scaled to
     sum 1 and all-zero rows are kept and flagged as isolated units.
     """
-    w = np.asarray(raw, dtype=float).copy()
+    w = np.array(raw, dtype=float, order="C")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("weight matrix must be square")
     if w.shape[0] < 2:
         raise ValidationError("weight matrix needs at least 2 units")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weight matrix contains non-finite values")
+    # a non-finite entry makes its row sum non-finite, so the entries are
+    # checked only when a sum is; the diagonal, zeroed first, on its own
+    finite = bool(np.isfinite(w.diagonal()).all())
     np.fill_diagonal(w, 0.0)
-    if np.any(w < 0.0):
+    sums = w.sum(axis=1)
+    if not (finite and (np.isfinite(sums).all() or np.isfinite(w).all())):
+        raise ValidationError("weight matrix contains non-finite values")
+    if w.min() < 0.0:
         i, j = np.argwhere(w < 0.0)[0]
         raise ValidationError(f"weight matrix has a negative weight at ({i}, {j})")
-    sums = w.sum(axis=1)
     isolated = sums == 0.0
     if normalize:
-        safe = np.where(isolated, 1.0, sums)
-        w = w / safe[:, None]
+        w /= np.where(isolated, 1.0, sums)[:, None]
     return SpatialWeights(w=w, scheme=scheme, isolated=isolated)
 
 

@@ -336,3 +336,26 @@ def reference_symmetrizer(w):
         if np.any(mirror > rows):
             return None
     return d, classes
+
+
+def reference_from_matrix(raw, normalize=True):
+    """(w, isolated) as `ssofr.weights.from_matrix` computed them with a
+    copy, a full finiteness check and a full negativity mask; the one-copy
+    version must give the same bits and raise the same errors."""
+    w = np.asarray(raw, dtype=float).copy()
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValidationError("weight matrix must be square")
+    if w.shape[0] < 2:
+        raise ValidationError("weight matrix needs at least 2 units")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("weight matrix contains non-finite values")
+    np.fill_diagonal(w, 0.0)
+    if np.any(w < 0.0):
+        i, j = np.argwhere(w < 0.0)[0]
+        raise ValidationError(f"weight matrix has a negative weight at ({i}, {j})")
+    sums = w.sum(axis=1)
+    isolated = sums == 0.0
+    if normalize:
+        safe = np.where(isolated, 1.0, sums)
+        w = w / safe[:, None]
+    return w, isolated

@@ -63,6 +63,13 @@ class TestHampelWeight:
         with pytest.raises(ValidationError):
             HampelConfig(a=2.0, b=1.0, q=3.0)
 
+    def test_default_cutoffs_are_normal_quantiles(self):
+        # oracle: scipy's inverse normal CDF at 0.95, 0.975 and 0.999
+        from scipy.special import ndtri
+
+        cfg = HampelConfig()
+        assert (cfg.a, cfg.b, cfg.q) == tuple(float(ndtri(p)) for p in (0.95, 0.975, 0.999))
+
 
 class TestFpls:
     def test_single_direction_noiseless(self, basis, rng):

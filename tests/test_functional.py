@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from ssofr import (
     FunctionalDataset,
@@ -12,6 +13,7 @@ from ssofr import (
     reconstruct_curves,
     trapezoid_weights,
 )
+from ssofr.functional import _bspline_eval
 
 
 class TestInnerProduct:
@@ -94,6 +96,39 @@ class TestBuildBasis:
         b = build_basis("bspline", 9, grid)
         assert np.abs(b.gram_sqrt @ b.gram_sqrt - b.gram).max() < 1e-10
         assert np.abs(b.gram_inv_sqrt @ b.gram_sqrt - np.eye(9)).max() < 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        degree=st.integers(1, 5),
+        data=st.data(),
+        a=st.floats(-1e3, 1e3),
+        width=st.one_of(st.floats(1e-6, 1e3), st.sampled_from([1e-9, 1e-3, 1.0, 365.0])),
+        uniform=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bspline_design_matches_scipy(self, degree, data, a, width, uniform, seed):
+        # oracle: scipy's sparse design matrix, bit for bit, on the same
+        # clamped uniform knots; uniform and random grids, negative and
+        # narrow intervals
+        M = data.draw(st.integers(degree + 1, 30), label="M")
+        p = data.draw(st.integers(M, 300), label="p")
+        b = a + width
+        if uniform:
+            grid = np.linspace(a, b, p)
+        else:
+            inner = np.random.default_rng(seed).uniform(a, b, p - 2)
+            grid = np.sort(np.concatenate([[a, b], inner]))
+        assume(np.all(np.diff(grid) > 0))
+        design, knots = _bspline_eval(grid, M, degree)
+        lo, hi = grid[0], grid[-1]  # linspace turns a = -0.0 into +0.0
+        expected_knots = np.concatenate([
+            np.full(degree + 1, lo), np.linspace(lo, hi, M - degree + 1)[1:-1],
+            np.full(degree + 1, hi),
+        ])
+        assert knots.tobytes() == expected_knots.tobytes()
+        reference = BSpline.design_matrix(grid, knots, degree).toarray()
+        assert design.shape == (p, M)
+        assert design.tobytes() == reference.tobytes()
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValidationError):

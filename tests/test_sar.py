@@ -1,16 +1,19 @@
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import root
+from scipy.optimize import brentq, root
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 import ssofr.sar as sar
 from ssofr import (
     MTuning,
+    NonConvergenceError,
     NumericalError,
     SarDesign,
     SarParams,
@@ -86,6 +89,106 @@ class TestRhoTilde:
         psisq = np.clip(rng.standard_normal(n), -c, c) ** 2
         mc, se = psisq.mean(), psisq.std(ddof=1) / np.sqrt(n)
         assert abs(rho_tilde(c) - mc) < 3 * se
+
+    @staticmethod
+    def with_scipy_ndtr(c):
+        """The closed form with scipy's normal CDF in place of erfc."""
+        phi_c = np.exp(-0.5 * c * c) / np.sqrt(2.0 * np.pi)
+        Pi_c = float(ndtr(c))
+        return 2.0 * c * c * (1.0 - Pi_c) - 2.0 * c * phi_c - 1.0 + 2.0 * Pi_c
+
+    def test_tuning_defaults_match_scipy_bitwise(self):
+        t = MTuning()
+        for c in (t.c1, t.c2, t.c3):
+            assert float(rho_tilde(c)).hex() == float(self.with_scipy_ndtr(c)).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(0.01, 10.0))
+    def test_matches_scipy(self, c):
+        assert rho_tilde(c) == pytest.approx(self.with_scipy_ndtr(c), rel=1e-13, abs=1e-15)
+
+
+def recorded(f):
+    """f, and the list of the points at which it is evaluated."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+def brent_and_scipy(f, a, b, xtol):
+    """(outcome, evaluated points) of `sar._brent` and of scipy's brentq at
+    its default rtol and maxiter. The outcome is the root as int64 bits,
+    "not converged" for the NonConvergenceError of the one and the
+    RuntimeError of the other, or ValueError."""
+    runs = []
+    for solver in (lambda g: sar._brent(g, a, b, xtol), lambda g: brentq(g, a, b, xtol=xtol)):
+        g, xs = recorded(f)
+        try:
+            out = np.float64(solver(g)).view(np.int64)
+        except (NonConvergenceError, RuntimeError):
+            out = "not converged"
+        except ValueError:
+            out = ValueError
+        runs.append((out, xs))
+    return runs
+
+
+class TestBrent:
+    """`sar._brent` against scipy's brentq, of which it is a port: the same
+    root, to the bit, from the same evaluations."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["cubic", "tanh", "clipped", "step", "huge", "tiny"]),
+        c=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        a=st.floats(-3.0, -1.01),
+        b=st.floats(1.01, 3.0),
+        log_xtol=st.floats(-14.0, 0.0),
+    )
+    # a wide xtol whose last steps compare the interpolation step with
+    # 3 |sbis| - delta at |sbis| near delta
+    @example(kind="cubic", c=[-0.8502530005934401, -0.8185556953469451, -0.3160847067314938],
+             a=-2.274923374786984, b=2.8802911879889788, log_xtol=-0.6385)
+    def test_matches_scipy(self, kind, c, a, b, log_xtol):
+        # smooth roots, flat stretches and steps (where interpolation
+        # divides by zero and bisects), and values that overflow or underflow
+        f = {
+            "cubic": lambda x: (x - c[0]) ** 3 + c[1] * (x - c[0]) + 0.1 * c[2],
+            "tanh": lambda x: math.tanh(5.0 * (x - c[0])) + 0.01 * c[1],
+            "clipped": lambda x: max(min(x - c[0], 0.1), -0.1 * (1.0 + c[1] ** 2)),
+            "step": lambda x: -1.0 - c[1] ** 2 if x < c[0] else 1.0,
+            "huge": lambda x: 1e300 * (x - c[0]) * (1.0 + abs(c[1])),
+            "tiny": lambda x: 1e-320 * math.copysign(1.0, x - c[0]),
+        }[kind]
+        ours, theirs = brent_and_scipy(f, a, b, 10.0**log_xtol)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_exact_zero_at_an_end(self, end):
+        ends = (-1.0, 2.0)
+        ours, theirs = brent_and_scipy(lambda x: x - ends[end], *ends, 1e-12)
+        assert ours == theirs
+        assert ours[0] == np.float64(ends[end]).view(np.int64)
+        assert ours[1] == list(ends)
+
+    def test_same_sign_raises(self):
+        ours, theirs = brent_and_scipy(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+        assert ours == theirs == (ValueError, [-1.0, 2.0])
+
+    def test_step_cap(self):
+        # bisection toward a step at 0 needs about 1000 halvings to reach
+        # an xtol of 1e-300; both stop after 100 steps
+        ours, theirs = brent_and_scipy(lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 2.0, 1e-300)
+        assert ours == theirs
+        assert ours[0] == "not converged" and len(ours[1]) == 102
+
+    def test_nan_raises_numerical_error(self):
+        with pytest.raises(NumericalError, match="NaN"):
+            sar._brent(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
 
 
 class TestLogLikelihood:
@@ -475,7 +578,7 @@ class TestProfiledRoot:
     def test_no_root_inside_the_bounds(self, monkeypatch):
         design, _, w = make_design()
         patch_block(monkeypatch, lambda r: (r - 0.2) ** 2 + 0.05)
-        monkeypatch.setattr(sar, "brentq", forbidden)
+        monkeypatch.setattr(sar, "_brent", forbidden)
         fit = started_at(design, 0.5)
         lo, hi = w.rho_bounds
         ends = (lo + 1e-8 * (hi - lo), hi - 1e-8 * (hi - lo))
@@ -513,7 +616,7 @@ class TestProfiledRoot:
         rng = np.random.default_rng(3)
         Z = np.column_stack([np.ones(w.n), rng.standard_normal((w.n, 2))])
         design = SarDesign(Y=U[:, np.argmin(lam)] / s, Z=Z, weights=w)
-        monkeypatch.setattr(sar, "brentq", forbidden)
+        monkeypatch.setattr(sar, "_brent", forbidden)
         fit = ml_fit(design)
         lo, hi = w.rho_bounds
         assert fit.rho == lo + 1e-8 * (hi - lo)

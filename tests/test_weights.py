@@ -17,7 +17,7 @@ from ssofr import (
 )
 from ssofr.weights import _CSR_FILL, _matvec, _symmetrizer, _to_csr, check_rho
 
-from conftest import reference_symmetrizer
+from conftest import reference_from_matrix, reference_symmetrizer
 
 
 def general_spectrum(w):
@@ -217,6 +217,47 @@ class TestRowNormalize:
         raw = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(ValidationError, match=r"negative weight at \(0, 2\)"):
             from_matrix(raw, normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(1, 1), (0, 2), (2, 0)])
+    def test_rejects_non_finite_weights(self, normalize, bad, at):
+        # also on the diagonal, which is zeroed before the row sums are
+        # taken, and before the negative weight at (0, 2) is named
+        raw = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        raw[at] = bad
+        with pytest.raises(ValidationError, match="non-finite values"):
+            from_matrix(raw, normalize=normalize)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        normalize=st.booleans(),
+        layout=st.sampled_from(["C", "F", "int", "list"]),
+        huge=st.booleans(),
+    )
+    def test_matches_the_reference(self, n, seed, normalize, layout, huge):
+        # the same bits of W and isolated as the copy-and-mask version,
+        # C-ordered, for sparse rows, all-zero rows, integer and Fortran
+        # input, and rows whose finite entries sum to inf
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.0, 3.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        raw[rng.integers(n)] = 0.0
+        if huge and layout != "int":
+            raw[rng.integers(n)] = 1e308
+        if layout == "int":
+            raw = np.rint(raw).astype(int)
+        elif layout == "F":
+            raw = np.asfortranarray(raw)
+        elif layout == "list":
+            raw = raw.tolist()
+        with np.errstate(over="ignore"):
+            w = from_matrix(raw, normalize=normalize)
+            ref_w, ref_isolated = reference_from_matrix(raw, normalize=normalize)
+        assert w.w.flags.c_contiguous
+        assert w.w.tobytes() == ref_w.tobytes()
+        assert np.array_equal(w.isolated, ref_isolated)
 
 
 class TestSpectrum:
