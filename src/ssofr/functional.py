@@ -3,13 +3,16 @@
 Curves are stored as rows of an n x p matrix sampled on a shared strictly
 increasing grid. A basis system carries the p x M evaluation matrix, the
 Gram matrix of pairwise basis inner products and its symmetric square root,
-which reduce the functional regression problems to finite-dimensional ones.
+which reduce the functional regression problems to finite-dimensional ones,
+and builds on first use its least-squares projector, the M x p pseudo-inverse
+of the evaluation matrix, so that projecting curves is one matrix product.
 All inner products are trapezoidal quadrature on the observation grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +123,16 @@ class BasisSystem:
             and np.array_equal(self.grid, other.grid)
             and np.array_equal(self.eval, other.eval)
         )
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """The M x p pseudo-inverse of `eval`, from one thin SVD."""
+        u, s, vt = np.linalg.svd(self.eval, full_matrices=False)
+        if s[0] <= 0 or s[-1] < 1e-12 * s[0]:
+            raise RankDeficiencyError(
+                "basis evaluation matrix is rank deficient on this grid"
+            )
+        return (vt.T / s) @ u.T
 
 
 def _fourier_eval(grid: np.ndarray, M: int) -> np.ndarray:
@@ -256,14 +269,7 @@ def project_curves(dataset: FunctionalDataset, basis: BasisSystem) -> Coefficien
         dataset.grid, basis.grid
     ):
         raise ValidationError("dataset and basis must share the same grid")
-    ev = basis.eval
-    s = np.linalg.svd(ev, compute_uv=False)
-    if s[0] <= 0 or s[-1] < 1e-12 * s[0]:
-        raise RankDeficiencyError(
-            "basis evaluation matrix is rank deficient on this grid"
-        )
-    sol, *_ = np.linalg.lstsq(ev, dataset.curves.T, rcond=None)
-    return CoefficientMatrix(coeffs=sol.T)
+    return CoefficientMatrix(coeffs=dataset.curves @ basis.projector.T)
 
 
 def reconstruct_curves(coeffs: CoefficientMatrix, basis: BasisSystem) -> np.ndarray:

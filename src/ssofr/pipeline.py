@@ -131,6 +131,9 @@ def fit(
         f"rfpc component {k} stopped at the {cap}-sweep cap"
         for k, sweeps in enumerate(decomp.sweeps, start=1) if sweeps >= cap
     )
+    pls = decomp.pls_state
+    if pls is not None and not pls.converged:
+        info.events.append(f"rfpls stopped at the {pls.iterations}-iteration cap")
 
     beta_coeffs = decomp.phi @ info.params.theta[1:]
     beta_grid = basis.eval @ beta_coeffs

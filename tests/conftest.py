@@ -46,6 +46,20 @@ def eig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    """Names of the `numpy.linalg` factorizations (`svd`, `lstsq` and the
+    eigensolvers) called while the test runs, in order, from any caller."""
+    calls = []
+    for name in ("svd", "lstsq", "eig", "eigvals", "eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def oracle_start(x, cfg):
     """Column-layout M-scale start (one sample per column): residuals from
     the median, degenerate flags and the normalized-MAD or RMS start

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from ssofr import (
+    BasisSystem,
     FunctionalDataset,
+    RankDeficiencyError,
+    SingularGramError,
     ValidationError,
     build_basis,
     inner_product,
@@ -195,6 +198,47 @@ class TestProjectCurves:
         )
         with pytest.raises(ValidationError):
             project_curves(ds, b)
+
+
+class TestProjector:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from(["bspline", "fourier"]),
+        data=st.data(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_lstsq_and_is_built_once(self, linalg_calls, kind, data, seed):
+        # oracle: LAPACK least squares on the same p x M evaluation matrix,
+        # on uneven strictly increasing grids
+        M = data.draw(st.integers(3, 20), label="M")
+        p = data.draw(st.integers(M, 200), label="p")
+        r = np.random.default_rng(seed)
+        grid = np.concatenate([[0.0], np.cumsum(r.uniform(0.2, 1.0, p - 1))])
+        try:
+            b = build_basis(kind, M, grid, degree=min(3, M - 1))
+        except SingularGramError:
+            assume(False)
+        curves = r.standard_normal((4, p)) + np.sin(grid / grid[-1] * 3.0)
+        ds = FunctionalDataset(grid=grid, curves=curves, response=np.zeros(4))
+        oracle = np.linalg.lstsq(b.eval, curves.T, rcond=None)[0].T
+        projector = b.projector
+        assert b.projector is projector
+        linalg_calls.clear()
+        cm = project_curves(ds, b)
+        assert linalg_calls == []
+        assert np.abs(cm.coeffs - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+    def test_rank_deficient_eval_raises_typed_error(self):
+        grid = np.linspace(0, 1, 30)
+        ev = build_basis("bspline", 6, grid).eval
+        ev = np.column_stack([ev, ev[:, 2]])
+        b = BasisSystem(kind="bspline", M=7, grid=grid, eval=ev, gram=ev.T @ ev,
+                        gram_sqrt=np.eye(7), gram_inv_sqrt=np.eye(7))
+        ds = FunctionalDataset(grid=grid, curves=np.ones((2, 30)), response=np.zeros(2))
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(RankDeficiencyError, match="rank deficient"):
+                project_curves(ds, b)
 
 
 class TestFunctionalDataset:

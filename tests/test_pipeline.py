@@ -133,6 +133,19 @@ class TestFit:
         ]
         assert "sweep" not in model_to_json(capped)
 
+    def test_rfpls_iteration_cap_is_reported(self):
+        # on this leverage draw the Hampel reweighting cycles and stops at
+        # its 50-iteration cap
+        ds, w, _ = simulate(SimSpec(n=144, weights_scheme="queen", grid_shape=(12, 12),
+                                    seed=6, contamination_fraction=0.1,
+                                    contamination_kind="leverage"))
+        model = fit(ds, w, BasisSpec(), "rfpls", K=3, estimator="m")
+        assert model.decomposition.pls_state.converged is False
+        assert "rfpls stopped at the 50-iteration cap" in model.fit_info.events
+        settled = rook8_fit("rfpls", "m")
+        assert settled.decomposition.pls_state.converged is True
+        assert not any("iteration cap" in e for e in settled.fit_info.events)
+
     @pytest.mark.parametrize("estimator", ["ml", "m"])
     @pytest.mark.parametrize("method", ["fpc", "rfpc", "fpls", "rfpls"])
     def test_k_above_the_rank_is_truncated(self, method, estimator):
@@ -245,6 +258,34 @@ class TestOneSearch:
         builds.clear()
         predict(model, ds, self.counted(rook, builds))
         assert builds == [64]
+
+
+class TestPredictFactorsNothing:
+    """Machine-independent work guard: the basis projector is built once per
+    basis system, and a predict with fresh weights of unknown spectrum needs
+    no factorization (`check_rho` admits rho from the row sums, and the
+    resolvent solve is iterative)."""
+
+    @staticmethod
+    def fresh(weights):
+        return SpatialWeights(w=weights.w, scheme=weights.scheme)
+
+    @pytest.mark.parametrize("method", ["fpc", "rfpc", "fpls", "rfpls"])
+    def test_predict_after_fit(self, method, linalg_calls):
+        ds, w, _ = rook8()
+        model = fit(ds, w, BasisSpec(), method, K=3)
+        linalg_calls.clear()
+        predict(model, ds, self.fresh(w))
+        assert linalg_calls == []
+
+    def test_loaded_model_factors_its_basis_once(self, linalg_calls):
+        ds, w, _ = rook8()
+        model = model_from_json(model_to_json(rook8_fit("fpls", "m")))
+        linalg_calls.clear()
+        first = predict(model, ds, self.fresh(w))
+        assert linalg_calls == ["svd"]
+        assert np.array_equal(predict(model, ds, self.fresh(w)), first)
+        assert linalg_calls == ["svd"]
 
 
 class TestSelectK:
