@@ -17,10 +17,12 @@ import numpy as np
 from . import io as sio
 from .diagnostics import fit_metrics, local_morans_i
 from .exceptions import NumericalError, SsofrError, ValidationError
-from .fpls import HampelConfig
 from .functional import FunctionalDataset
 from .mscale import DEFAULT_MSCALE, MScaleConfig
 from .pipeline import (
+    DECOMPOSITION_METHODS,
+    DEFAULT_TRIM_GRID,
+    ESTIMATORS,
     SCHEMA_VERSION,
     BasisSpec,
     fit,
@@ -32,8 +34,6 @@ from .pipeline import (
 from .sar import MTuning
 from .simulation import SimSpec, simulate
 from .weights import from_matrix, grid_contiguity, inverse_distance_weights
-
-DEFAULT_TRIM_GRID = (0.0, 0.05, 0.10)
 
 
 def _json_dump(obj) -> str:
@@ -78,11 +78,7 @@ def cmd_fit(args) -> int:
     basis_spec = BasisSpec(kind=args.basis, M=args.num_basis, degree=args.degree)
     trim_grid = tuple(args.trim) if args.trim else DEFAULT_TRIM_GRID
 
-    kwargs = dict(
-        tuning=_tuning(args),
-        m_scale_config=_mscale_config(args),
-        hampel_config=HampelConfig(),
-    )
+    kwargs = dict(tuning=_tuning(args), m_scale_config=_mscale_config(args))
     if args.select:
         K = select_K(
             dataset, weights, basis_spec, args.method, args.select,
@@ -287,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=("bspline", "fourier"), default="bspline")
     p.add_argument("--num-basis", type=int, default=15)
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--method", choices=("fpc", "fpls", "rfpc", "rfpls"), default="fpc")
-    p.add_argument("--estimator", choices=("ml", "m"), default="ml")
+    p.add_argument("--method", choices=DECOMPOSITION_METHODS, default="fpc")
+    p.add_argument("--estimator", choices=ESTIMATORS, default="ml")
     p.add_argument("--num-components", type=int, default=2)
     p.add_argument("--select", help="K selection rule: ev:TAU, bic, or cv:FOLDS")
     p.add_argument("--trim", type=float, action="append",

@@ -2,7 +2,8 @@
 
 Local Moran's I classifies each unit by the signs of its own deviation and
 of the spatially lagged deviation (High-High, Low-Low, High-Low, Low-High);
-the per-unit statistics sum to n times the global Moran aggregate. Fit
+the per-unit statistics I_i sum to S0 times the global Moran's I,
+sum_i I_i = S0 * I, where S0 is the total weight of W. Fit
 metrics support trimming of the largest squared residuals; the mean squared
 error is reported per retained observation.
 """
@@ -29,7 +30,8 @@ class MoranReport:
 
 
 def local_morans_i(Y, weights: SpatialWeights) -> MoranReport:
-    """Per-unit Moran's I with cluster-quadrant labels."""
+    """Per-unit Moran's I with cluster-quadrant labels, and the global
+    Moran's I, their sum over the total weight S0 of W."""
     y = np.asarray(Y, dtype=float).ravel()
     if weights.n != y.size:
         raise ValidationError("weights size must match response length")
@@ -37,8 +39,11 @@ def local_morans_i(Y, weights: SpatialWeights) -> MoranReport:
     ss = float(dev @ dev)
     if ss <= 0:
         raise DegenerateDataError("response is constant; Moran's I undefined")
+    s0 = float(weights.w.sum())
+    if s0 <= 0:
+        raise ValidationError("weight matrix has zero total weight")
     n = y.size
-    lag = weights.w @ dev
+    lag = weights.matvec(dev)
     local = n * dev * lag / ss
     sd = np.sqrt(ss / n)
     quad = tuple(
@@ -50,21 +55,14 @@ def local_morans_i(Y, weights: SpatialWeights) -> MoranReport:
         deviation=dev / sd,
         spatial_lag=lag / sd,
         quadrant=quad,
-        global_moran=float(local.sum() / n),
+        global_moran=float(local.sum() / s0),
     )
 
 
 def global_moran(Y, weights: SpatialWeights) -> float:
-    """Textbook global Moran: (n / S0) * sum_ij w_ij d_i d_j / sum_i d_i^2."""
-    y = np.asarray(Y, dtype=float).ravel()
-    dev = y - y.mean()
-    ss = float(dev @ dev)
-    if ss <= 0:
-        raise DegenerateDataError("response is constant")
-    s0 = float(weights.w.sum())
-    if s0 <= 0:
-        raise ValidationError("weight matrix has zero total weight")
-    return float(y.size / s0 * (dev @ (weights.w @ dev)) / ss)
+    """Textbook global Moran: (n / S0) * sum_ij w_ij d_i d_j / sum_i d_i^2,
+    as `local_morans_i` reports it."""
+    return local_morans_i(Y, weights).global_moran
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ rotation; it reuses the values it already has, so no angle is scored twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,10 @@ class Decomposition:
     phi holds one M-vector of basis coefficients per component (columns), so
     component k evaluates as eval @ phi[:, k]. scores[i, k] is the inner
     product of curve i (centered) with component k. For rfpc, sweeps[k] is
-    the number of projection-pursuit sweeps component k took.
+    the number of projection-pursuit sweeps component k took. events names
+    each iterative stage that stopped at its cap (an rfpc component at the
+    sweep cap, the rfpls reweighting at the iteration cap); `fit` passes
+    them on to `fit_info.events`.
     """
 
     phi: np.ndarray
@@ -55,19 +58,42 @@ class Decomposition:
     truncated: bool = False
     pls_state: object = None
     sweeps: tuple = ()
+    events: tuple = ()
 
     @property
     def K(self) -> int:
         return self.phi.shape[1]
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's largest-magnitude entry is positive."""
-    v = vectors.copy()
-    idx = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[idx, np.arange(v.shape[1])])
+def _scores(coeffs, center, basis: BasisSystem, phi) -> np.ndarray:
+    """Inner products of the centered curves with the component functions."""
+    return (coeffs - center) @ basis.gram @ phi
+
+
+def _finish(u, lambdas, coeffs, center, basis, method, pls_state=None, **fields):
+    """The decomposition of the unit directions u (columns) found in the
+    Gram-sqrt space, as every method ends.
+
+    Each column is flipped so that its largest-magnitude entry is positive,
+    mapped to basis coefficients through the inverse Gram square root, and
+    the curves are scored against it. A PLS state takes the same signs: its
+    directions are the signed u, and its components and response loadings
+    pair with u's columns. `fields` are further `Decomposition` fields.
+    """
+    signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    return v * signs
+    u = u * signs
+    if pls_state is not None:
+        pls_state = replace(
+            pls_state, directions=u, components=pls_state.components * signs,
+            loadings_q=pls_state.loadings_q * signs,
+        )
+    phi = basis.gram_inv_sqrt @ u
+    return Decomposition(
+        phi=phi, lambdas=lambdas, scores=_scores(coeffs, center, basis, phi),
+        method=method, center=center, basis=basis, pls_state=pls_state,
+        **fields,
+    )
 
 
 def _check_k(K: int, n: int, M: int) -> None:
@@ -94,13 +120,7 @@ def fpc(coeff_matrix: CoefficientMatrix, basis: BasisSystem, K: int) -> Decompos
         raise DegenerateDataError("curves carry no variance")
     order = np.argsort(vals)[::-1][:K]
     lambdas = np.maximum(vals[order], 0.0)
-    u = _fix_signs(vecs[:, order])
-    phi = basis.gram_inv_sqrt @ u
-    scores = (a - center) @ basis.gram @ phi
-    return Decomposition(
-        phi=phi, lambdas=lambdas, scores=scores, method="FPC",
-        center=center, basis=basis,
-    )
+    return _finish(vecs[:, order], lambdas, a, center, basis, "FPC")
 
 
 def _grid(lo: float, hi: float) -> np.ndarray:
@@ -191,7 +211,8 @@ def rfpc(
     the orthogonal complement of the components already found. Candidates are
     the normalized centered observations (deflated); the best one, with ties
     broken toward the lowest observation index, is refined by
-    `_sphere_refine`, whose sweep count is kept per component in `sweeps`.
+    `_sphere_refine`, whose sweep count is kept per component in `sweeps`;
+    `events` names each component that stopped at the sweep cap.
     """
     a = coeff_matrix.coeffs
     n, M = a.shape
@@ -227,12 +248,13 @@ def rfpc(
         lambdas.append(lam * lam)
         b = b - np.outer(b @ u, u)
 
-    u_mat = _fix_signs(np.column_stack(us))
-    phi = basis.gram_inv_sqrt @ u_mat
-    scores = (a - center) @ basis.gram @ phi
-    return Decomposition(
-        phi=phi, lambdas=np.array(lambdas), scores=scores, method="RFPC",
-        center=center, basis=basis, sweeps=tuple(sweeps),
+    events = tuple(
+        f"rfpc component {k} stopped at the {_REFINE_SWEEPS}-sweep cap"
+        for k, n_sweeps in enumerate(sweeps, start=1) if n_sweeps >= _REFINE_SWEEPS
+    )
+    return _finish(
+        np.column_stack(us), np.array(lambdas), a, center, basis, "RFPC",
+        sweeps=tuple(sweeps), events=events,
     )
 
 
@@ -247,4 +269,4 @@ def scores_for(
     a = new_coeff_matrix.coeffs
     if a.shape[1] != decomposition.center.size:
         raise ValidationError("coefficient dimension mismatch")
-    return (a - decomposition.center) @ basis.gram @ decomposition.phi
+    return _scores(a, decomposition.center, basis, decomposition.phi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .fpca import Decomposition, _check_k
+from .fpca import Decomposition, _check_k, _finish
 from .functional import BasisSystem, CoefficientMatrix
 from .mscale import DEFAULT_MSCALE, MScaleConfig, m_scale_info
 
@@ -109,28 +109,6 @@ def _nipals(d: np.ndarray, y: np.ndarray, K: int):
     )
 
 
-def _assemble(coeffs, basis, W, T, q, covs, truncated, method,
-              center, weights, y_center, iterations=1, converged=True,
-              residual_scale=np.nan) -> Decomposition:
-    # sign convention: largest-magnitude entry of each direction positive
-    signs = np.sign(W[np.argmax(np.abs(W), axis=0), np.arange(W.shape[1])])
-    signs[signs == 0] = 1.0
-    W = W * signs
-    T = T * signs
-    q = q * signs
-    phi = basis.gram_inv_sqrt @ W
-    scores = (coeffs - center) @ basis.gram @ phi
-    state = PlsState(
-        directions=W, components=T, loadings_q=q,
-        weights=weights, y_center=y_center, iterations=iterations,
-        converged=converged, residual_scale=residual_scale,
-    )
-    return Decomposition(
-        phi=phi, lambdas=covs**2, scores=scores, method=method,
-        center=center, basis=basis, truncated=truncated, pls_state=state,
-    )
-
-
 def fpls(coeff_matrix: CoefficientMatrix, basis: BasisSystem, Y, K: int) -> Decomposition:
     """Classical PLS components between the response and the curves."""
     a = coeff_matrix.coeffs
@@ -143,10 +121,8 @@ def fpls(coeff_matrix: CoefficientMatrix, basis: BasisSystem, Y, K: int) -> Deco
     y_center = float(y.mean())
     d = (a - center) @ basis.gram_sqrt
     W, T, q, covs, truncated = _nipals(d, y - y_center, K)
-    return _assemble(
-        a, basis, W, T, q, covs, truncated, "FPLS",
-        center, np.ones(n), y_center,
-    )
+    state = PlsState(W, T, q, weights=np.ones(n), y_center=y_center)
+    return _finish(W, covs**2, a, center, basis, "FPLS", state, truncated=truncated)
 
 
 def _case_weights(e, scores, sigma, config: HampelConfig):
@@ -245,11 +221,11 @@ def rfpls(
     T[order] = T_sorted
     weights = np.empty_like(r)
     weights[order] = r
-    return _assemble(
-        coeff_matrix.coeffs, basis, W, T, q, covs, truncated, "RFPLS",
-        center, weights, y_center, iterations=it, converged=converged,
-        residual_scale=sigma,
-    )
+    state = PlsState(W, T, q, weights=weights, y_center=y_center, iterations=it,
+                     converged=converged, residual_scale=sigma)
+    events = () if converged else (f"rfpls stopped at the {it}-iteration cap",)
+    return _finish(W, covs**2, coeff_matrix.coeffs, center, basis, "RFPLS", state,
+                   truncated=truncated, events=events)
 
 
 def pls_regression_coefficients(decomposition: Decomposition, Y):
@@ -274,5 +250,4 @@ def pls_regression_coefficients(decomposition: Decomposition, Y):
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError("singular component Gram matrix")
     gamma = np.linalg.solve(gram, sw.T @ yc)
-    beta_coeffs = decomposition.basis.gram_inv_sqrt @ state.directions @ gamma
-    return gamma, beta_coeffs
+    return gamma, decomposition.phi @ gamma

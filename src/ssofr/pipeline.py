@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fpca
 from .diagnostics import fit_metrics
 from .exceptions import NumericalError, ValidationError
-from .fpca import Decomposition, fpc, rfpc, scores_for
+from .fpca import Decomposition, _check_k, fpc, rfpc, scores_for
 from .fpls import HampelConfig, fpls, rfpls
 from .functional import (
     BasisSystem,
@@ -27,11 +26,13 @@ from .functional import (
 )
 from .mscale import DEFAULT_MSCALE, MScaleConfig
 from .sar import MTuning, SarDesign, SarFit, SarParams, m_fit, ml_fit
-from .weights import SpatialWeights, check_rho, row_normalize
+from .weights import SpatialWeights, check_rho, from_matrix
 
 SCHEMA_VERSION = 1
 DECOMPOSITION_METHODS = ("fpc", "fpls", "rfpc", "rfpls")
 ESTIMATORS = ("ml", "m")
+# trim fractions of the in-sample metrics, and of the CLI's reports
+DEFAULT_TRIM_GRID = (0.0, 0.05, 0.10)
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def _decompose(method, coeffs, basis, Y, K, m_scale_config, hampel_config):
     K, as fpls and rfpls stop where the covariance with Y vanishes.
     """
     if method in ("fpc", "rfpc"):
-        fpca._check_k(K, *coeffs.coeffs.shape)
+        _check_k(K, *coeffs.coeffs.shape)
         k = max(1, min(K, _numerical_rank(coeffs, basis)))
         decomp = fpc(coeffs, basis, k) if method == "fpc" else rfpc(coeffs, basis, k, m_scale_config)
         return replace(decomp, truncated=True) if k < K else decomp
@@ -110,7 +111,7 @@ def fit(
     tuning: MTuning = MTuning(),
     m_scale_config: MScaleConfig = DEFAULT_MSCALE,
     hampel_config: HampelConfig = HampelConfig(),
-    trim_grid: tuple = (0.0, 0.05, 0.10),
+    trim_grid: tuple = DEFAULT_TRIM_GRID,
 ) -> FittedModel:
     """Fit the spatial scalar-on-function model."""
     method = _choice(decomposition_method, DECOMPOSITION_METHODS, "method")
@@ -126,14 +127,7 @@ def fit(
     Z = np.column_stack([np.ones(dataset.n), decomp.scores])
     design = SarDesign(Y=dataset.response, Z=Z, weights=weights)
     info = ml_fit(design) if est == "ml" else m_fit(design, tuning)
-    cap = fpca._REFINE_SWEEPS
-    info.events.extend(
-        f"rfpc component {k} stopped at the {cap}-sweep cap"
-        for k, sweeps in enumerate(decomp.sweeps, start=1) if sweeps >= cap
-    )
-    pls = decomp.pls_state
-    if pls is not None and not pls.converged:
-        info.events.append(f"rfpls stopped at the {pls.iterations}-iteration cap")
+    info.events.extend(decomp.events)
 
     beta_coeffs = decomp.phi @ info.params.theta[1:]
     beta_grid = basis.eval @ beta_coeffs
@@ -191,12 +185,16 @@ def _parse_rule(rule):
 
 
 def _subset(dataset, weights, units):
-    """The dataset restricted to a boolean mask of units, with the weights
-    among them row-normalized."""
+    """The dataset restricted to a boolean mask of units, and the weights
+    among them: row-normalized when every non-isolated row of W sums to 1
+    (to 1e-12), as it does for a row-normalized W, and the raw block of W
+    otherwise, so a fold is weighted as the whole sample is."""
     part = FunctionalDataset(
         grid=dataset.grid, curves=dataset.curves[units], response=dataset.response[units],
     )
-    return part, row_normalize(weights.w[np.ix_(units, units)], weights.scheme)
+    sums = weights.w.sum(axis=1)
+    normalized = bool(np.all(np.abs(sums[sums != 0.0] - 1.0) <= 1e-12))
+    return part, from_matrix(weights.w[np.ix_(units, units)], weights.scheme, normalized)
 
 
 def _numerical_rank(coeffs, basis) -> int:
@@ -256,10 +254,9 @@ def select_K(
             model = fit(
                 dataset, weights, basis_spec, method, k, estimator, **fit_kwargs,
             )
-            w = weights.w
             resid = (
                 dataset.response
-                - model.params.rho * (w @ dataset.response)
+                - model.params.rho * weights.matvec(dataset.response)
                 - model.params.theta[0]
                 - model.decomposition.scores @ model.params.theta[1:]
             )

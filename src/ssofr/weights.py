@@ -468,7 +468,7 @@ def row_normalize(raw: np.ndarray, scheme: str = "custom") -> SpatialWeights:
     return from_matrix(raw, scheme=scheme, normalize=True)
 
 
-def inverse_distance_weights(lat, lon, radius_km: float = EARTH_RADIUS_KM) -> SpatialWeights:
+def inverse_distance_weights(lat, lon) -> SpatialWeights:
     """Row-normalized inverse great-circle-distance weights."""
     lat = np.asarray(lat, dtype=float).ravel()
     lon = np.asarray(lon, dtype=float).ravel()
@@ -477,7 +477,7 @@ def inverse_distance_weights(lat, lon, radius_km: float = EARTH_RADIUS_KM) -> Sp
     n = lat.size
     if n < 2:
         raise ValidationError("need at least 2 coordinates")
-    d = haversine_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :], radius_km)
+    d = haversine_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
     off = ~np.eye(n, dtype=bool)
     if np.any(d[off] == 0.0):
         i, j = np.argwhere((d == 0.0) & off)[0]

@@ -7,6 +7,7 @@ from ssofr import (
     DegenerateDataError,
     ValidationError,
     fit_metrics,
+    from_matrix,
     global_moran,
     grid_contiguity,
     local_morans_i,
@@ -68,6 +69,31 @@ class TestLocalMoran:
         rep2 = local_morans_i(y[perm], w2)
         assert np.abs(rep2.local_i - rep.local_i[perm]).max() < 1e-12
         assert rep2.global_moran == pytest.approx(rep.global_moran, abs=1e-12)
+
+
+class TestGlobalMoran:
+    """`local_morans_i` and `global_moran` report one value, (n / S0) times
+    sum_ij w_ij d_i d_j / sum_i d_i^2, whatever W's total weight S0."""
+
+    @pytest.mark.parametrize("kind", ["binary", "row-normalized", "isolated unit"])
+    def test_one_value_with_s0(self, kind):
+        raw = grid_contiguity(4, 4, "rook").w > 0
+        if kind == "isolated unit":
+            raw[15, :] = raw[:, 15] = False
+        w = from_matrix(raw, normalize=kind != "binary")
+        y = np.random.default_rng(5).standard_normal(16)
+        rep = local_morans_i(y, w)
+        dev = y - y.mean()
+        s0 = w.w.sum()
+        textbook = 16 / s0 * (dev @ w.w @ dev) / (dev @ dev)
+        assert rep.global_moran == global_moran(y, w)
+        assert rep.global_moran == pytest.approx(textbook, rel=1e-12)
+        assert rep.local_i.sum() == pytest.approx(s0 * rep.global_moran, rel=1e-12)
+
+    def test_zero_total_weight_rejected(self):
+        w = from_matrix(np.zeros((4, 4)))
+        with pytest.raises(ValidationError, match="zero total weight"):
+            local_morans_i(np.arange(4.0), w)
 
 
 class TestFitMetrics:

@@ -4,7 +4,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ssofr.fpca
-from ssofr import DegenerateDataError, SimSpec, ValidationError, build_basis, fpc, rfpc, scores_for, simulate
+from ssofr import (
+    BasisSpec, DegenerateDataError, SimSpec, ValidationError, build_basis, fpc, fpls, rfpc,
+    rfpls, scores_for, simulate,
+)
 from ssofr.functional import CoefficientMatrix, project_curves
 from ssofr.mscale import DEFAULT_MSCALE, tukey_loss_norm
 
@@ -168,6 +171,17 @@ class TestRfpc:
         for k in range(3):
             angle = subspace_angle_deg(kernel.phi[:, k], oracle.phi[:, k], lev_basis.gram)
             assert angle <= 1e-5
+
+    def test_sweep_cap_is_named_in_events(self, basis, monkeypatch):
+        cm = CoefficientMatrix(gaussian_coeffs(21, n=60))
+        assert rfpc(cm, basis, 2).events == ()
+        monkeypatch.setattr(ssofr.fpca, "_REFINE_SWEEPS", 1)
+        capped = rfpc(cm, basis, 2)
+        assert capped.sweeps == (1, 1)
+        assert capped.events == (
+            "rfpc component 1 stopped at the 1-sweep cap",
+            "rfpc component 2 stopped at the 1-sweep cap",
+        )
 
     def test_needs_enough_observations(self, basis):
         with pytest.raises(ValidationError):
@@ -335,3 +349,28 @@ class TestScoresFor:
         other = build_basis("fourier", 7, np.linspace(0, 2, 101))
         with pytest.raises(ValidationError):
             scores_for(dec, cm, other)
+
+
+class TestFinish:
+    """Every decomposition ends in the same step: signed unit directions,
+    mapped to basis coefficients, and the curves scored against them."""
+
+    @pytest.fixture(scope="class")
+    def draw(self):
+        ds, _, _ = simulate(SimSpec(n=64, weights_scheme="rook", grid_shape=(8, 8), seed=0,
+                                    contamination_fraction=0.1))
+        basis = BasisSpec().build(ds.grid)
+        return ds, basis, project_curves(ds, basis)
+
+    @pytest.mark.parametrize("method", ["fpc", "rfpc", "fpls", "rfpls"])
+    def test_scores_and_signs(self, draw, method):
+        ds, basis, coeffs = draw
+        if method in ("fpc", "rfpc"):
+            dec = {"fpc": fpc, "rfpc": rfpc}[method](coeffs, basis, 3)
+        else:
+            dec = {"fpls": fpls, "rfpls": rfpls}[method](coeffs, basis, ds.response, 3)
+        assert np.array_equal(dec.scores, scores_for(dec, coeffs, basis))
+        u = basis.gram_sqrt @ dec.phi
+        assert np.all(u[np.argmax(np.abs(u), axis=0), np.arange(dec.K)] > 0)
+        if dec.pls_state is not None:
+            assert np.array_equal(basis.gram_inv_sqrt @ dec.pls_state.directions, dec.phi)

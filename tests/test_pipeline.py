@@ -25,7 +25,7 @@ from ssofr import (
 )
 from ssofr.fpls import HampelConfig
 from ssofr.functional import project_curves
-from ssofr.pipeline import _numerical_rank
+from ssofr.pipeline import _numerical_rank, _subset
 from ssofr.weights import SpatialWeights
 
 
@@ -141,6 +141,7 @@ class TestFit:
                                     contamination_kind="leverage"))
         model = fit(ds, w, BasisSpec(), "rfpls", K=3, estimator="m")
         assert model.decomposition.pls_state.converged is False
+        assert model.decomposition.events == ("rfpls stopped at the 50-iteration cap",)
         assert "rfpls stopped at the 50-iteration cap" in model.fit_info.events
         settled = rook8_fit("rfpls", "m")
         assert settled.decomposition.pls_state.converged is True
@@ -383,6 +384,24 @@ class TestSelectK:
     def test_explained_variance_on_a_queen_draw(self, method):
         ds, w, _ = simulate(SimSpec(n=144, weights_scheme="queen", grid_shape=(12, 12), seed=7))
         assert 1 <= select_K(ds, w, BasisSpec(), method, "ev:0.95") <= 5
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_cv_folds_keep_the_scaling_of_w(self, normalize):
+        # a binary W stays binary in every fold, as in the final fit; a
+        # row-normalized W is normalized again among each fold's units
+        ds, w, _ = sim(seed=16, n=36, shape=(6, 6))
+        w = from_matrix(w.w > 0, w.scheme, normalize=normalize)
+        for f in range(3):
+            units = np.arange(36) % 3 != f
+            part, fold = _subset(ds, w, units)
+            block = w.w[np.ix_(units, units)]
+            assert part.n == fold.n == 24
+            if normalize:
+                sums = fold.w.sum(axis=1)
+                assert np.all(np.abs(sums[sums != 0] - 1.0) <= 1e-15)
+            else:
+                assert np.array_equal(fold.w, block)
+                assert fold.w.sum(axis=1).max() == 5.0
 
     def test_cv_builds_each_fold_once(self, eig_calls):
         # machine-independent work guard: the weights of each training fold
