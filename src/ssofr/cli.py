@@ -120,8 +120,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = model_from_json(fh.read())
+    try:
+        with open(args.model, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read model file {args.model}: {exc}") from None
+    model = model_from_json(text)
     ids, grid, curves = _load_curves(args)
     weights = _load_weights(args, ids)
     y = None
@@ -161,7 +165,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    beta_coeffs = tuple(float(v) for v in args.beta_coeffs.split(","))
+    beta_coeffs = tuple(
+        sio._parse_float(v, "--beta-coeffs") for v in args.beta_coeffs.split(",")
+    )
     spec = SimSpec(
         n=args.n, p=args.p, interval=(args.interval[0], args.interval[1]),
         beta0=args.beta0, sigma=args.sigma, rho=args.rho,

@@ -2,10 +2,11 @@
 
 Local Moran's I classifies each unit by the signs of its own deviation and
 of the spatially lagged deviation (High-High, Low-Low, High-Low, Low-High);
-the per-unit statistics I_i sum to S0 times the global Moran's I,
-sum_i I_i = S0 * I, where S0 is the total weight of W. Fit
-metrics support trimming of the largest squared residuals; the mean squared
-error is reported per retained observation.
+a unit with no neighbours has no lag to classify and is labelled
+Neighborless, as in GeoDa's LISA maps. The per-unit statistics I_i sum to
+S0 times the global Moran's I, sum_i I_i = S0 * I, where S0 is the total
+weight of W. Fit metrics support trimming of the largest squared
+residuals; the mean squared error is reported per retained observation.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class MoranReport:
 
 
 def local_morans_i(Y, weights: SpatialWeights) -> MoranReport:
-    """Per-unit Moran's I with cluster-quadrant labels, and the global
-    Moran's I, their sum over the total weight S0 of W."""
+    """Per-unit Moran's I with cluster-quadrant labels (Neighborless for
+    the units `weights.isolated` flags), and the global Moran's I, their
+    sum over the total weight S0 of W."""
     y = np.asarray(Y, dtype=float).ravel()
     if weights.n != y.size:
         raise ValidationError("weights size must match response length")
@@ -47,8 +49,9 @@ def local_morans_i(Y, weights: SpatialWeights) -> MoranReport:
     local = n * dev * lag / ss
     sd = np.sqrt(ss / n)
     quad = tuple(
-        ("High" if d >= 0 else "Low") + "-" + ("High" if l >= 0 else "Low")
-        for d, l in zip(dev, lag)
+        "Neighborless" if alone
+        else ("High" if d >= 0 else "Low") + "-" + ("High" if l >= 0 else "Low")
+        for d, l, alone in zip(dev, lag, weights.isolated)
     )
     return MoranReport(
         local_i=local,

@@ -336,38 +336,72 @@ def model_to_json(model: FittedModel) -> str:
 
 
 def model_from_json(text: str) -> FittedModel:
-    """Rebuild a fitted model from its JSON document."""
-    doc = json.loads(text)
+    """Rebuild a fitted model from its JSON document. Text that is not a
+    JSON object, another schema version, and a missing or malformed field
+    raise `ValidationError`, which names the field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"model file is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError("model file is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported model schema version {doc.get('schema_version')!r}"
         )
-    grid = np.asarray(doc["grid"], dtype=float)
-    b = doc["basis"]
-    basis = build_basis(b["kind"], b["M"], grid, degree=b["degree"] or 3)
-    d = doc["decomposition"]
+
+    def get(path, convert=lambda value: value):
+        value = doc
+        try:
+            for key in path.split("."):
+                value = value[key]
+            return convert(value)
+        except KeyError:
+            raise ValidationError(f"model file lacks the field {path!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"model file has a bad field {path!r}: {exc}") from None
+
+    def floats(value):
+        return np.asarray(value, dtype=float)
+
+    def array(path, shape):
+        value = get(path, floats)
+        if value.shape != shape:
+            raise ValidationError(
+                f"model file has a bad field {path!r}: shape {value.shape}, expected {shape}"
+            )
+        return value
+
+    grid = get("grid", floats)
+    kind, M, degree = get("basis.kind"), get("basis.M"), get("basis.degree")
+    try:
+        basis = build_basis(kind, M, grid, degree=degree or 3)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"model file has a bad field 'basis': {exc}") from None
+    lambdas = get("decomposition.lambdas", floats)
+    m, k = basis.eval.shape[1], lambdas.size
     decomp = Decomposition(
-        phi=np.asarray(d["phi"], dtype=float),
-        lambdas=np.asarray(d["lambdas"], dtype=float),
-        scores=np.zeros((0, len(d["lambdas"]))),
-        method=d["method"],
-        center=np.asarray(d["center"], dtype=float),
+        phi=array("decomposition.phi", (m, k)),
+        lambdas=lambdas,
+        scores=np.zeros((0, k)),
+        method=get("decomposition.method"),
+        center=array("decomposition.center", (m,)),
         basis=basis,
-        truncated=d["truncated"],
+        truncated=get("decomposition.truncated"),
     )
-    p = doc["params"]
     params = SarParams(
-        theta=np.asarray(p["theta"], dtype=float), sigma=p["sigma"], rho=p["rho"]
+        theta=array("params.theta", (k + 1,)), sigma=get("params.sigma", float),
+        rho=get("params.rho", float),
     )
-    beta_coeffs = np.asarray(doc["beta_coeffs"], dtype=float)
+    beta_coeffs = array("beta_coeffs", (m,))
     info = SarFit(
-        params=params, method=doc["estimator"].upper(),
-        converged=doc["fit"]["converged"], iterations=doc["fit"]["iterations"],
-        boundary=doc["fit"]["boundary"],
+        params=params, method=get("estimator", str.upper),
+        converged=get("fit.converged"), iterations=get("fit.iterations"),
+        boundary=get("fit.boundary"),
     )
     return FittedModel(
         basis=basis, decomposition=decomp, params=params, fit_info=info,
         beta_coeffs=beta_coeffs, beta_grid=basis.eval @ beta_coeffs,
-        method=doc["method"], estimator=doc["estimator"], K=doc["K"],
+        method=get("method"), estimator=get("estimator"), K=get("K"),
         fitted_values=np.array([]), insample_metrics={},
     )

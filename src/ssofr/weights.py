@@ -114,20 +114,30 @@ def _to_csr(w: np.ndarray, pattern: np.ndarray) -> tuple:
     return csr, rows
 
 
+def _mismatch(entry: np.ndarray, mirror: np.ndarray) -> bool:
+    """Whether some |mirror - entry| exceeds `_SYM_RTOL` |entry|, elementwise;
+    both arrays are overwritten."""
+    mirror -= entry
+    np.abs(mirror, out=mirror)
+    np.abs(entry, out=entry)
+    entry *= _SYM_RTOL
+    return bool(np.any(mirror > entry))
+
+
 def _symmetrizer(w: np.ndarray):
     """(d, classes, csr) for W, or None when W has no symmetrizer.
 
     d is positive with D^{1/2} W D^{-1/2} symmetric. Such a d exists exactly
-    when the nonzero pattern of W is symmetric and d_i W_ij = d_j W_ji for
-    every i, j; for W = D^{-1} A with symmetric A, d is the row sums of A up
-    to one factor per connected component. One breadth-first forest of the
-    pattern gives it: each level is built from the dense rows of the one
-    before, the first unseen unit of each component (an isolated unit is one)
-    is a root with d = 1, and d_j = d_i W_ij / W_ji from a parent i on the
-    level before. d is accepted only when every entry of D W matches its
-    mirror to 1e-12 relative, which is S = D^{1/2} W D^{-1/2} matching its
-    transpose entry by entry. The pattern takes n^2 bytes, so the memory all
-    this takes stays well below that of the n x n S itself.
+    when d_i W_ij = d_j W_ji for every i, j; for W = D^{-1} A with symmetric
+    A, d is the row sums of A up to one factor per connected component. One
+    breadth-first forest of the pattern gives it: each level is built from
+    the dense rows of the one before, the first unseen unit of each component
+    (an isolated unit is one) is a root with d = 1, and d_j = d_i W_ij / W_ji
+    from a parent i on the level before (exactly 1 for an exactly symmetric
+    W). d is accepted only when it is finite and positive (a tree edge whose
+    mirror is 0 makes it infinite) and every entry of D W matches its mirror
+    to 1e-12 relative (`_mismatch`), which every other entry whose mirror is
+    0 fails: no separate test of the pattern's symmetry is needed.
 
     classes is (P, Q), the units of each colour of a 2-colouring of the
     pattern, or None when the pattern has an odd cycle. The same search
@@ -138,34 +148,16 @@ def _symmetrizer(w: np.ndarray):
     in P.
 
     csr is the CSR form of W (`_Csr`) when the pattern is sparse, at most
-    n^2 / 16 nonzeros (`_CSR_FILL`), and None otherwise. It is read from the
-    bool pattern the search uses, whose nonzero positions cost far less to
-    find than those of the float W. With it the pattern is symmetric when
-    the flat positions j n + i of the mirrors, sorted, are the positions
-    i n + j themselves, and the value check compares each nonzero d_i W_ij
-    with its mirror d_j W_ji, in O(nnz), deciding exactly as the dense
-    check: both compute the same products, and the entries it skips are 0
-    on both sides. A dense pattern is compared with its transpose, and its
-    values are checked in row blocks of D W against column blocks.
-
-    An exactly symmetric W, such as an unnormalized built-in scheme, has
-    d = 1: its search only colours, and the pattern-symmetry test and the
-    value check are skipped, which together cost several times the
-    comparison of W with its transpose. Its first row is compared with its
-    first column before the whole matrix with its transpose, so a
-    row-normalized W is turned away after one row.
+    n^2 / 16 nonzeros (`_CSR_FILL`), and None otherwise. With it the value
+    check compares each nonzero d_i W_ij with its mirror d_j W_ji, in
+    O(nnz); the entries it skips are 0 on both sides. A dense pattern is
+    checked in row blocks of D W against column blocks.
     """
     n = w.shape[0]
-    exact = np.array_equal(w[0], w[:, 0]) and np.array_equal(w, w.T)
     pattern = w != 0.0
     csr = None
     if np.count_nonzero(pattern) <= _CSR_FILL * n * n:
         csr, nz_i = _to_csr(w, pattern)
-        mirror_at = csr.cols * n + nz_i  # flat position of each W_ji
-        if not exact and not np.array_equal(np.sort(mirror_at), nz_i * n + csr.cols):
-            return None
-    elif not exact and not np.array_equal(pattern, pattern.T):
-        return None
     d = np.ones(n)
     in_q = np.zeros(n, dtype=bool)
     odd = False
@@ -183,33 +175,21 @@ def _symmetrizer(w: np.ndarray):
                 break
             unseen[new] = False
             in_q[new] = not in_q[frontier[0]]
-            if not exact:
-                parent = frontier[rows[:, new].argmax(axis=0)]
+            parent = frontier[rows[:, new].argmax(axis=0)]
+            with np.errstate(divide="ignore"):
                 d[new] = d[parent] * (w[parent, new] / w[new, parent])
             frontier = new
     del pattern
-    classes = None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
-    if exact:
-        return d, classes, csr
     if not np.all(np.isfinite(d) & (d > 0.0)):
         return None
+    classes = None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
     if csr is not None:
-        entry = d[nz_i] * csr.data
-        mirror = d[csr.cols] * w.ravel()[mirror_at]
-        mirror -= entry
-        np.abs(mirror, out=mirror)
-        np.abs(entry, out=entry)
-        entry *= _SYM_RTOL
-        return None if np.any(mirror > entry) else (d, classes, csr)
+        mirror = d[csr.cols] * w.ravel()[csr.cols * n + nz_i]
+        return None if _mismatch(d[nz_i] * csr.data, mirror) else (d, classes, csr)
     step = max(1, _SYM_BLOCK // n)
     for i0 in range(0, n, step):
-        rows = d[i0:i0 + step, None] * w[i0:i0 + step]
         mirror = np.multiply(w[:, i0:i0 + step].T, d, order="C")
-        mirror -= rows
-        np.abs(mirror, out=mirror)
-        np.abs(rows, out=rows)
-        rows *= _SYM_RTOL
-        if np.any(mirror > rows):
+        if _mismatch(d[i0:i0 + step, None] * w[i0:i0 + step], mirror):
             return None
     return d, classes, csr
 
@@ -474,17 +454,15 @@ def inverse_distance_weights(lat, lon) -> SpatialWeights:
     lon = np.asarray(lon, dtype=float).ravel()
     if lat.size != lon.size:
         raise ValidationError("lat and lon must have equal length")
-    n = lat.size
-    if n < 2:
+    if lat.size < 2:
         raise ValidationError("need at least 2 coordinates")
     d = haversine_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-    off = ~np.eye(n, dtype=bool)
-    if np.any(d[off] == 0.0):
-        i, j = np.argwhere((d == 0.0) & off)[0]
+    np.fill_diagonal(d, np.inf)  # 1 / inf = 0 on the diagonal
+    duplicate = d == 0.0
+    if duplicate.any():
+        i, j = np.argwhere(duplicate)[0]
         raise ValidationError(f"duplicate coordinates for units {i} and {j}")
-    raw = np.zeros_like(d)
-    raw[off] = 1.0 / d[off]
-    return row_normalize(raw, scheme="inverse_distance")
+    return row_normalize(1.0 / d, scheme="inverse_distance")
 
 
 def grid_contiguity(rows: int, cols: int, kind: str = "rook") -> SpatialWeights:

@@ -83,6 +83,11 @@ class TestSimulateCommand:
         _, wm = sio.read_weights_matrix(str(simulated_dir / "weights_matrix.csv"))
         assert np.array_equal(wm, w.w)
 
+    def test_bad_beta_coeff_exits_2(self, tmp_path, capsys):
+        code = run_cli("simulate", "--beta-coeffs", "1,x", "--n", 16, "--out", tmp_path / "s")
+        assert code == 2
+        assert "--beta-coeffs: cannot parse 'x' as a number" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_fit_and_reports(self, simulated_dir, tmp_path):
@@ -332,6 +337,23 @@ class TestPredictCommand:
         m = fit_metrics(y, yhat, 0.05)
         assert rep["metrics"]["0.05"]["mspe"] == m.mse
         assert rep["metrics"]["0.05"]["r2_p"] == m.r2
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read model file"),
+        ("{not json", "not JSON"),
+        ('{"schema_version": 1}', "lacks the field 'grid'"),
+    ], ids=["missing", "not json", "schema only"])
+    def test_bad_model_file_exits_2(self, simulated_dir, tmp_path, capsys, content, message):
+        model = tmp_path / "model.json"
+        if content is not None:
+            model.write_text(content)
+        code = run_cli(
+            "predict", "--model", model, "--curves", simulated_dir / "curves.csv",
+            "--weights-matrix", simulated_dir / "weights_matrix.csv", "--out", tmp_path / "p",
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
 
 class TestEigenWork:

@@ -59,6 +59,20 @@ class TestLocalMoran:
         assert rep.global_moran > 0
         assert sum(q in ("High-High", "Low-Low") for q in rep.quadrant) > 8
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_neighborless_unit_has_no_quadrant(self, normalize):
+        # unit 15 is cut off: its lag is 0, which the sign rule would read
+        # as a high neighbourhood (Low-High for its negative deviation)
+        raw = grid_contiguity(4, 4, "rook").w > 0
+        raw[15, :] = raw[:, 15] = False
+        w = from_matrix(raw, normalize=normalize)
+        y = np.random.default_rng(5).standard_normal(16)
+        rep = local_morans_i(y, w)
+        assert rep.deviation[15] < 0.0 and rep.spatial_lag[15] == 0.0
+        assert rep.quadrant[15] == "Neighborless"
+        assert set(rep.quadrant[:15]) <= {"High-High", "Low-Low", "High-Low", "Low-High"}
+        assert rep.local_i[15] == 0.0
+
     def test_permutation_equivariance(self, rng):
         raw = rng.uniform(0, 1, (10, 10))
         w = row_normalize(raw)

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -441,6 +442,27 @@ class TestSerialization:
         text = model_to_json(model).replace('"schema_version": 1', '"schema_version": 99')
         with pytest.raises(ValidationError):
             model_from_json(text)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: "{not json", "not JSON"),
+        (lambda doc: "[1, 2]", "not a JSON object"),
+        (lambda doc: '{"schema_version": 1}', "lacks the field 'grid'"),
+        (lambda doc: doc["params"].pop("rho"), "lacks the field 'params.rho'"),
+        (lambda doc: doc.pop("decomposition"), "lacks the field 'decomposition.lambdas'"),
+        (lambda doc: doc.update(grid=[[0.0], [1.0, 2.0]]), "bad field 'grid'"),
+        (lambda doc: doc["params"].update(sigma="wide"), "bad field 'params.sigma'"),
+        (lambda doc: doc.update(basis=[]), "bad field 'basis.kind'"),
+        (lambda doc: doc["basis"].update(M="15"), "bad field 'basis'"),
+        (lambda doc: doc["decomposition"]["phi"].pop(), "bad field 'decomposition.phi'"),
+        (lambda doc: doc["params"]["theta"].append(0.0), "bad field 'params.theta'"),
+    ], ids=["not json", "not an object", "schema only", "no rho", "no decomposition",
+            "ragged grid", "text sigma", "basis a list", "text M", "phi short a row",
+            "theta too long"])
+    def test_bad_document_names_the_field(self, edit, match):
+        doc = json.loads(model_to_json(rook8_fit("fpc", "ml")))
+        text = edit(doc)
+        with pytest.raises(ValidationError, match=match):
+            model_from_json(text if isinstance(text, str) else json.dumps(doc))
 
 
 @functools.lru_cache(maxsize=None)

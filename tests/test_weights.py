@@ -632,28 +632,46 @@ class TestCsr:
             assert csr.heads is None
             assert np.array_equal(csr.data, w.w[w.w != 0.0])
 
-    @pytest.mark.parametrize("build", [
-        lambda: grid_contiguity(20, 20, "queen"),
-        lambda: grid_contiguity(9, 10, "rook"),
-        lambda: grid_with_isolated(12, 12, "queen", "all", True, 7),
-        lambda: from_matrix(_random_weights_on(grid_contiguity(12, 13, "queen").w, 11),
-                            normalize=True),
-        lambda: from_matrix(_random_weights_on(grid_contiguity(10, 10, "rook").w, 12),
-                            normalize=False),
-        lambda: inverse_distance_weights(*np.random.default_rng(4).uniform(-5.0, 5.0, (2, 60))),
+    @pytest.mark.parametrize("build, symmetrizable", [
+        (lambda: grid_contiguity(20, 20, "queen"), True),
+        (lambda: grid_contiguity(9, 10, "rook"), True),
+        (lambda: grid_with_isolated(12, 12, "queen", "all", True, 7), True),
+        (lambda: from_matrix(_random_weights_on(grid_contiguity(12, 13, "queen").w, 11),
+                             normalize=True), True),
+        (lambda: from_matrix(_random_weights_on(grid_contiguity(10, 10, "rook").w, 12),
+                             normalize=False), True),
+        (lambda: inverse_distance_weights(*np.random.default_rng(4).uniform(-5.0, 5.0, (2, 60))),
+         True),
+        (lambda: from_matrix(grid_contiguity(20, 20, "queen").w > 0.0, normalize=False), True),
+        (lambda: from_matrix(grid_contiguity(30, 30, "rook").w > 0.0, normalize=False), True),
+        (lambda: from_matrix(_random_weights_on(np.ones((60, 60)), 13), normalize=False), True),
+        (lambda: from_matrix(_one_way(_random_weights_on(np.ones((60, 60)), 14), 14)), False),
+        (lambda: from_matrix(_one_way(grid_contiguity(12, 12, "queen").w, 15)), False),
     ], ids=["queen 20x20", "rook 9x10", "queen isolated", "weighted queen",
-            "weighted rook raw", "idw 60"])
-    def test_value_check_decides_as_the_row_block_check(self, build):
+            "weighted rook raw", "idw 60", "binary queen 20x20", "binary rook 30x30",
+            "dense exactly symmetric", "dense asymmetric pattern",
+            "sparse asymmetric pattern"])
+    def test_value_check_decides_as_the_row_block_check(self, build, symmetrizable):
         w = build().w
         for off, accepted in ((0.0, True), (5e-13, True), (2e-12, False), (-1.0, False)):
             for v in perturbed(w, off) if off else [w]:
                 new, ref = _symmetrizer(v), reference_symmetrizer(v)
-                assert (new is not None) == (ref is not None) == accepted
+                assert (new is not None) == (ref is not None) == (accepted and symmetrizable)
                 if ref is not None:
                     assert np.array_equal(new[0], ref[0])
                     assert (new[1] is None) == (ref[1] is None)
                     if ref[1] is not None:
                         assert all(map(np.array_equal, new[1], ref[1]))
+
+
+def _one_way(w, seed):
+    """A copy of w with the mirrors of a few of its entries removed, so that
+    its nonzero pattern is not symmetric."""
+    nz = np.argwhere(np.triu(w) != 0.0)
+    v = w.copy()
+    for i, j in nz[np.random.default_rng(seed).choice(len(nz), 3, replace=False)]:
+        v[j, i] = 0.0
+    return v
 
 
 def _random_weights_on(pattern, seed):
