@@ -57,6 +57,7 @@ from .simulation import SimSpec, SimTruth, simulate
 from .weights import (
     SpatialWeights,
     from_matrix,
+    from_triplets,
     grid_contiguity,
     haversine_distance,
     inverse_distance_weights,

@@ -33,7 +33,7 @@ from .pipeline import (
 )
 from .sar import MTuning
 from .simulation import SimSpec, simulate
-from .weights import from_matrix, grid_contiguity, inverse_distance_weights
+from .weights import from_matrix, from_triplets, grid_contiguity, inverse_distance_weights
 
 
 def _json_dump(obj) -> str:
@@ -55,10 +55,18 @@ def _load_weights(args, ids):
         lon = sio.align_to(ids, cids, lon, args.coords)
         return inverse_distance_weights(lat, lon)
     if getattr(args, "weights_matrix", None):
-        wids, w = sio.read_weights_matrix(args.weights_matrix)
+        wids, w = sio.read_weights(args.weights_matrix)
         w = sio.align_to(ids, wids, w, args.weights_matrix)
-        return from_matrix(w, normalize=not args.no_normalize)
+        return _file_weights(len(ids), w, args)
     raise ValidationError("one of --coords or --weights-matrix is required")
+
+
+def _file_weights(n, w, args):
+    """SpatialWeights of n units from a weights file's dense matrix or its
+    `Triplets`, which build W in CSR form."""
+    if isinstance(w, sio.Triplets):
+        return from_triplets(n, *w, normalize=not args.no_normalize)
+    return from_matrix(w, normalize=not args.no_normalize)
 
 
 def _tuning(args) -> MTuning:
@@ -240,8 +248,8 @@ def cmd_weights(args) -> int:
         ids, lat, lon = sio.read_coords(args.coords)
         weights = inverse_distance_weights(lat, lon)
     elif args.weights_matrix:
-        ids, w = sio.read_weights_matrix(args.weights_matrix)
-        weights = from_matrix(w, normalize=not args.no_normalize)
+        ids, w = sio.read_weights(args.weights_matrix)
+        weights = _file_weights(len(ids), w, args)
     else:
         raise ValidationError("provide --coords, --weights-matrix, or --grid")
     os.makedirs(args.out, exist_ok=True)

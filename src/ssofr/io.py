@@ -24,6 +24,7 @@ import csv
 import os
 from collections import Counter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,8 +245,20 @@ def read_coords(path: str):
     return _strip_all(tokens[0::3]), lat, lon
 
 
-def read_weights_matrix(path: str):
-    """Dense (header = id,<ids...>) or triplet (i,j,w) weight matrix."""
+class Triplets(NamedTuple):
+    """The entries of an `i,j,w` weights file in file order:
+    W[rows[k], cols[k]] = values[k], rows and cols indexing its ids."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def read_weights(path: str):
+    """Dense (header = id,<ids...>) or triplet (i,j,w) weight matrix ->
+    (ids, W): the n x n array of a dense file, the `Triplets` of a triplet
+    file, whose ids are numbered in order of first appearance and which may
+    give each (i, j) pair once."""
     table = _Table(path)
     header = [h.strip().lower() for h in table.header]
     if header[:3] == ["i", "j", "w"]:
@@ -259,9 +272,7 @@ def read_weights_matrix(path: str):
         r = _first_repeat(rows * len(ids) + cols)
         if r is not None:
             raise ValidationError(f"{path}: pair ({i_ids[r]}, {j_ids[r]}) is given more than once")
-        w = np.zeros((len(ids), len(ids)))
-        w[rows, cols] = values
-        return ids, w
+        return ids, Triplets(rows, cols, values)
     if header[0] != "id":
         raise ValidationError(f"{path}: expected dense header starting with 'id' or triplet i,j,w")
     ids = _strip_all(table.header[1:])
@@ -271,8 +282,20 @@ def read_weights_matrix(path: str):
     return ids, w
 
 
-def align_to(ids_ref, ids_other, values: np.ndarray, what: str) -> np.ndarray:
-    """Reorder values (indexed by ids_other) into the order of ids_ref. Each
+def read_weights_matrix(path: str):
+    """Dense (header = id,<ids...>) or triplet (i,j,w) weight matrix ->
+    (ids, dense W)."""
+    ids, w = read_weights(path)
+    if isinstance(w, Triplets):
+        dense = np.zeros((len(ids), len(ids)))
+        dense[w.rows, w.cols] = w.values
+        return ids, dense
+    return ids, w
+
+
+def align_to(ids_ref, ids_other, values, what: str):
+    """Reorder values (indexed by ids_other) into the order of ids_ref: a
+    1-D array, both axes of a 2-D one, or the indices of `Triplets`. Each
     id must appear once in each list. Values already in that order are
     returned as they are, not copied."""
     for ids, where in ((ids_other, what), (ids_ref, f"units aligned with {what}")):
@@ -285,6 +308,10 @@ def align_to(ids_ref, ids_other, values: np.ndarray, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: ids do not match the curves file")
     index = {u: k for k, u in enumerate(ids_other)}
     sel = [index[u] for u in ids_ref]
+    if isinstance(values, Triplets):
+        at = np.empty(len(sel), dtype=np.intp)
+        at[sel] = np.arange(len(sel))
+        return Triplets(at[values.rows], at[values.cols], values.values)
     return values[sel] if values.ndim == 1 else values[np.ix_(sel, sel)]
 
 

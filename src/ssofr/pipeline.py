@@ -114,12 +114,24 @@ def fit(
     trim_grid: tuple = DEFAULT_TRIM_GRID,
 ) -> FittedModel:
     """Fit the spatial scalar-on-function model."""
+    return _fit(dataset, weights, basis_spec.build, decomposition_method, K, estimator,
+                tuning, m_scale_config, hampel_config, trim_grid)
+
+
+def _fit(
+    dataset, weights, build, decomposition_method, K, estimator,
+    tuning=MTuning(), m_scale_config=DEFAULT_MSCALE, hampel_config=HampelConfig(),
+    trim_grid=DEFAULT_TRIM_GRID,
+):
+    """`fit` with the basis from build(grid): `select_K` passes one that
+    returns the basis it built for the grid, so its candidate fits build
+    no basis and factor no projector of their own."""
     method = _choice(decomposition_method, DECOMPOSITION_METHODS, "method")
     est = _choice(estimator, ESTIMATORS, "estimator")
     if dataset.n != weights.n:
         raise ValidationError("dataset and weights have different unit counts")
 
-    basis = basis_spec.build(dataset.grid)
+    basis = build(dataset.grid)
     coeffs = project_curves(dataset, basis)
     decomp = _decompose(
         method, coeffs, basis, dataset.response, K, m_scale_config, hampel_config
@@ -226,6 +238,10 @@ def select_K(
     parsed = _parse_rule(rule)
     method = _choice(decomposition_method, DECOMPOSITION_METHODS, "method")
     basis = basis_spec.build(dataset.grid)
+
+    def fit_k(data, w, k):
+        return _fit(data, w, lambda grid: basis, method, k, estimator, **fit_kwargs)
+
     coeffs = project_curves(dataset, basis)
     if K_max is None:
         K_max = min(dataset.n - 1, basis.M, 20)
@@ -251,9 +267,7 @@ def select_K(
         best_k, best_bic = 1, np.inf
         n = dataset.n
         for k in range(1, K_max + 1):
-            model = fit(
-                dataset, weights, basis_spec, method, k, estimator, **fit_kwargs,
-            )
+            model = fit_k(dataset, weights, k)
             resid = (
                 dataset.response
                 - model.params.rho * weights.matvec(dataset.response)
@@ -286,9 +300,7 @@ def select_K(
             if d_train.n <= k + 2:
                 continue
             try:
-                model = fit(
-                    d_train, w_train, basis_spec, method, k, estimator, **fit_kwargs,
-                )
+                model = fit_k(d_train, w_train, k)
                 pred = predict(model, d_test, w_test)
             except (NumericalError, ValidationError):
                 errors.append(np.inf)

@@ -1,43 +1,41 @@
 """Spatial weight matrices: great-circle distances, inverse-distance and
 grid-contiguity schemes, row normalization, and the spectrum of W.
 
-`SpatialWeights` owns the spectrum of its matrix. The eigenvalues are
-computed on their first read, not when the object is built, and then kept;
-`dataclasses.replace` reads them and passes them on to the copy. They give
-the admissible interval for rho, log|det(I - rho W)| and
-tr W (I - rho W)^{-1} in O(n) per rho (Ord 1975). The resolvent solve
-(I - rho W)^{-1} b (`solve`), which the M-estimator's rho block and the
-reduced form use, needs no spectrum, and `check_rho` admits rho
-from the largest absolute row sum of W while the spectrum is still unknown
-(see there): prediction decomposes nothing.
+Where W lives. A W with at most n^2 / 16 nonzero entries (`_CSR_FILL`) is
+held in CSR form (`_Csr`), a fuller one as a dense n x n array: the
+contiguity grids of 20 x 20 to 50 x 50 units fill 0.4-1.9% of W, an
+inverse-distance W 99.8%. `grid_contiguity` and `from_triplets` (the
+`i,j,w` files of the CLI) build the CSR form directly, with no n x n array;
+a W given dense (`from_matrix`, `inverse_distance_weights`,
+`SpatialWeights(w=...)`) derives its CSR form on first use when it is
+sparse enough. The dense `SpatialWeights.w` of a W built sparse is filled
+in on its first read (`_densify`), and only the general nonsymmetric
+`eigvals`, the dense LU fallback of `solve`, the writers and explicit reads
+of `w` make one. The row sums of `check_rho`, the search for a
+symmetrizer, the spectrum of a symmetrizable W and `matvec` read the CSR
+form, in O(nnz), when there is one.
 
-The spectrum and the solve take their route from W itself; nothing else
-chooses it. Every built-in scheme, and most custom matrices, are
-W = D^{-1} A with symmetric A: W is then similar to the symmetric
-S = D^{1/2} W D^{-1/2} (LeSage & Pace 2009, ch. 4). `_symmetrizer` finds
-such a diagonal D when one exists, for row-normalized and unnormalized
-matrices alike, and `solve` then runs conjugate gradients on the symmetric
-positive definite I - rho S, falling back to dense LU near a bound. The same
-breadth-first search of the pattern of W that finds D also 2-colours the
-pattern when it can, once per `SpatialWeights`. The eigenvalues (real and
-sorted) then take one of two routes. When the nonzero pattern of W is
+`SpatialWeights` owns the spectrum of its matrix. The eigenvalues are
+computed on their first read and then kept; `dataclasses.replace` reads
+them and passes them on to the copy. They give the admissible interval for
+rho, log|det(I - rho W)| and tr W (I - rho W)^{-1} in O(n) per rho
+(Ord 1975). The resolvent solve (I - rho W)^{-1} b (`solve`) needs no
+spectrum, and `check_rho` admits rho from the largest absolute row sum of
+W while the spectrum is still unknown: prediction decomposes nothing.
+
+The spectrum and the solve take their route from W itself. Every built-in
+scheme, and most custom matrices, are W = D^{-1} A with symmetric A: W is
+then similar to the symmetric S = D^{1/2} W D^{-1/2} (LeSage & Pace 2009,
+ch. 4). `_symmetrizer` finds such a diagonal D when one exists, and `solve`
+then runs conjugate gradients on the symmetric positive definite
+I - rho S, falling back to dense LU near a bound. The same breadth-first
+search of the pattern of W 2-colours it when it can. When the pattern is
 bipartite, as rook contiguity on a rectangular grid and any tree are,
-ordering the units by colour gives S = [[0, B], [B^T, 0]], whose eigenvalues
-are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965): one SVD of the
-half-size block B. Any other pattern takes one symmetric
+ordering the units by colour gives S = [[0, B], [B^T, 0]], whose
+eigenvalues are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965):
+one SVD of the half-size block B. Any other pattern takes one symmetric
 `eigvalsh(S)`. A W with no symmetrizer takes the general nonsymmetric
 `eigvals`, and `solve` is a dense LU solve.
-
-Lattice W have at most 8 neighbours per unit, so the same search also keeps
-W in CSR form (`_Csr`) when at most n^2 / 16 of its entries are nonzero
-(`_CSR_FILL`, sized by the measured crossover of the two matvecs): the
-contiguity grids of 20 x 20 to 50 x 50 units fill 0.4-1.9% of W, an
-inverse-distance W 99.8%. With it the value check behind D, each CG step
-and the W x of the estimators (`SpatialWeights.matvec`) cost O(nnz) rather
-than O(n^2).
-Only the rows that hold an entry are reduced, so the empty row of an
-isolated unit stays 0 (see `_matvec`). A dense pattern keeps the BLAS
-matvec and the dense value check.
 
 The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
 lambda_min and lambda_max are the smallest and largest real eigenvalues of W.
@@ -49,6 +47,7 @@ is not row-normalized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -73,45 +72,76 @@ _CG_ITER_CAP = 200  # CG steps before the dense LU solve takes over
 
 
 class _Csr(NamedTuple):
-    """The nonzero entries of W in row order, for `_matvec`: data[k] is
-    W[i, cols[k]] for the row i that entry k belongs to. heads are the rows
-    that hold an entry, in order, and starts[m] is the offset of the first
-    entry of row heads[m]; heads is None when every row holds one, and
-    then starts has one offset per row."""
+    """The nonzero entries of W sorted by row, then column:
+    data[k] = W[rows[k], cols[k]]. heads are the rows that hold an entry,
+    in order, and starts[m] is the offset of the first entry of row
+    heads[m]; heads is None when every row holds one, and then starts has
+    one offset per row."""
 
     data: np.ndarray
+    rows: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
     heads: np.ndarray | None
 
 
-def _matvec(csr: _Csr, x: np.ndarray) -> np.ndarray:
-    """W x for a vector x from the CSR form of W, in O(nnz).
+def _csr_of(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> _Csr:
+    """The `_Csr` of an n x n W from its nonzero entries, sorted by row,
+    then column."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    heads = rows[starts]
+    return _Csr(data, rows, cols, starts, None if heads.size == n else heads)
 
-    `np.add.reduceat` sums each segment of the products that starts at an
-    offset and ends at the next one, but gives the product at an offset
+
+def _to_csr(w: np.ndarray, pattern: np.ndarray) -> _Csr:
+    """The `_Csr` of a dense W from its nonzero pattern."""
+    n = w.shape[0]
+    flat = np.flatnonzero(pattern)
+    rows, cols = np.divmod(flat, n)
+    return _csr_of(n, rows, cols, w.ravel()[flat])
+
+
+def _densify(csr: _Csr, n: int) -> np.ndarray:
+    """The dense n x n W of its CSR form."""
+    w = np.zeros((n, n))
+    w[csr.rows, csr.cols] = csr.data
+    return w
+
+
+def _row_sums(csr: _Csr, values: np.ndarray, n: int) -> np.ndarray:
+    """The sum over each row of W of `values`, one per entry of csr, in
+    column order, in O(nnz).
+
+    `np.add.reduceat` sums each segment of the values that starts at an
+    offset and ends at the next one, but gives the value at an offset
     itself where the next offset is no larger: for an empty row it would
-    return the next row's first product. So only the rows with entries are
+    return the next row's first value. So only the rows with entries are
     reduced, and the others stay 0 (all of them when W has no entry)."""
-    prod = csr.data * x[csr.cols]
     if csr.heads is None:
-        return np.add.reduceat(prod, csr.starts)
-    out = np.zeros(x.shape[0])
-    if prod.size:
-        out[csr.heads] = np.add.reduceat(prod, csr.starts)
+        return np.add.reduceat(values, csr.starts)
+    out = np.zeros(n)
+    if values.size:
+        out[csr.heads] = np.add.reduceat(values, csr.starts)
     return out
 
 
-def _to_csr(w: np.ndarray, pattern: np.ndarray) -> tuple:
-    """(csr, rows): the CSR form of W (`_Csr`) from its nonzero pattern, and
-    the row of each entry."""
-    flat = np.flatnonzero(pattern)
-    rows, cols = np.divmod(flat, w.shape[0])
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    heads = rows[starts]
-    csr = _Csr(w.ravel()[flat], cols, starts,
-               None if heads.size == w.shape[0] else heads)
-    return csr, rows
+def _matvec(csr: _Csr, x: np.ndarray) -> np.ndarray:
+    """W x for a vector x from the CSR form of W, in O(nnz)."""
+    return _row_sums(csr, csr.data * x[csr.cols], x.shape[0])
+
+
+def _mirrors(csr: _Csr):
+    """W[cols[k], rows[k]] for each entry k of csr, or None when one of
+    them is 0, that is when the pattern of W is not symmetric. The entries
+    sorted by column, then row (a stable sort by column), are the mirrors
+    of the entries in row order exactly when the pattern is symmetric."""
+    by_col = np.argsort(csr.cols, kind="stable")
+    if not (np.array_equal(csr.rows[by_col], csr.cols)
+            and np.array_equal(csr.cols[by_col], csr.rows)):
+        return None
+    mirror = np.empty_like(csr.data)
+    mirror[by_col] = csr.data
+    return mirror
 
 
 def _mismatch(entry: np.ndarray, mirror: np.ndarray) -> bool:
@@ -124,79 +154,142 @@ def _mismatch(entry: np.ndarray, mirror: np.ndarray) -> bool:
     return bool(np.any(mirror > entry))
 
 
-def _symmetrizer(w: np.ndarray):
-    """(d, classes, csr) for W, or None when W has no symmetrizer.
+def _dense_step(w: np.ndarray):
+    """The step of `_symmetrizer` that lists the neighbours of a frontier
+    from the dense rows of W (see `_csr_step`)."""
+    pattern = w != 0.0
+
+    def step(frontier, unseen, odd):
+        rows = pattern[frontier]
+        new = np.flatnonzero(rows.any(axis=0) & unseen[:-1])
+        parent = frontier[rows[:, new].argmax(axis=0)]
+        with np.errstate(divide="ignore"):
+            ratio = w[parent, new] / w[new, parent]
+        return new, parent, ratio, odd or bool(rows[:, frontier].any())
+
+    return step
+
+
+def _csr_step(csr: _Csr, n: int, mirror: np.ndarray):
+    """The step of `_symmetrizer` that lists the neighbours of a frontier
+    from the CSR entries of W: step(frontier, unseen, odd) gives the
+    unseen columns of the frontier's rows in increasing order (new), for
+    each the first frontier row that holds it (parent) and W[parent, new] /
+    W[new, parent], and whether an odd cycle is known: odd, or some
+    frontier row has an entry in a frontier column.
+
+    The entries of each row are gathered from a table with one row per
+    unit, padded with an entry in column n (which `unseen` never holds):
+    n times the largest row count, at most n^2 entries, the size of the
+    dense W."""
+    rows, nnz = csr.rows, csr.data.size
+    counts = np.bincount(rows, minlength=n)
+    slot = np.arange(counts.max(initial=0))
+    table = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, nnz)
+    cols = np.append(csr.cols, n)
+    ratio = csr.data / mirror
+    on = np.zeros(n + 1, dtype=bool)
+    # first[j]: the first entry, in row order, in column j of the rows of
+    # the frontier that reached j; nnz until then. An unseen unit is
+    # reached only by the frontier that it joins, so its value is that
+    # frontier's.
+    first = np.full(n + 1, nnz)
+
+    def step(frontier, unseen, odd):
+        e = table[frontier].ravel()
+        c = cols[e]
+        if not odd:
+            on[frontier] = True
+            odd = bool(on[c].any())
+            on[frontier] = False
+        np.minimum.at(first, c, e)
+        new = np.flatnonzero((first < nnz) & unseen)
+        e = first[new]
+        return new, rows[e], ratio[e], odd
+
+    return step
+
+
+def _symmetrizer(weights: SpatialWeights):
+    """(d, classes) for W, or None when W has no symmetrizer.
 
     d is positive with D^{1/2} W D^{-1/2} symmetric. Such a d exists exactly
     when d_i W_ij = d_j W_ji for every i, j; for W = D^{-1} A with symmetric
     A, d is the row sums of A up to one factor per connected component. One
-    breadth-first forest of the pattern gives it: each level is built from
-    the dense rows of the one before, the first unseen unit of each component
+    breadth-first forest of the pattern gives it: each level is the unseen
+    neighbours of the one before, the first unseen unit of each component
     (an isolated unit is one) is a root with d = 1, and d_j = d_i W_ij / W_ji
-    from a parent i on the level before (exactly 1 for an exactly symmetric
-    W). d is accepted only when it is finite and positive (a tree edge whose
-    mirror is 0 makes it infinite) and every entry of D W matches its mirror
-    to 1e-12 relative (`_mismatch`), which every other entry whose mirror is
-    0 fails: no separate test of the pattern's symmetry is needed.
+    from the first parent i on the level before (exactly 1 for an exactly
+    symmetric W). d is accepted only when it is finite and positive (a tree
+    edge whose mirror is 0 makes it infinite) and every entry of D W matches
+    its mirror to 1e-12 relative (`_mismatch`), which every other entry
+    whose mirror is 0 fails.
 
     classes is (P, Q), the units of each colour of a 2-colouring of the
     pattern, or None when the pattern has an odd cycle. The same search
     colours each unit by the parity of its level, the roots in P. Every edge
     joins two units on one level or on adjacent ones, so the colouring is
-    proper exactly when no edge joins two units on one level, which is tested
-    on the rows each level is built from. A W with no edges has every unit
-    in P.
+    proper exactly when no edge joins two units on one level. A W with no
+    edges has every unit in P.
 
-    csr is the CSR form of W (`_Csr`) when the pattern is sparse, at most
-    n^2 / 16 nonzeros (`_CSR_FILL`), and None otherwise. With it the value
-    check compares each nonzero d_i W_ij with its mirror d_j W_ji, in
-    O(nnz); the entries it skips are 0 on both sides. A dense pattern is
-    checked in row blocks of D W against column blocks.
+    The loop is the same for both forms of W; only the step that lists a
+    frontier's neighbours differs: the CSR entries (`_csr_step`) when W has
+    a CSR form, its dense rows (`_dense_step`) otherwise. With a CSR form,
+    the mirror W_ji of each entry comes from one stable sort of the entries
+    by column (`_mirrors`), which finds an entry whose mirror is 0 before
+    the search; the value check then compares each nonzero d_i W_ij with
+    d_j W_ji in O(nnz), and the entries it skips are 0 on both sides. A
+    dense pattern is checked in row blocks of D W against column blocks.
     """
-    n = w.shape[0]
-    pattern = w != 0.0
-    csr = None
-    if np.count_nonzero(pattern) <= _CSR_FILL * n * n:
-        csr, nz_i = _to_csr(w, pattern)
+    n = weights.n
+    csr = weights._csr
+    if csr is None:
+        w = weights.w
+        step = _dense_step(w)
+    else:
+        mirror = _mirrors(csr)
+        if mirror is None:
+            return None
+        step = _csr_step(csr, n, mirror)
     d = np.ones(n)
     in_q = np.zeros(n, dtype=bool)
     odd = False
-    unseen = np.ones(n, dtype=bool)
-    for root in range(n):
+    # slot n stands for the padding of `_csr_step`'s table, never unseen
+    unseen = np.ones(n + 1, dtype=bool)
+    unseen[n] = False
+    while True:
+        root = int(unseen.argmax())
         if not unseen[root]:
-            continue
+            break
         unseen[root] = False
         frontier = np.array([root])
         while True:
-            rows = pattern[frontier]
-            odd = odd or rows[:, frontier].any()
-            new = np.flatnonzero(rows.any(axis=0) & unseen)
+            new, parent, ratio, odd = step(frontier, unseen, odd)
             if not new.size:
                 break
             unseen[new] = False
             in_q[new] = not in_q[frontier[0]]
-            parent = frontier[rows[:, new].argmax(axis=0)]
-            with np.errstate(divide="ignore"):
-                d[new] = d[parent] * (w[parent, new] / w[new, parent])
+            d[new] = d[parent] * ratio
             frontier = new
-    del pattern
+    del step
     if not np.all(np.isfinite(d) & (d > 0.0)):
         return None
     classes = None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
     if csr is not None:
-        mirror = d[csr.cols] * w.ravel()[csr.cols * n + nz_i]
-        return None if _mismatch(d[nz_i] * csr.data, mirror) else (d, classes, csr)
-    step = max(1, _SYM_BLOCK // n)
-    for i0 in range(0, n, step):
-        mirror = np.multiply(w[:, i0:i0 + step].T, d, order="C")
-        if _mismatch(d[i0:i0 + step, None] * w[i0:i0 + step], mirror):
+        entry = d[csr.rows] * csr.data
+        return None if _mismatch(entry, d[csr.cols] * mirror) else (d, classes)
+    block = max(1, _SYM_BLOCK // n)
+    for i0 in range(0, n, block):
+        mirror = np.multiply(w[:, i0:i0 + block].T, d, order="C")
+        if _mismatch(d[i0:i0 + block, None] * w[i0:i0 + block], mirror):
             return None
-    return d, classes, csr
+    return d, classes
 
 
-def _symmetric_spectrum(w: np.ndarray, d: np.ndarray, classes) -> np.ndarray:
+def _symmetric_spectrum(weights: SpatialWeights, d: np.ndarray, classes) -> np.ndarray:
     """Eigenvalues of S = D^{1/2} W D^{-1/2}, real and sorted, from d and the
-    colour classes of `_symmetrizer`.
+    colour classes of `_symmetrizer`; S, or its block B, is scattered from
+    the CSR entries of W when W has a CSR form.
 
     When the pattern of W is bipartite, ordering the units by colour gives
     S = [[0, B], [B^T, 0]] with B = S[P, Q], whose eigenvalues are
@@ -205,19 +298,38 @@ def _symmetric_spectrum(w: np.ndarray, d: np.ndarray, classes) -> np.ndarray:
     n x n `eigvalsh`, and S itself is never built. Any other pattern takes
     `eigvalsh` of S.
     """
+    n = weights.n
     s = np.sqrt(d)
+    csr = weights._csr
+    if csr is not None:
+        entries = csr.data * s[csr.rows]
+        entries /= s[csr.cols]
     if classes is None:
-        sym = w * s[:, None]
-        sym /= s
+        if csr is None:
+            sym = weights.w * s[:, None]
+            sym /= s
+        else:
+            sym = np.zeros((n, n))
+            sym[csr.rows, csr.cols] = entries
         # syevd reads one triangle, and S is symmetric only up to rounding;
         # its lower triangle of S^T is the upper triangle of S
         return np.linalg.eigvalsh(sym.T)
     p, q = classes
     if not q.size:
-        return np.zeros(w.shape[0])
-    block = w[np.ix_(p, q)]
-    block *= s[p, None]
-    block /= s[q]
+        return np.zeros(n)
+    if csr is None:
+        block = weights.w[np.ix_(p, q)]
+        block *= s[p, None]
+        block /= s[q]
+    else:
+        at = np.empty(n, dtype=np.intp)
+        at[p] = np.arange(p.size)
+        at[q] = np.arange(q.size)
+        top = np.zeros(n, dtype=bool)
+        top[p] = True
+        k = top[csr.rows]
+        block = np.zeros((p.size, q.size))
+        block[at[csr.rows[k]], at[csr.cols[k]]] = entries[k]
     sigma = np.linalg.svd(block, compute_uv=False)  # in decreasing order
     return np.concatenate((-sigma, np.zeros(abs(p.size - q.size)), sigma[::-1]))
 
@@ -269,20 +381,27 @@ def haversine_distance(lat1, lon1, lat2, lon2, radius_km: float = EARTH_RADIUS_K
     return d if d.ndim else float(d)
 
 
-class _Spectral:
-    """Data descriptor for the fields of `SpatialWeights` that come from the
-    spectrum of W. A field left at its default is unknown; its first read
-    computes the spectrum (`SpatialWeights._read_spectrum`) and keeps it in
-    the instance."""
+class _Lazy:
+    """Data descriptor for a field of `SpatialWeights` that may be unknown
+    until its first read, which calls the method named `fill` to store it
+    in the instance. A field left at its default, or given None, is
+    unknown. A `required` field has no default (dataclasses take none from
+    a descriptor whose class-level read raises AttributeError)."""
+
+    def __init__(self, fill: str, required: bool = False):
+        self.fill = fill
+        self.required = required
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
+            if self.required:
+                raise AttributeError(self.name)
             return self
         if self.name not in obj.__dict__:
-            obj._read_spectrum()
+            getattr(obj, self.fill)()
         return obj.__dict__[self.name]
 
     def __set__(self, obj, value):
@@ -295,30 +414,36 @@ class SpatialWeights:
     """n x n spatial weight matrix with zero diagonal, its spectrum, and
     the resolvent solve (I - rho W)^{-1} b (`solve`).
 
+    `w` is the dense W. A W built sparse (`grid_contiguity`,
+    `from_triplets`) holds its CSR form instead and fills `w` in on its
+    first read; one given dense derives its CSR form (`_csr`) on first use
+    when at most `_CSR_FILL` of it is nonzero. The CSR form is derived
+    state: `dataclasses.replace` does not carry it.
+
     `eigvals` is computed on its first read unless it is given; so are
     `lambda_min` and `rho_bounds`, which are derived from it (at once when
     `eigvals` is given). `dataclasses.replace` reads `eigvals` and passes it
     on to the copy. The pattern of W is searched at most once per object,
-    by `_symmetrizer` on the first `solve`, `matvec` or spectrum read, which
-    finds the symmetrizer d, the colour classes and, for a sparse pattern,
-    the CSR form of W together; `matvec` computes W x from that CSR form,
-    and with the dense product otherwise. When W has a symmetrizer,
-    `eigvals` is real and sorted: +-sigma(B) from one SVD of the
-    off-diagonal block B of S when the pattern of W is bipartite, one
-    symmetric `eigvalsh` otherwise (`_symmetric_spectrum`). Without a
-    symmetrizer it is the complex array of the general `eigvals`.
+    by `_symmetrizer` on the first `solve` or spectrum read, which finds the
+    symmetrizer d and the colour classes together; `matvec` computes W x
+    from the CSR form when there is one, and with the dense product
+    otherwise. When W has a symmetrizer, `eigvals` is real and sorted:
+    +-sigma(B) from one SVD of the off-diagonal block B of S when the
+    pattern of W is bipartite, one symmetric `eigvalsh` otherwise
+    (`_symmetric_spectrum`). Without a symmetrizer it is the complex array
+    of the general `eigvals`.
     """
 
-    w: np.ndarray
+    w: np.ndarray = _Lazy("_read_dense", required=True)
     scheme: str
     isolated: np.ndarray = field(default=None, repr=False)
-    eigvals: np.ndarray = field(default=_Spectral(), repr=False)
-    lambda_min: float = field(default=_Spectral(), init=False, repr=False)
-    rho_bounds: tuple = field(default=_Spectral(), init=False, repr=False)
+    eigvals: np.ndarray = field(default=_Lazy("_read_spectrum"), repr=False)
+    lambda_min: float = field(default=_Lazy("_read_spectrum"), init=False, repr=False)
+    rho_bounds: tuple = field(default=_Lazy("_read_spectrum"), init=False, repr=False)
 
     @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return self.isolated.size
 
     def __post_init__(self):
         if self.isolated is None:
@@ -327,6 +452,32 @@ class SpatialWeights:
             )
         if "eigvals" in self.__dict__:
             self._read_spectrum()
+
+    @classmethod
+    def _sparse(cls, csr: _Csr, n: int, scheme: str, isolated: np.ndarray) -> SpatialWeights:
+        """W from its CSR form: held so when at most `_CSR_FILL` of it is
+        nonzero, else as the dense matrix."""
+        if csr.data.size > _CSR_FILL * n * n:
+            return cls(w=_densify(csr, n), scheme=scheme, isolated=isolated)
+        weights = object.__new__(cls)
+        weights.__dict__.update(scheme=scheme, isolated=isolated, _csr=csr)
+        return weights
+
+    def _read_dense(self) -> None:
+        if "_csr" not in self.__dict__:  # neither form of W was given
+            raise ValidationError("SpatialWeights needs the matrix w")
+        self.__dict__["w"] = _densify(self._csr, self.n)
+
+    @cached_property
+    def _csr(self):
+        """The CSR form of W (`_Csr`) when at most `_CSR_FILL` of its entries
+        are nonzero, else None; derived from the dense W unless W was built
+        sparse."""
+        w = self.w
+        pattern = w != 0.0
+        if np.count_nonzero(pattern) > _CSR_FILL * w.shape[0] ** 2:
+            return None
+        return _to_csr(w, pattern)
 
     def _read_spectrum(self) -> None:
         """Compute `eigvals` unless it is known, and derive `lambda_min` and
@@ -344,7 +495,7 @@ class SpatialWeights:
             if self._scaling is None:
                 eigs = np.linalg.eigvals(self.w)
             else:
-                eigs = _symmetric_spectrum(self.w, *self._scaling[:2])
+                eigs = _symmetric_spectrum(self, *self._scaling)
         scale = max(1.0, float(np.abs(eigs).max()))
         real = eigs[np.abs(eigs.imag) <= _REAL_EIG_TOL * scale].real
         lam_min = float(real.min()) if real.size and real.min() < 0.0 else -1.0
@@ -357,20 +508,17 @@ class SpatialWeights:
 
     @cached_property
     def _scaling(self):
-        """(d, classes, csr) of `_symmetrizer(w)`, or None: the route that
-        the spectrum, `solve` and `matvec` take, from the one search of W's
-        pattern."""
-        return _symmetrizer(self.w)
+        """(d, classes) of `_symmetrizer`, or None: the route that the
+        spectrum and `solve` take, from the one search of W's pattern."""
+        return _symmetrizer(self)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """W x for a vector x: from the CSR form of W when `_symmetrizer`
-        kept one (a sparse pattern), in O(nnz), else the dense BLAS product.
-        The CSR sums each row's products in column order, so its result can
-        differ from BLAS's in the last bits."""
-        scaling = self._scaling
-        if scaling is None or scaling[2] is None:
-            return self.w @ x
-        return _matvec(scaling[2], x)
+        """W x for a vector x: from the CSR form of W when it has one (a
+        sparse pattern), in O(nnz), else the dense BLAS product. The CSR
+        sums each row's products in column order, so its result can differ
+        from BLAS's in the last bits."""
+        csr = self._csr
+        return self.w @ x if csr is None else _matvec(csr, x)
 
     def logdet(self, rho):
         """log |det(I - rho W)| at rho, or at each rho of a 1-D array."""
@@ -443,6 +591,53 @@ def from_matrix(raw: np.ndarray, scheme: str = "custom", normalize: bool = True)
     return SpatialWeights(w=w, scheme=scheme, isolated=isolated)
 
 
+def from_triplets(n: int, rows, cols, values, scheme: str = "custom",
+                  normalize: bool = True) -> SpatialWeights:
+    """Build SpatialWeights from the entries W[rows[k], cols[k]] = values[k]
+    of a raw nonnegative n x n matrix, each (row, col) pair given at most
+    once; the other entries are 0.
+
+    As `from_matrix` does with the dense matrix, and with its errors in the
+    same order: diagonal entries are dropped, a non-finite value anywhere
+    and then the first negative off-diagonal one in row order are errors,
+    and with normalize=True each nonzero row is scaled to sum 1. W is held
+    in CSR form when it is sparse (`SpatialWeights._sparse`), with no
+    n x n array. A row sum is taken over the row's nonzero entries in
+    column order, so a row-normalized W of non-integer weights can differ
+    in the last bits from `from_matrix`'s, whose numpy sums run pairwise
+    over the whole row; sums of integer weights are exact either way.
+    """
+    if n < 2:
+        raise ValidationError("weight matrix needs at least 2 units")
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+        raise ValidationError(f"weight matrix entry outside the {n} units")
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    repeat = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeat.size:
+        i, j = divmod(int(keys[repeat[0]]), n)
+        raise ValidationError(f"weight matrix has more than one entry at ({i}, {j})")
+    if not np.isfinite(values).all():
+        raise ValidationError("weight matrix contains non-finite values")
+    rows, cols = np.divmod(keys, n)
+    keep = (rows != cols) & (values != 0.0)
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    if values.size and values.min() < 0.0:
+        k = int(np.argmax(values < 0.0))
+        raise ValidationError(
+            f"weight matrix has a negative weight at ({rows[k]}, {cols[k]})"
+        )
+    csr = _csr_of(n, rows, cols, values)
+    sums = _row_sums(csr, values, n)
+    if normalize:
+        csr = csr._replace(data=values / sums[rows])
+    return SpatialWeights._sparse(csr, n, scheme, sums == 0.0)
+
+
 def row_normalize(raw: np.ndarray, scheme: str = "custom") -> SpatialWeights:
     """Zero the diagonal, normalize rows to sum 1, flag isolated units."""
     return from_matrix(raw, scheme=scheme, normalize=True)
@@ -466,39 +661,44 @@ def inverse_distance_weights(lat, lon) -> SpatialWeights:
 
 
 def grid_contiguity(rows: int, cols: int, kind: str = "rook") -> SpatialWeights:
-    """Rook (edges) or queen (edges + corners) contiguity on a rows x cols grid."""
+    """Row-normalized rook (edges) or queen (edges + corners) contiguity on
+    a rows x cols grid, units numbered row by row, built in CSR form."""
     if kind not in ("rook", "queen"):
         raise ValidationError("kind must be 'rook' or 'queen'")
+    try:
+        rows, cols = operator.index(rows), operator.index(cols)
+    except TypeError:
+        raise ValidationError("grid rows and cols must be integers") from None
     n = rows * cols
     if rows < 1 or cols < 1 or n < 2:
         raise ValidationError("grid must contain at least 2 cells")
-    raw = np.zeros((n, n))
-    steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    if kind == "queen":
-        steps += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            for dr, dc in steps:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    raw[i, rr * cols + cc] = 1.0
-    return row_normalize(raw, scheme=kind)
+    # neighbour offsets in row-major order, so each unit's neighbours come
+    # in increasing order of their number
+    dr, dc = np.array([(-1, 0), (0, -1), (0, 1), (1, 0)] if kind == "rook" else
+                      [(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1) if r or c]).T
+    r, c = np.divmod(np.arange(n), cols)
+    nr, nc = r[:, None] + dr, c[:, None] + dc
+    inside = (nr >= 0) & (nr < rows) & (nc >= 0) & (nc < cols)
+    unit = np.repeat(np.arange(n), inside.sum(axis=1))
+    return from_triplets(n, unit, (nr * cols + nc)[inside], np.ones(unit.size), scheme=kind)
 
 
 def check_rho(rho: float, weights: SpatialWeights) -> None:
     """Raise NumericalError unless rho lies inside `weights.rho_bounds`.
 
     While the spectrum of W is unknown, the largest absolute row sum s of W
-    decides without it wherever it can: every eigenvalue has |lambda| <= s
-    (Gershgorin), so |rho| max(1, s) < 1 puts rho inside the interval. The
-    test asks for a margin of 1e-9 to cover rounding in the eigenvalues that
-    the interval would be computed from; any other rho is compared with
-    `rho_bounds`, which computes the spectrum.
+    (from its CSR form when it has one) decides without it wherever it can:
+    every eigenvalue has |lambda| <= s (Gershgorin), so |rho| max(1, s) < 1
+    puts rho inside the interval. The test asks for a margin of 1e-9 to
+    cover rounding in the eigenvalues that the interval would be computed
+    from; any other rho is compared with `rho_bounds`, which computes the
+    spectrum.
     """
     if "eigvals" not in weights.__dict__:
-        s = float(np.abs(weights.w).sum(axis=1).max())
-        if abs(rho) * max(1.0, s) <= 1.0 - _REAL_EIG_TOL:
+        csr = weights._csr
+        sums = (np.abs(weights.w).sum(axis=1) if csr is None
+                else _row_sums(csr, np.abs(csr.data), weights.n))
+        if abs(rho) * max(1.0, float(sums.max())) <= 1.0 - _REAL_EIG_TOL:
             return
     lo, hi = weights.rho_bounds
     if not lo < rho < hi:

@@ -47,6 +47,40 @@ def eig_calls(monkeypatch):
 
 
 @pytest.fixture()
+def dense_builds(monkeypatch):
+    """Orders n of the dense W that `SpatialWeights` built in CSR form fill
+    in while the test runs (`ssofr.weights._densify`): a machine-independent
+    count of the n x n arrays made for W."""
+    import ssofr.weights
+
+    builds = []
+
+    def counted(csr, n, _real=ssofr.weights._densify):
+        builds.append(n)
+        return _real(csr, n)
+
+    monkeypatch.setattr(ssofr.weights, "_densify", counted)
+    return builds
+
+
+def reference_grid(rows, cols, kind):
+    """Binary rook or queen contiguity on a rows x cols grid, filled cell by
+    cell into a dense matrix, as `grid_contiguity` built it before it built
+    the CSR form directly."""
+    n = rows * cols
+    raw = np.zeros((n, n))
+    steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    if kind == "queen":
+        steps += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in steps:
+                if 0 <= r + dr < rows and 0 <= c + dc < cols:
+                    raw[r * cols + c, (r + dr) * cols + c + dc] = 1.0
+    return raw
+
+
+@pytest.fixture()
 def linalg_calls(monkeypatch):
     """Names of the `numpy.linalg` factorizations (`svd`, `lstsq` and the
     eigensolvers) called while the test runs, in order, from any caller."""

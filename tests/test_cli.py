@@ -839,6 +839,70 @@ class TestTripletWeights:
         with pytest.raises(ValidationError, match=r"pair \(a, b\)"):
             sio.read_weights_matrix(str(path))
 
+    @staticmethod
+    def write_both(directory, ids, w, zero=None):
+        """W as the dense file and as `i,j,w` triplets of its nonzero
+        entries, listed column by column (so the file's ids come in another
+        order than the curves'), plus an explicit zero triplet at `zero`."""
+        dense, triplets = directory / "w_dense.csv", directory / "w_triplets.csv"
+        sio.write_weights_matrix(str(dense), ids, w)
+        cols, rows = np.nonzero(w.T)
+        entries = [(ids[i], ids[j], repr(float(w[i, j]))) for i, j in zip(rows, cols)]
+        if zero is not None:
+            entries.append((ids[zero[0]], ids[zero[1]], "0"))
+        sio.write_csv(str(triplets), ("i", "j", "w"), entries)
+        return dense, triplets
+
+    @pytest.mark.parametrize("case", ["rook 8x8", "queen 12x12", "rook 6x6", "isolated unit"])
+    def test_triplets_give_the_dense_artifacts(self, tmp_path, case):
+        # with --no-normalize both files carry the same W, so fit and
+        # predict write the same bytes; W is held in CSR form from the
+        # triplets, and from the dense file once it is read (rook 6 x 6 is
+        # too full for a CSR form either way)
+        kind, shape = ("rook", (8, 8)) if case == "isolated unit" else (
+            case.split()[0], tuple(map(int, case.split()[1].split("x"))))
+        n = shape[0] * shape[1]
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--n", n, "--p", 21, "--weights-scheme", kind,
+                       "--grid-shape", *shape, "--contamination-fraction", "0.1",
+                       "--seed", 11, "--out", sim) == 0
+        ids, w = sio.read_weights_matrix(str(sim / "weights_matrix.csv"))
+        zero = None
+        if case == "isolated unit":
+            w[n - 1] = w[:, n - 1] = 0.0
+            zero = (n - 1, 0)
+        dense, triplets = self.write_both(tmp_path, ids, w, zero)
+        outputs = []
+        for name, path in (("dense", dense), ("triplets", triplets)):
+            common = ("--curves", sim / "curves.csv", "--weights-matrix", path,
+                      "--no-normalize")
+            assert run_cli("fit", *common, "--response", sim / "response.csv",
+                           "--basis", "fourier", "--num-basis", 5, "--method", "rfpls",
+                           "--estimator", "m", "--num-components", 3,
+                           "--out", tmp_path / f"fit_{name}") == 0
+            assert run_cli("predict", *common, "--model", tmp_path / f"fit_{name}/model.json",
+                           "--out", tmp_path / f"pred_{name}") == 0
+            outputs.append([read_bytes(tmp_path / f"fit_{name}" / f) for f in
+                            ("fit_report.json", "model.json")]
+                           + [read_bytes(tmp_path / f"pred_{name}" / "predictions.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_predict_and_diagnose_make_no_dense_w(self, tmp_path, dense_builds):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--n", 144, "--p", 21, "--weights-scheme", "queen",
+                "--grid-shape", 12, 12, "--seed", 2, "--out", sim)
+        ids, w = sio.read_weights_matrix(str(sim / "weights_matrix.csv"))
+        _, triplets = self.write_both(tmp_path, ids, (w > 0.0) * 1.0)
+        common = ("--curves", sim / "curves.csv", "--weights-matrix", triplets)
+        assert run_cli("fit", *common, "--response", sim / "response.csv",
+                       "--basis", "fourier", "--num-basis", 5, "--out", tmp_path / "fit") == 0
+        dense_builds.clear()
+        assert run_cli("predict", *common, "--model", tmp_path / "fit/model.json",
+                       "--out", tmp_path / "pred") == 0
+        assert run_cli("diagnose", "--response", sim / "response.csv",
+                       "--weights-matrix", triplets, "--out", tmp_path / "diag") == 0
+        assert dense_builds == []
+
 
 class TestRepeatedRows:
     def test_repeated_curve_pair_rejected(self, tmp_path):

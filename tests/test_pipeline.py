@@ -404,6 +404,35 @@ class TestSelectK:
                 assert np.array_equal(fold.w, block)
                 assert fold.w.sum(axis=1).max() == 5.0
 
+    def test_select_k_builds_one_basis(self, monkeypatch):
+        # machine-independent work guard: the candidate fits of every K and
+        # fold, and their predicts, share the one basis built for the grid
+        # and its one projector (13 of each before); the choice is as before
+        import ssofr.pipeline
+        from ssofr.functional import BasisSystem
+
+        builds, projectors = [], []
+        real_build = ssofr.pipeline.build_basis
+        real_projector = BasisSystem.__dict__["projector"].func
+
+        def build(*args, **kwargs):
+            builds.append(args[0])
+            return real_build(*args, **kwargs)
+
+        def projector(basis):
+            projectors.append(basis.M)
+            return real_projector(basis)
+
+        counted = functools.cached_property(projector)
+        counted.__set_name__(BasisSystem, "projector")
+        monkeypatch.setattr(ssofr.pipeline, "build_basis", build)
+        monkeypatch.setattr(BasisSystem, "projector", counted)
+        ds, w, _ = sim(seed=16)
+        assert select_K(ds, w, BasisSpec(), "fpc", rule="cv:3", K_max=4) == 4
+        assert select_K(ds, w, BasisSpec(), "fpc", rule="bic", K_max=4) == 4
+        assert builds == ["bspline", "bspline"]
+        assert projectors == [15, 15]
+
     def test_cv_builds_each_fold_once(self, eig_calls):
         # machine-independent work guard: the weights of each training fold
         # are built once and their eigenvalues read once, whatever K_max; the

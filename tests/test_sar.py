@@ -611,7 +611,7 @@ class TestProfiledRoot:
         # (W = D^{-1/2} S D^{1/2} with symmetric S, so S's eigenvector u
         # gives W's as u / sqrt(d))
         _, _, w = make_design()
-        s = np.sqrt(_symmetrizer(w.w)[0])
+        s = np.sqrt(_symmetrizer(w)[0])
         lam, U = np.linalg.eigh(w.w * s[:, None] / s)
         rng = np.random.default_rng(3)
         Z = np.column_stack([np.ones(w.n), rng.standard_normal((w.n, 2))])

@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssofr import (
     NumericalError,
     SarDesign,
+    SimSpec,
+    SpatialWeights,
     ValidationError,
     from_matrix,
+    from_triplets,
     grid_contiguity,
     haversine_distance,
     inverse_distance_weights,
     ml_fit,
     row_normalize,
+    simulate,
 )
+import ssofr.simulation
 from ssofr.weights import _CSR_FILL, _matvec, _symmetrizer, _to_csr, check_rho
 
-from conftest import reference_from_matrix, reference_symmetrizer
+from conftest import reference_from_matrix, reference_grid, reference_symmetrizer
 
 
 def general_spectrum(w):
@@ -33,7 +38,7 @@ def general_spectrum(w):
 
 
 def assert_symmetric_route_matches_general(w, row_normalized):
-    assert _symmetrizer(w.w) is not None
+    assert _symmetrizer(w) is not None
     eigs, bounds = general_spectrum(w.w)
     scale = max(1.0, float(np.abs(eigs).max()))
     assert w.eigvals.dtype == np.float64
@@ -132,6 +137,16 @@ class TestGridContiguity:
         assert np.allclose(w.w[2][[1, 3]], 0.5)
         assert w.w[0, 1] == 1.0
         assert w.w[4, 3] == 1.0
+
+    @pytest.mark.parametrize("rows, cols", [(2.5, 2), (3, 4.0), ("3", 3), (None, 2)])
+    def test_non_integer_sides_rejected(self, rows, cols):
+        with pytest.raises(ValidationError, match="rows and cols must be integers"):
+            grid_contiguity(rows, cols)
+
+    def test_numpy_integer_sides(self):
+        w = grid_contiguity(np.int64(3), np.int32(4), "queen")
+        assert w.n == 12
+        assert np.array_equal(w.w, grid_contiguity(3, 4, "queen").w)
 
 
 class TestRhoBounds:
@@ -356,9 +371,9 @@ class TestSpectrum:
     def test_symmetric_w_has_the_unit_symmetrizer(self, kind):
         # every built-in scheme's unnormalized adjacency is exactly
         # symmetric: d = 1
-        w = solve_weights(kind, normalize=False, size=5, seed=3).w
-        assert np.array_equal(w, w.T)
-        assert np.array_equal(_symmetrizer(w)[0], np.ones(w.shape[0]))
+        w = solve_weights(kind, normalize=False, size=5, seed=3)
+        assert np.array_equal(w.w, w.w.T)
+        assert np.array_equal(_symmetrizer(w)[0], np.ones(w.n))
 
     @pytest.mark.parametrize("raw, normalize", [
         # W_01 > 0 but W_10 = 0
@@ -369,7 +384,7 @@ class TestSpectrum:
     ])
     def test_non_symmetrizable_w_takes_the_general_route(self, raw, normalize):
         w = from_matrix(raw, normalize=normalize)
-        assert _symmetrizer(w.w) is None
+        assert _symmetrizer(w) is None
         eigs, bounds = general_spectrum(w.w)
         assert np.array_equal(w.eigvals, eigs)
         assert w.rho_bounds == bounds
@@ -391,7 +406,7 @@ def assert_bipartite_route(raw, normalize, seed):
     rhos = []
     for order in (np.arange(n), perm):
         w = from_matrix(raw[np.ix_(order, order)], normalize=normalize)
-        d, classes, _ = w._scaling
+        d, classes = w._scaling
         assert classes is not None
         p, q = classes
         assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n))
@@ -526,7 +541,7 @@ class TestBipartiteSpectrum:
     def test_odd_cycles_take_eigvalsh(self, build, eig_calls):
         w = build()
         assert w._scaling is not None
-        d, classes, _ = w._scaling
+        d, classes = w._scaling
         assert classes is None
         s = np.sqrt(d)
         eig_calls.clear()
@@ -589,14 +604,14 @@ class TestCsr:
         x = np.random.default_rng(seed).standard_normal(w.n)
         ref = w.w @ x
         tol = 1e-15 * max(1.0, float((np.abs(w.w) @ np.abs(x)).max()))
-        csr, _ = _to_csr(w.w, w.w != 0.0)
+        csr = _to_csr(w.w, w.w != 0.0)
         assert np.abs(_matvec(csr, x) - ref).max() <= tol
         assert np.abs(w.matvec(x) - ref).max() <= tol
 
     @pytest.mark.parametrize("n", [2, 5, 40])
     def test_no_edges(self, n):
         w = from_matrix(np.zeros((n, n)))
-        csr = w._scaling[2]
+        csr = w._csr
         assert csr is not None and csr.data.size == 0
         x = np.arange(1.0, n + 1.0)
         assert np.array_equal(w.matvec(x), np.zeros(n))
@@ -608,7 +623,7 @@ class TestCsr:
         raw = np.zeros((6, 6))
         for i, j in ((1, 2), (2, 4), (1, 4)):
             raw[i, j] = raw[j, i] = 1.0 + i + j
-        csr, _ = _to_csr(raw, raw != 0.0)
+        csr = _to_csr(raw, raw != 0.0)
         assert np.array_equal(csr.heads, [1, 2, 4])
         x = np.array([1e3, 1.0, 2.0, 1e5, 4.0, 1e7])
         assert np.array_equal(_matvec(csr, x), raw @ x)
@@ -625,7 +640,7 @@ class TestCsr:
             "queen 5x6", "idw 400"])
     def test_sparse_patterns_keep_csr(self, build, sparse):
         w = build()
-        csr = w._scaling[2]
+        csr = w._csr
         assert (csr is not None) == sparse
         assert sparse == (np.count_nonzero(w.w) <= _CSR_FILL * w.n**2)
         if sparse:
@@ -655,7 +670,7 @@ class TestCsr:
         w = build().w
         for off, accepted in ((0.0, True), (5e-13, True), (2e-12, False), (-1.0, False)):
             for v in perturbed(w, off) if off else [w]:
-                new, ref = _symmetrizer(v), reference_symmetrizer(v)
+                new, ref = _symmetrizer(SpatialWeights(w=v, scheme="custom")), reference_symmetrizer(v)
                 assert (new is not None) == (ref is not None) == (accepted and symmetrizable)
                 if ref is not None:
                     assert np.array_equal(new[0], ref[0])
@@ -679,3 +694,142 @@ def _random_weights_on(pattern, seed):
     rng = np.random.default_rng(seed)
     a = np.triu(rng.uniform(0.1, 2.0, pattern.shape) * (pattern != 0.0), 1)
     return a + a.T
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSparseFirst:
+    """W built in CSR form (`grid_contiguity`, `from_triplets`) against the
+    same W given dense (`from_matrix` of the grid filled cell by cell): bit
+    for bit, and with no dense W made on the way when W is sparse."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.integers(1, 50),
+        cols=st.integers(1, 50),
+        kind=st.sampled_from(["rook", "queen"]),
+        normalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=50, cols=50, kind="rook", normalize=True, seed=0)
+    @example(rows=1, cols=2, kind="queen", normalize=False, seed=0)
+    def test_csr_built_matches_dense_built(self, rows, cols, kind, normalize, seed,
+                                           dense_builds):
+        assume(rows * cols >= 2)
+        raw = reference_grid(rows, cols, kind)
+        n = raw.shape[0]
+        dense = from_matrix(raw, scheme=kind, normalize=normalize)
+        dense_builds.clear()
+        if normalize:
+            sparse = grid_contiguity(rows, cols, kind)
+        else:
+            i, j = np.nonzero(raw)
+            sparse = from_triplets(n, i, j, raw[i, j], scheme=kind, normalize=False)
+        sparse_form = np.count_nonzero(raw) <= _CSR_FILL * n * n
+        assert (sparse._csr is not None) == (dense._csr is not None) == sparse_form
+        if sparse_form:
+            assert all(a is b is None or _same_bits(a, b)
+                       for a, b in zip(sparse._csr, dense._csr))
+        assert _same_bits(sparse.isolated, dense.isolated)
+        (d, classes), (ref_d, ref_classes) = sparse._scaling, dense._scaling
+        assert _same_bits(d, ref_d)
+        assert (classes is None) == (ref_classes is None)
+        if classes is not None:
+            assert all(map(_same_bits, classes, ref_classes))
+        x = np.random.default_rng(seed).standard_normal(n)
+        assert _same_bits(sparse.matvec(x), dense.matvec(x))
+        rho = 0.9 / dense.w.sum(axis=1).max()
+        check_rho(rho, sparse)
+        assert _same_bits(sparse.solve(rho, x), dense.solve(rho, x))
+        assert _same_bits(sparse.eigvals, dense.eigvals)
+        assert sparse.rho_bounds == dense.rho_bounds
+        assert dense_builds == ([] if sparse_form else [n])
+        assert _same_bits(sparse.w, dense.w)
+
+    @pytest.mark.parametrize("kind, shape", [("queen", (20, 20)), ("rook", (9, 11)),
+                                             ("rook", (3, 4))])
+    def test_simulate_matches_the_dense_grid(self, kind, shape, monkeypatch, dense_builds):
+        spec = SimSpec(n=shape[0] * shape[1], p=31, weights_scheme=kind, grid_shape=shape,
+                       contamination_fraction=0.1, seed=4)
+        data, weights, truth = simulate(spec)
+        builds = list(dense_builds)
+        monkeypatch.setattr(ssofr.simulation, "grid_contiguity",
+                            lambda r, c, k: row_normalize(reference_grid(r, c, k), scheme=k))
+        ref_data, _, ref_truth = simulate(spec)
+        assert builds == ([] if weights._csr is not None else [spec.n])
+        for a, b in ((data.curves, ref_data.curves), (data.response, ref_data.response),
+                     (truth.clean_response, ref_truth.clean_response)):
+            assert _same_bits(a, b)
+
+    def test_grid_w_is_read_without_a_dense_w(self, dense_builds):
+        w = grid_contiguity(20, 20, "queen")
+        x = np.random.default_rng(1).standard_normal(w.n)
+        check_rho(0.5, w)
+        w.matvec(x)
+        w.solve(0.5, x)
+        w.eigvals
+        assert dense_builds == []
+        assert w.w is w.w
+        assert dense_builds == [400]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+        normalize=st.booleans(),
+        faults=st.lists(st.sampled_from(["negative", "nan", "inf", "negative diagonal",
+                                         "inf diagonal"]), max_size=2),
+    )
+    def test_triplets_build_what_the_dense_matrix_builds(
+        self, n, seed, integer, normalize, faults
+    ):
+        # the same errors in the same order, and the same W: bit for bit
+        # where the row sums are exact (integer weights) or not used
+        rng = np.random.default_rng(seed)
+        raw = np.where(rng.uniform(size=(n, n)) < 0.4,
+                       rng.integers(1, 4, (n, n)) if integer else rng.uniform(0.1, 2.0, (n, n)),
+                       0.0)
+        raw[rng.uniform(size=n) < 0.2] = 0.0
+        for fault in faults:
+            i, j = rng.integers(0, n, 2)
+            if "diagonal" in fault:
+                j = i
+            raw[i, j] = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[fault.split()[0]]
+        given_ = (raw != 0.0) | (rng.uniform(size=(n, n)) < 0.1)  # with explicit zeros
+        i, j = np.nonzero(given_)
+        order = rng.permutation(i.size)
+        i, j = i[order], j[order]
+
+        def outcome(build):
+            try:
+                return build()
+            except ValidationError as exc:
+                return str(exc)
+
+        ref = outcome(lambda: from_matrix(raw, normalize=normalize))
+        new = outcome(lambda: from_triplets(n, i, j, raw[i, j], normalize=normalize))
+        if isinstance(ref, str):
+            assert new == ref
+            return
+        assert _same_bits(new.isolated, ref.isolated)
+        if integer or not normalize:
+            assert _same_bits(new.w, ref.w)
+        else:
+            assert np.abs(new.w - ref.w).max() <= 1e-15
+
+    def test_no_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="needs the matrix w"):
+            SpatialWeights(w=None, scheme="custom")
+
+    def test_triplet_index_and_repeat_errors(self):
+        with pytest.raises(ValidationError, match="outside the 3 units"):
+            from_triplets(3, [0, 3], [1, 0], [1.0, 1.0])
+        with pytest.raises(ValidationError, match=r"more than one entry at \(1, 0\)"):
+            from_triplets(3, [1, 0, 1], [0, 1, 0], [1.0, 1.0, 2.0])
+        with pytest.raises(ValidationError, match="at least 2 units"):
+            from_triplets(1, [], [], [])
