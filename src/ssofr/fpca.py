@@ -12,7 +12,10 @@ rotates it, plane by plane, towards the principal axes of the deflated data
 (the eigenvectors of its classical scatter, one eigendecomposition per
 component), then along the sweep's net displacement, a pattern move in the
 manner of Hooke and Jeeves. In each plane a zoomed angle grid picks the
-rotation; it reuses the values it already has, so no angle is scored twice.
+rotation; it reuses the values it already has, so no angle is scored twice,
+and it solves the M-scale only of the angles that can beat the best value so
+far: a cheap exact test of the M-scale equation at that value
+(`m_scale_columns_below`) rules the others out.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, ValidationError
 from .functional import BasisSystem, CoefficientMatrix
-from .mscale import DEFAULT_MSCALE, MScaleConfig, m_scale_columns
+from .mscale import DEFAULT_MSCALE, MScaleConfig, m_scale_columns, m_scale_columns_below
 
 _REFINE_TOL = 1e-8
 _REFINE_SWEEPS = 100
@@ -143,12 +146,18 @@ def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
     stands for both ends, which are one direction up to sign. Each later
     grid is centred on the best point so far, whose value is known, and ends
     at that point's neighbours on the grid before, which did not beat it.
-    So a plane scores 11 + 5 x 10 = 61 columns. The first maximum of the
+    So a plane considers 11 + 5 x 10 = 61 angles. The first maximum of the
     scored angles, in grid order, moves u only if it strictly improves on
-    crit. A batch is built in row layout, one candidate direction per row,
-    so its projections (candidates x units) reach `m_scale_columns` as the
-    transpose of a C-contiguous array, a view in that function's row
-    layout. Returns (u, crit); a plane where |v_perp| < 1e-12 is skipped.
+    crit. Each batch first goes to `m_scale_columns_below` with the best
+    value so far: a column certified below it can be neither that maximum
+    nor an improvement, and enters the argmax as -inf. Only the other
+    columns are solved, by `m_scale_columns`; a column's M-scale does not
+    depend on the columns that share its call, so every value the search
+    compares keeps its bits. A batch is built in row layout, one candidate
+    direction per row, so its projections (candidates x units) reach both
+    functions as the transpose of a C-contiguous array, a view in their
+    row layout. Returns (u, crit); a plane where |v_perp| < 1e-12 is
+    skipped.
     """
     v = v - (u @ v) * u
     norm = np.linalg.norm(v)
@@ -161,7 +170,11 @@ def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
     for _zoom in range(_ZOOMS):
         t = thetas[scored]
         cand = np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
-        vals = m_scale_columns((cand @ b.T).T, config)
+        proj = cand @ b.T
+        vals = np.full(t.size, -np.inf)
+        contenders = ~m_scale_columns_below(proj.T, best_val, config)
+        if contenders.any():
+            vals[contenders] = m_scale_columns(proj[contenders].T, config)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_theta, best_val = float(t[i]), float(vals[i])

@@ -30,6 +30,14 @@ FPCA scores about ten candidate directions per call, and on arrays that
 short each NumPy operation costs more in call overhead than in arithmetic.
 Python floats round as float64 arrays do, so the split changes no bit of
 any iterate.
+
+Every step works row by row, so a sample's M-scale does not depend on the
+samples that share its call, bit for bit. `m_scale_columns` therefore solves
+a wide batch in fixed blocks of rows, and a caller that needs only the
+samples whose M-scale may exceed a bound can rule the others out first:
+`m_scale_columns_below` evaluates the estimating equation once at that
+bound, which the mean loss, non-increasing in sigma, turns into an exact
+test up to stated margins.
 """
 
 from __future__ import annotations
@@ -51,6 +59,15 @@ _TOL = 1e-10
 # mean loss near the root, up to a few 1e-14 relative on samples with few
 # inliers
 _NEWTON_TOL = 0.5e-12
+# rows per block of `m_scale_columns`: a block's temporaries (two sorted
+# copies, q, t and its powers) stay small where one whole n x n candidate
+# batch of rfpc would allocate each at full size. On the 2500 x 2500 batch
+# of a queen 50 x 50 draw (one BLAS thread) one call took 0.33-0.39 s and
+# blocks of 64 rows 0.17-0.19 s (16 rows 0.15 s, 128 rows 0.25-0.28 s); on
+# a 400 x 400 batch 11-13 ms against 7.4-10 ms (16 to 128 rows alike); and
+# rfpc's peak RSS at n = 2500 fell from 320 to 97 MB. One size for every n,
+# so that the arithmetic does not depend on it; not a knob.
+_BLOCK = 64
 
 
 def _biweight(t):
@@ -109,6 +126,51 @@ def _middle(s: np.ndarray) -> np.ndarray:
     if n % 2:
         return s[:, n // 2]
     return (s[:, n // 2 - 1] + s[:, n // 2]) / 2.0
+
+
+# margins of `m_scale_columns_below`, which certifies f(s) < 0 at
+# s = bound (1 - _BELOW_MARGIN) by a computed f below -_BELOW_SLACK.
+# _BELOW_MARGIN is relative in sigma and must exceed the solver's worst
+# stopping error: a row stops within 5e-13 of the root by the Newton error
+# model, or after a relative step of at most 1e-10 (_TOL), and the rounding
+# noise of the mean loss moves the root by a few 1e-14 on samples with few
+# inliers. 1e-8 is a hundred times the largest of these.
+_BELOW_MARGIN = 1e-8
+# _BELOW_SLACK is absolute in the mean loss and must exceed the rounding
+# error of the computed f. Each term rho_norm(t) lies in [0, 1] and is off
+# its exact value by at most about 32 units of 2^-53 (residual, scaling and
+# square put t within 7 units relative, the loss's slope is at most 3, and
+# its evaluation adds a few more). The test compares the sum of the n terms
+# with n (delta - slack): in mean units the sum is off by at most
+# (n + 32) 2^-53 in any summation order, and the threshold by 2 more.
+# 1e-9 covers every n below 9e6, far more units than an n x n candidate
+# batch of rfpc can hold.
+_BELOW_SLACK = 1e-9
+
+
+def m_scale_columns_below(x: np.ndarray, bound: float,
+                          config: MScaleConfig = DEFAULT_MSCALE) -> np.ndarray:
+    """Mask of the columns of x whose `m_scale_columns` value is certainly
+    below bound, decided without solving; all False when bound <= 0.
+
+    The mean biweight loss of a sample is non-increasing in sigma, so the
+    M-scale of a column lies below s when f(s) = mean rho_norm((x - mu) /
+    (c s)) - delta < 0, mu the median as `_start` computes it (one sort
+    of each column, `_middle`'s bits). A column is certified where the
+    computed f at s = bound (1 - _BELOW_MARGIN) is below -_BELOW_SLACK: the
+    slack covers the rounding of f, and the margin the solver's stopping
+    error, so the value the solver would return is below bound. Like
+    `m_scale_columns`, each column's answer depends on that column alone.
+    """
+    x = np.asarray(x, dtype=float)
+    if not bound > 0.0:
+        return np.zeros(x.shape[1], dtype=bool)
+    s = np.sort(x.T, axis=1)
+    t = np.abs(s - _middle(s)[:, None])
+    t /= config.c * (bound * (1.0 - _BELOW_MARGIN))
+    np.minimum(t, 1.0, out=t)
+    t *= t
+    return _biweight(t).sum(axis=1) < (config.delta - _BELOW_SLACK) * t.shape[1]
 
 
 def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
@@ -267,14 +329,28 @@ def m_scale_columns(x: np.ndarray, config: MScaleConfig = DEFAULT_MSCALE) -> np.
     many candidate projections must be scored at once. The solver works on
     one sample per row, so x is transposed once: passing the transpose of a
     C-contiguous (m x n) array makes that a view. Degenerate columns get 0.
+    Each column's value depends on that column alone, bit for bit: every
+    step of `_start` and `_solve` works row by row. So the columns are
+    solved in blocks of `_BLOCK`, which bounds the temporaries of a wide
+    batch and changes no value.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("m_scale_columns needs an (n >= 2) x m array")
-    _, q, degenerate, sigma = _start(x.T, config)
+    rows = x.T
+    # one block at least, so that an array with no columns returns an empty one
+    return np.concatenate([
+        _row_scales(rows[i:i + _BLOCK], config)
+        for i in range(0, max(rows.shape[0], 1), _BLOCK)
+    ])
+
+
+def _row_scales(x: np.ndarray, config: MScaleConfig) -> np.ndarray:
+    """M-scales of the rows of x, one sample per row; degenerate rows get 0."""
+    _, q, degenerate, sigma = _start(x, config)
     if not degenerate.any():
         return _solve(q, sigma, config)[0]
-    out = np.zeros(x.shape[1])
+    out = np.zeros(x.shape[0])
     keep = ~degenerate
     if keep.any():
         out[keep], _ = _solve(q[keep], sigma[keep], config)

@@ -463,6 +463,12 @@ class SpatialWeights:
         weights.__dict__.update(scheme=scheme, isolated=isolated, _csr=csr)
         return weights
 
+    def __repr__(self) -> str:
+        # the dataclass repr would print `w`, and so build the dense W of a
+        # W held in CSR form (50 MB at n = 2500)
+        held = "dense" if "w" in self.__dict__ else "csr"
+        return f"SpatialWeights(n={self.n}, scheme={self.scheme!r}, held={held!r})"
+
     def _read_dense(self) -> None:
         if "_csr" not in self.__dict__:  # neither form of W was given
             raise ValidationError("SpatialWeights needs the matrix w")

@@ -208,20 +208,35 @@ def plane_search_oracle(b, u, v, config=DEFAULT_MSCALE):
     return best_theta, best_val
 
 
+def spy(monkeypatch, name):
+    """A list that receives a copy of the array passed to `ssofr.fpca.<name>`
+    on every call during the test."""
+    calls = []
+    real = getattr(ssofr.fpca, name)
+
+    def counted(x, *args):
+        calls.append(np.array(x))
+        return real(x, *args)
+
+    monkeypatch.setattr(ssofr.fpca, name, counted)
+    return calls
+
+
+@pytest.fixture()
+def scored(monkeypatch):
+    """Every array passed to `m_scale_columns` during the test: the columns
+    solved."""
+    return spy(monkeypatch, "m_scale_columns")
+
+
+@pytest.fixture()
+def screened(monkeypatch):
+    """Every array passed to `m_scale_columns_below` during the test: each
+    zoom batch of `_rotate` in full, before any column is solved."""
+    return spy(monkeypatch, "m_scale_columns_below")
+
+
 class TestProjectionPursuit:
-    @pytest.fixture()
-    def scored(self, monkeypatch):
-        """Every array passed to `m_scale_columns` during the test."""
-        calls = []
-        real = ssofr.fpca.m_scale_columns
-
-        def counted(x, config):
-            calls.append(np.array(x))
-            return real(x, config)
-
-        monkeypatch.setattr(ssofr.fpca, "m_scale_columns", counted)
-        return calls
-
     def planes(self):
         # a poor start u against each principal axis, the top one included,
         # whose best angle sits near the end of the first grid (-pi/2 or pi/2)
@@ -241,20 +256,29 @@ class TestProjectionPursuit:
         expect = np.linspace(lo, hi, ssofr.fpca._GRID)
         np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64))
 
-    def test_each_plane_scores_61_distinct_angles(self, scored):
+    def test_each_plane_scores_61_distinct_angles(self, screened, scored):
+        # every angle reaches the pre-check; only the columns it cannot place
+        # below the incumbent are solved, each once
         b, u, axes = self.planes()
+        solved = []
         for v in axes + [np.ones(7)]:
             crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
-            del scored[:]
+            del screened[:], scored[:]
             ssofr.fpca._rotate(b, u, v, crit, DEFAULT_MSCALE)
-            assert [x.shape[1] for x in scored] == [11, 10, 10, 10, 10, 10]
+            assert [x.shape[1] for x in screened] == [11, 10, 10, 10, 10, 10]
             v_perp = v - (u @ v) * u
             plane = np.column_stack([b @ u, b @ v_perp])
-            coords = np.linalg.lstsq(plane, np.hstack(scored), rcond=None)[0]
+            coords = np.linalg.lstsq(plane, np.hstack(screened), rcond=None)[0]
             # directions up to sign, u itself (theta = 0) included
             thetas = np.sort(np.r_[0.0, np.arctan2(coords[1], coords[0]) % np.pi])
             gaps = np.diff(np.r_[thetas, thetas[0] + np.pi])
             assert gaps.min() > 1e-6
+            plane_solved = [col.tobytes() for x in scored for col in x.T]
+            assert set(plane_solved) <= {col.tobytes() for x in screened for col in x.T}
+            solved += plane_solved
+        assert len(solved) == len(set(solved))
+        # 8 planes x 61 angles screened; all 488 were solved before the pre-check
+        assert len(solved) == 181
 
     def test_plane_search_matches_rescoring_oracle(self, scored):
         b, u, axes = self.planes()
@@ -271,7 +295,7 @@ class TestProjectionPursuit:
             assert np.abs(got_u - np.sign(got_u @ expect) * expect).max() < 1e-12
 
     @pytest.mark.parametrize("deflated", [0, 1, 2])
-    def test_sweeps_search_kept_axes_then_a_pattern_move(self, scored, deflated):
+    def test_sweeps_search_kept_axes_then_a_pattern_move(self, screened, deflated):
         # a deflated direction leaves b^T b an eigenvalue of rounding size,
         # and its axis is not searched
         b, u, axes = self.planes()
@@ -280,20 +304,25 @@ class TestProjectionPursuit:
             u = u - (u @ w) * w
         u /= np.linalg.norm(u)
         _, _, sweeps = ssofr.fpca._sphere_refine(b, u, DEFAULT_MSCALE)
-        planes = sum(x.shape[1] == 11 for x in scored)
+        planes = sum(x.shape[1] == 11 for x in screened)
         per_sweep = 7 - deflated + 1
         # every sweep but the last moves u, so it has a displacement to search
         assert per_sweep * sweeps - 1 <= planes <= per_sweep * sweeps
 
-    def test_rfpc_planes_score_61_columns(self, basis, scored):
+    def test_rfpc_planes_score_61_columns(self, basis, screened, scored):
         cm = CoefficientMatrix(gaussian_coeffs(22))
         dec = rfpc(cm, basis, 3)
-        # per component: the candidate batch, the start's value, the planes
-        # and the final lambda; all but the planes score 1 or n columns
-        widths = [x.shape[1] for x in scored if x.shape[1] not in (1, cm.coeffs.shape[0])]
-        assert len(widths) % 6 == 0 and widths
+        # every zoom batch of every plane reaches the pre-check in full
+        widths = [x.shape[1] for x in screened]
+        assert len(widths) == 540  # 90 planes
         assert widths == [11, 10, 10, 10, 10, 10] * (len(widths) // 6)
         assert len(dec.sweeps) == 3
+        # the solves: per component the candidate batch of n columns, the
+        # start's value and lambda, then the zoom columns that the pre-check
+        # left (all 5,490 columns of the 90 planes, in 540 calls, without it)
+        n = cm.coeffs.shape[0]
+        assert len(scored) == 9 + 167
+        assert sum(x.shape[1] for x in scored) == 3 * n + 6 + 750
 
     def test_cost_does_not_depend_on_the_draw(self, scored):
         calls = []
@@ -319,6 +348,84 @@ class TestProjectionPursuit:
         dec = rfpc(CoefficientMatrix(b @ basis.gram_inv_sqrt), basis, 1)
         assert dec.sweeps[0] <= 3
         assert subspace_angle_deg(dec.phi[:, 0], basis.gram_inv_sqrt @ axis, basis.gram) < 1.0
+
+
+def solve_every_row(monkeypatch):
+    """Turn the pre-check of `_rotate` off: every zoom column is solved."""
+    monkeypatch.setattr(
+        ssofr.fpca, "m_scale_columns_below",
+        lambda x, bound, config: np.zeros(x.shape[1], dtype=bool),
+    )
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).view(np.int64).tolist() for a in arrays]
+
+
+class TestPreCheckIsExact:
+    """The pre-check only drops zoom columns whose M-scale lies below the
+    incumbent, so the search takes the same path as one that solves every
+    column, to the bit."""
+
+    def rotate_both(self, monkeypatch, b, u, v, crit):
+        pruned = ssofr.fpca._rotate(b, u, v, crit, DEFAULT_MSCALE)
+        with monkeypatch.context() as patch:
+            solve_every_row(patch)
+            full = ssofr.fpca._rotate(b, u, v, crit, DEFAULT_MSCALE)
+        assert bits(*pruned) == bits(*full)
+        return pruned
+
+    def test_planes_whose_best_angle_sits_at_an_end(self, monkeypatch):
+        b, u, axes = TestProjectionPursuit().planes()
+        for v in axes + [np.ones(7)]:
+            crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
+            got_u, got_val = self.rotate_both(monkeypatch, b, u, v, crit)
+            assert got_val >= crit
+
+    def test_planes_where_no_angle_beats_the_start(self, monkeypatch, scored):
+        # spread 1 along u and 1e-7 across it: a rotation by theta shrinks
+        # the projections by cos(theta) and adds at most 1e-7 |sin(theta)|,
+        # so no scored angle beats u; the finest zooms still have to be
+        # solved, as they lie within the pre-check's margin of crit
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((200, 7)) * np.r_[1.0, np.full(6, 1e-7)]
+        u = np.eye(7)[0]
+        crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
+        for v in np.eye(7)[1:]:
+            del scored[:]
+            got_u, got_val = self.rotate_both(monkeypatch, b, u, v, crit)
+            assert got_val == crit and got_u is u
+            # both runs: the full one solves all 61 columns
+            assert 61 < sum(x.shape[1] for x in scored) < 2 * 61
+
+    def test_a_start_whose_value_is_zero(self, monkeypatch):
+        # 120 of 200 rows orthogonal to u: the start's projections are
+        # degenerate and crit = 0, so the first zoom prunes nothing
+        b, _, _ = TestProjectionPursuit().planes()
+        u = np.eye(7)[0]
+        b[:120, 0] = 0.0
+        crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
+        assert crit == 0.0
+        for v in list(np.eye(7)[1:]) + [np.ones(7)]:
+            _, got_val = self.rotate_both(monkeypatch, b, u, v, crit)
+            assert got_val > 0.0
+
+    @pytest.mark.parametrize("kind,M", [("bspline", 15), ("fourier", 7)])
+    def test_rfpc_over_seeded_draws(self, monkeypatch, kind, M):
+        for seed in range(4):
+            for fraction in (0.0, 0.1, 0.2):
+                ds, _, _ = simulate(SimSpec(
+                    n=80, contamination_fraction=fraction, contamination_kind="leverage",
+                    seed=seed,
+                ))
+                basis = build_basis(kind, M, ds.grid)
+                coeffs = project_curves(ds, basis)
+                pruned = rfpc(coeffs, basis, 4)
+                with monkeypatch.context() as patch:
+                    solve_every_row(patch)
+                    full = rfpc(coeffs, basis, 4)
+                assert bits(pruned.phi, pruned.lambdas) == bits(full.phi, full.lambdas)
+                assert pruned.sweeps == full.sweeps
 
 
 class TestScoresFor:

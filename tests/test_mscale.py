@@ -9,7 +9,9 @@ from ssofr import (
     m_scale_info,
     project_curves, rfpc, simulate, tukey_loss, tukey_loss_norm,
 )
-from ssofr.mscale import DEFAULT_MSCALE, _solve, _start, m_scale_columns
+from ssofr.mscale import (
+    _BLOCK, DEFAULT_MSCALE, _solve, _start, m_scale_columns, m_scale_columns_below,
+)
 
 from conftest import (
     oracle_m_scale_columns, oracle_m_scale_info, oracle_start, vectorized_solve,
@@ -351,6 +353,86 @@ class TestRowKernel:
             assert m_scale(x[perm, j]) == m_scale(x[:, j])
 
 
+def candidate_rows(seed, n, m, df, delta):
+    """m samples of n units in rfpc's row layout (a C-contiguous m x n
+    array, one candidate per row): `kernel_sample`'s heavy-tailed, tied,
+    degenerate and constant samples in turn."""
+    cols = np.column_stack([kernel_sample(seed + k, n, df, delta) for k in range(-(-m // 6))])
+    return np.ascontiguousarray(cols[:, :m].T)
+
+
+class TestBatchIndependence:
+    """A row's M-scale has the same bits whatever rows share its call: the
+    blocks of `m_scale_columns` and the pre-check of rfpc's zoom batches,
+    which solves only some rows of a batch, both rest on this."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 80),
+        m=st.integers(1, 2 * _BLOCK + 10),
+        df=st.sampled_from([1.0, 1.5, 3.0, 30.0]),
+        delta=st.sampled_from([0.25, 0.5]),
+        data=st.data(),
+    )
+    @example(seed=0, n=2, m=1, df=1.5, delta=0.5, data=None)
+    def test_any_subset_order_and_block_size(self, seed, n, m, df, delta, data):
+        cfg = MScaleConfig(delta=delta)
+        rows = candidate_rows(seed, n, m, df, delta)
+        whole = m_scale_columns(rows.T, cfg)
+        if data is None:
+            picked, block = [0], 1
+        else:
+            order = data.draw(st.permutations(range(m)))
+            picked = order[:data.draw(st.integers(1, m))]
+            block = data.draw(st.integers(1, m))
+        got = np.concatenate([
+            m_scale_columns(rows[picked[i:i + block]].T, cfg)
+            for i in range(0, len(picked), block)
+        ])
+        np.testing.assert_array_equal(got.view(np.int64), whole[picked].view(np.int64))
+        bound = float(np.median(whole))
+        np.testing.assert_array_equal(
+            m_scale_columns_below(rows[picked].T, bound, cfg),
+            m_scale_columns_below(rows.T, bound, cfg)[picked],
+        )
+
+
+class TestBelowCheck:
+    """`m_scale_columns_below` certifies a column only where the value that
+    `m_scale_columns` returns lies below the bound."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 300),
+        df=st.sampled_from([1.0, 1.5, 3.0, 30.0]),
+        delta=st.sampled_from([0.25, 0.5]),
+        rel=st.sampled_from([-1e-6, -1e-12, 0.0, 1e-12, 1e-9, 1e-8, 2e-8, 1e-6, 1.0]),
+    )
+    @example(seed=0, n=2, df=1.5, delta=0.5, rel=0.0)
+    @example(seed=3, n=51, df=1.0, delta=0.25, rel=1e-8)
+    def test_certified_columns_lie_below_the_bound(self, seed, n, df, delta, rel):
+        cfg = MScaleConfig(delta=delta)
+        x = kernel_sample(seed, n, df, delta)
+        vals = m_scale_columns(x, cfg)
+        for j, val in enumerate(vals):
+            bound = val * (1.0 + rel) if val > 0.0 else 1e-300 + rel
+            if m_scale_columns_below(x[:, [j]], bound, cfg)[0]:
+                assert val < bound
+        # never at the value itself; always, off the ties, at twice it
+        for j in range(3):  # the heavy-tailed samples, continuous
+            assert not m_scale_columns_below(x[:, [j]], vals[j], cfg)[0]
+            assert m_scale_columns_below(x[:, [j]], 2.0 * vals[j], cfg)[0]
+
+    def test_nothing_below_a_bound_of_zero_or_less(self):
+        x = kernel_sample(7, 40, 3.0, 0.5)
+        for bound in (0.0, -1.0, float("nan")):
+            assert not m_scale_columns_below(x, bound).any()
+        # a degenerate column's value is 0, below every positive bound
+        assert m_scale_columns_below(x, 1e-300)[-1]
+
+
 def solve_outcome(solve, q, sigma, cfg):
     """(sigma as int64 bits, iterations, history as int64 bits) of one
     solve, or the type of the error it raised."""
@@ -431,9 +513,12 @@ class TestStopRule:
         assert cols[4] == cols[5] == 0.0
 
     def test_rfpc_takes_fewer_newton_steps(self, monkeypatch):
-        # machine-independent work guard: on this draw the parent solver,
-        # which took a last step only to confirm convergence, made 2,846
-        # Newton steps over rfpc's 711 calls (2,280 with the stop rule)
+        # machine-independent work guard: on this draw a solver that took a
+        # last step only to confirm convergence made 2,846 Newton steps over
+        # rfpc's 711 calls, the stop rule 2,280. With the pre-check of the
+        # zoom batches (`m_scale_columns_below`) 235 calls remain: the
+        # 100-column candidate batches in blocks of 64 and 36, the start
+        # values and lambdas, and the zoom rows that can beat the incumbent
         calls, steps = [], []
         solve = ssofr.mscale._solve
 
@@ -450,5 +535,6 @@ class TestStopRule:
         ))
         basis = BasisSpec().build(ds.grid)
         rfpc(project_curves(ds, basis), basis, 3)
-        assert len(calls) == 711
-        assert sum(steps) <= 0.85 * 2846
+        assert len(calls) == 235
+        assert sum(calls) == 1129
+        assert sum(steps) <= 0.32 * 2280

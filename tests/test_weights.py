@@ -776,6 +776,15 @@ class TestSparseFirst:
         assert w.w is w.w
         assert dense_builds == [400]
 
+    def test_repr_leaves_the_dense_w_unbuilt(self, dense_builds):
+        w = grid_contiguity(50, 50, "queen")
+        assert repr(w) == "SpatialWeights(n=2500, scheme='queen', held='csr')"
+        assert dense_builds == []
+        w.w
+        assert repr(w) == "SpatialWeights(n=2500, scheme='queen', held='dense')"
+        assert repr(from_matrix(reference_grid(3, 4, "rook"), scheme="rook")) == (
+            "SpatialWeights(n=12, scheme='rook', held='dense')")
+
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(2, 12),
