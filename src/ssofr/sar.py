@@ -333,7 +333,9 @@ def ml_fit(design: SarDesign) -> SarFit:
     blo = grid[max(i - 1, 0)]
     bhi = grid[min(i + 1, grid.size - 1)]
     if score(blo) >= 0.0 >= score(bhi):
-        rho_hat = _brent(score, blo, bhi, 1e-12 * width)
+        # to rounding: a bracket of a few eps of the interval, never 0, so
+        # a root at rho = 0 still ends
+        rho_hat = _brent(score, blo, bhi, _BRENT_RTOL * width)
     else:
         rho_hat = float(grid[i])
 

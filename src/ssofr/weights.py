@@ -26,16 +26,20 @@ W while the spectrum is still unknown: prediction decomposes nothing.
 The spectrum and the solve take their route from W itself. Every built-in
 scheme, and most custom matrices, are W = D^{-1} A with symmetric A: W is
 then similar to the symmetric S = D^{1/2} W D^{-1/2} (LeSage & Pace 2009,
-ch. 4). `_symmetrizer` finds such a diagonal D when one exists, and `solve`
-then runs conjugate gradients on the symmetric positive definite
-I - rho S, falling back to dense LU near a bound. The same breadth-first
-search of the pattern of W 2-colours it when it can. When the pattern is
-bipartite, as rook contiguity on a rectangular grid and any tree are,
-ordering the units by colour gives S = [[0, B], [B^T, 0]], whose
-eigenvalues are +-sigma_i(B) and ||P| - |Q|| zeros (Golub & Kahan 1965):
-one SVD of the half-size block B. Any other pattern takes one symmetric
-`eigvalsh(S)`. A W with no symmetrizer takes the general nonsymmetric
-`eigvals`, and `solve` is a dense LU solve.
+ch. 4). One breadth-first search of the pattern of W (`_search`) gives the
+candidate diagonal d and the parity of each unit's level, and `solve` runs
+conjugate gradients on I - rho S with that d at once: CG keeps an answer
+only when its residual, recomputed in W, is small, so the solve needs no
+proof that d symmetrizes W. That proof is for the spectrum
+(`_symmetrizer`): D W must match its transpose to 1e-12 relative, and one
+pass over the edges for two ends of one parity tells whether the levels
+2-colour the pattern. When they do, as for rook contiguity on a
+rectangular grid and any tree, ordering the units by colour gives
+S = [[0, B], [B^T, 0]], whose eigenvalues are +-sigma_i(B) and
+||P| - |Q|| zeros (Golub & Kahan 1965): one SVD of the half-size block B.
+Any other pattern takes one symmetric `eigvalsh(S)`. A W with no
+symmetrizer takes the general nonsymmetric `eigvals`; its solves take the
+dense LU once the spectrum is read or a CG solve has failed on it.
 
 The admissible interval for rho is (-1/|lambda_min|, 1/lambda_max), where
 lambda_min and lambda_max are the smallest and largest real eigenvalues of W.
@@ -155,28 +159,27 @@ def _mismatch(entry: np.ndarray, mirror: np.ndarray) -> bool:
 
 
 def _dense_step(w: np.ndarray):
-    """The step of `_symmetrizer` that lists the neighbours of a frontier
-    from the dense rows of W (see `_csr_step`)."""
-    pattern = w != 0.0
+    """The step of `_search` that lists the neighbours of a frontier from
+    the dense rows of W (see `_csr_step`); each row is read once, when its
+    unit is on the frontier."""
 
-    def step(frontier, unseen, odd):
-        rows = pattern[frontier]
+    def step(frontier, unseen):
+        rows = w[frontier] != 0.0
         new = np.flatnonzero(rows.any(axis=0) & unseen[:-1])
         parent = frontier[rows[:, new].argmax(axis=0)]
         with np.errstate(divide="ignore"):
             ratio = w[parent, new] / w[new, parent]
-        return new, parent, ratio, odd or bool(rows[:, frontier].any())
+        return new, parent, ratio
 
     return step
 
 
 def _csr_step(csr: _Csr, n: int, mirror: np.ndarray):
-    """The step of `_symmetrizer` that lists the neighbours of a frontier
-    from the CSR entries of W: step(frontier, unseen, odd) gives the
-    unseen columns of the frontier's rows in increasing order (new), for
-    each the first frontier row that holds it (parent) and W[parent, new] /
-    W[new, parent], and whether an odd cycle is known: odd, or some
-    frontier row has an entry in a frontier column.
+    """The step of `_search` that lists the neighbours of a frontier from
+    the CSR entries of W: step(frontier, unseen) gives the unseen columns
+    of the frontier's rows in increasing order (new), for each the first
+    frontier row that holds it (parent), and W[parent, new] /
+    W[new, parent].
 
     The entries of each row are gathered from a table with one row per
     unit, padded with an entry in column n (which `unseen` never holds):
@@ -188,64 +191,56 @@ def _csr_step(csr: _Csr, n: int, mirror: np.ndarray):
     table = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, nnz)
     cols = np.append(csr.cols, n)
     ratio = csr.data / mirror
-    on = np.zeros(n + 1, dtype=bool)
     # first[j]: the first entry, in row order, in column j of the rows of
     # the frontier that reached j; nnz until then. An unseen unit is
     # reached only by the frontier that it joins, so its value is that
     # frontier's.
     first = np.full(n + 1, nnz)
 
-    def step(frontier, unseen, odd):
+    def step(frontier, unseen):
         e = table[frontier].ravel()
-        c = cols[e]
-        if not odd:
-            on[frontier] = True
-            odd = bool(on[c].any())
-            on[frontier] = False
-        np.minimum.at(first, c, e)
+        np.minimum.at(first, cols[e], e)
         new = np.flatnonzero((first < nnz) & unseen)
         e = first[new]
-        return new, rows[e], ratio[e], odd
+        return new, rows[e], ratio[e]
 
     return step
 
 
-def _symmetrizer(weights: SpatialWeights):
-    """(d, classes) for W, or None when W has no symmetrizer.
+class _Forest(NamedTuple):
+    """The breadth-first forest of the pattern of W (`_search`): the
+    candidate symmetrizer d, whether each unit lies on an odd level
+    (in_q), and, when W has a CSR form, the mirror W_ji of each entry."""
 
-    d is positive with D^{1/2} W D^{-1/2} symmetric. Such a d exists exactly
-    when d_i W_ij = d_j W_ji for every i, j; for W = D^{-1} A with symmetric
-    A, d is the row sums of A up to one factor per connected component. One
-    breadth-first forest of the pattern gives it: each level is the unseen
-    neighbours of the one before, the first unseen unit of each component
-    (an isolated unit is one) is a root with d = 1, and d_j = d_i W_ij / W_ji
-    from the first parent i on the level before (exactly 1 for an exactly
-    symmetric W). d is accepted only when it is finite and positive (a tree
-    edge whose mirror is 0 makes it infinite) and every entry of D W matches
-    its mirror to 1e-12 relative (`_mismatch`), which every other entry
-    whose mirror is 0 fails.
+    d: np.ndarray
+    in_q: np.ndarray
+    mirror: np.ndarray | None
 
-    classes is (P, Q), the units of each colour of a 2-colouring of the
-    pattern, or None when the pattern has an odd cycle. The same search
-    colours each unit by the parity of its level, the roots in P. Every edge
-    joins two units on one level or on adjacent ones, so the colouring is
-    proper exactly when no edge joins two units on one level. A W with no
-    edges has every unit in P.
+
+def _search(weights: SpatialWeights):
+    """The `_Forest` of W, or None when W has no symmetrizer because the
+    search's d is not finite and positive or, with a CSR form, because the
+    pattern of W is not symmetric.
+
+    Each level is the unseen neighbours of the one before; the first unseen
+    unit of each component (an isolated unit is one) is a root with d = 1
+    on level 0, and d_j = d_i W_ij / W_ji from the first parent i on the
+    level before (exactly 1 for an exactly symmetric W). A tree edge whose
+    mirror is 0 makes d infinite. The search stops once every unit is seen,
+    so the last level's rows are never read.
 
     The loop is the same for both forms of W; only the step that lists a
     frontier's neighbours differs: the CSR entries (`_csr_step`) when W has
     a CSR form, its dense rows (`_dense_step`) otherwise. With a CSR form,
-    the mirror W_ji of each entry comes from one stable sort of the entries
-    by column (`_mirrors`), which finds an entry whose mirror is 0 before
-    the search; the value check then compares each nonzero d_i W_ij with
-    d_j W_ji in O(nnz), and the entries it skips are 0 on both sides. A
-    dense pattern is checked in row blocks of D W against column blocks.
+    the mirror of each entry comes from one stable sort of the entries by
+    column (`_mirrors`), which finds an entry whose mirror is 0 before the
+    search.
     """
     n = weights.n
     csr = weights._csr
+    mirror = None
     if csr is None:
-        w = weights.w
-        step = _dense_step(w)
+        step = _dense_step(weights.w)
     else:
         mirror = _mirrors(csr)
         if mirror is None:
@@ -253,37 +248,94 @@ def _symmetrizer(weights: SpatialWeights):
         step = _csr_step(csr, n, mirror)
     d = np.ones(n)
     in_q = np.zeros(n, dtype=bool)
-    odd = False
     # slot n stands for the padding of `_csr_step`'s table, never unseen
     unseen = np.ones(n + 1, dtype=bool)
     unseen[n] = False
-    while True:
+    left = n
+    while left:
         root = int(unseen.argmax())
-        if not unseen[root]:
-            break
         unseen[root] = False
+        left -= 1
         frontier = np.array([root])
-        while True:
-            new, parent, ratio, odd = step(frontier, unseen, odd)
+        while left:
+            new, parent, ratio = step(frontier, unseen)
             if not new.size:
                 break
             unseen[new] = False
+            left -= new.size
             in_q[new] = not in_q[frontier[0]]
             d[new] = d[parent] * ratio
             frontier = new
-    del step
     if not np.all(np.isfinite(d) & (d > 0.0)):
         return None
-    classes = None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
+    return _Forest(d, in_q, mirror)
+
+
+def _symmetric_values(weights: SpatialWeights, forest: _Forest) -> bool:
+    """Whether every entry of D W matches its mirror to `_SYM_RTOL`
+    relative (`_mismatch`), which every entry whose mirror is 0 fails:
+    whether the d of the search symmetrizes W. With a CSR form each nonzero
+    d_i W_ij is compared with d_j W_ji in O(nnz), and the entries it skips
+    are 0 on both sides; a dense W is checked in row blocks of D W against
+    column blocks."""
+    d = forest.d
+    csr = weights._csr
     if csr is not None:
-        entry = d[csr.rows] * csr.data
-        return None if _mismatch(entry, d[csr.cols] * mirror) else (d, classes)
+        return not _mismatch(d[csr.rows] * csr.data, d[csr.cols] * forest.mirror)
+    w, n = weights.w, weights.n
     block = max(1, _SYM_BLOCK // n)
     for i0 in range(0, n, block):
         mirror = np.multiply(w[:, i0:i0 + block].T, d, order="C")
         if _mismatch(d[i0:i0 + block, None] * w[i0:i0 + block], mirror):
-            return None
-    return d, classes
+            return False
+    return True
+
+
+def _colour_classes(weights: SpatialWeights, in_q: np.ndarray):
+    """(P, Q), the units on the even and the odd levels of the search, or
+    None when a nonzero entry of W joins two units of one parity.
+
+    For a W with a symmetric pattern every edge joins two units on one
+    level or on adjacent ones, so the parity is a proper 2-colouring
+    exactly when no edge joins two units on one level, and the pattern
+    then has no odd cycle. The edges are read once: the CSR entries, or the
+    dense rows in blocks. A W with no edges has every unit in P."""
+    csr = weights._csr
+    if csr is not None:
+        odd = bool(np.any(in_q[csr.rows] == in_q[csr.cols]))
+    else:
+        w, n = weights.w, weights.n
+        block = max(1, _SYM_BLOCK // n)
+        odd = any(
+            np.any((w[i0:i0 + block] != 0.0) & (in_q[i0:i0 + block, None] == in_q))
+            for i0 in range(0, n, block)
+        )
+    return None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
+
+
+def _symmetrizer(weights: SpatialWeights):
+    """(d, classes) for W, or None when W has no symmetrizer.
+
+    d is positive with D^{1/2} W D^{-1/2} symmetric. Such a d exists exactly
+    when d_i W_ij = d_j W_ji for every i, j; for W = D^{-1} A with symmetric
+    A, d is the row sums of A up to one factor per connected component. It
+    is the d of the breadth-first search of W's pattern
+    (`SpatialWeights._forest`, `_search`), accepted only when every entry
+    of D W matches its mirror to 1e-12 relative (`_symmetric_values`).
+
+    classes is (P, Q), the units of each colour of a 2-colouring of the
+    pattern, or None when the pattern has an odd cycle: the units on the
+    even and on the odd levels of the search, when no edge joins two of
+    one parity (`_colour_classes`).
+
+    `solve` needs only the search: its CG certifies each answer by the
+    residual recomputed in W, and the checks here run on the first spectrum
+    read, or once on an object whose first CG solve fails.
+    """
+    forest = weights._forest
+    if forest is None or not _symmetric_values(weights, forest):
+        return None
+    return forest.d, _colour_classes(weights, forest.in_q)
 
 
 def _symmetric_spectrum(weights: SpatialWeights, d: np.ndarray, classes) -> np.ndarray:
@@ -417,21 +469,23 @@ class SpatialWeights:
     `w` is the dense W. A W built sparse (`grid_contiguity`,
     `from_triplets`) holds its CSR form instead and fills `w` in on its
     first read; one given dense derives its CSR form (`_csr`) on first use
-    when at most `_CSR_FILL` of it is nonzero. The CSR form is derived
-    state: `dataclasses.replace` does not carry it.
+    when at most `_CSR_FILL` of it is nonzero.
 
     `eigvals` is computed on its first read unless it is given; so are
     `lambda_min` and `rho_bounds`, which are derived from it (at once when
     `eigvals` is given). `dataclasses.replace` reads `eigvals` and passes it
-    on to the copy. The pattern of W is searched at most once per object,
-    by `_symmetrizer` on the first `solve` or spectrum read, which finds the
-    symmetrizer d and the colour classes together; `matvec` computes W x
-    from the CSR form when there is one, and with the dense product
-    otherwise. When W has a symmetrizer, `eigvals` is real and sorted:
-    +-sigma(B) from one SVD of the off-diagonal block B of S when the
-    pattern of W is bipartite, one symmetric `eigvalsh` otherwise
-    (`_symmetric_spectrum`). Without a symmetrizer it is the complex array
-    of the general `eigvals`.
+    on to the copy. The pattern of W is searched at most once per object
+    (`_forest`), on the first `solve` or spectrum read; `matvec` computes
+    W x from the CSR form when there is one, and with the dense product
+    otherwise. `solve` runs CG on the d of that search; the checks that
+    the search's d symmetrizes W and that its levels 2-colour the pattern
+    (`_scaling`, `_symmetrizer`) run on the first spectrum read, or once
+    after the first failed CG solve. When W has a symmetrizer, `eigvals`
+    is real and sorted: +-sigma(B) from one SVD of the off-diagonal block
+    B of S when the pattern of W is bipartite, one symmetric `eigvalsh`
+    otherwise (`_symmetric_spectrum`). Without a symmetrizer it is the
+    complex array of the general `eigvals`. The search, its checks and the
+    CSR form are derived state, which `dataclasses.replace` does not carry.
     """
 
     w: np.ndarray = _Lazy("_read_dense", required=True)
@@ -493,9 +547,9 @@ class SpatialWeights:
         pattern, the singular values of the off-diagonal block of S, whose
         eigenvalues are exactly +-sigma(B) plus zeros (Golub & Kahan 1965);
         with a symmetrizer otherwise, `eigvalsh(S)`; without one, `eigvals(W)`.
-        The colour classes behind the first route come from the search that
-        found the symmetrizer (`_scaling`), which `solve` may already have
-        run."""
+        The symmetrizer and the colour classes behind the first two routes
+        come from `_scaling`, the checks of the one search of the pattern,
+        which `solve` may already have run."""
         eigs = self.__dict__.get("eigvals")
         if eigs is None:
             if self._scaling is None:
@@ -513,9 +567,16 @@ class SpatialWeights:
         )
 
     @cached_property
+    def _forest(self):
+        """The `_Forest` of `_search`, or None: the one breadth-first
+        search of W's pattern, whose d `solve` runs CG on."""
+        return _search(self)
+
+    @cached_property
     def _scaling(self):
-        """(d, classes) of `_symmetrizer`, or None: the route that the
-        spectrum and `solve` take, from the one search of W's pattern."""
+        """(d, classes) of `_symmetrizer`, or None: the search and the
+        checks of its d and its colour classes, which decide the route of
+        the spectrum and of `solve` once CG has failed on this object."""
         return _symmetrizer(self)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -547,19 +608,29 @@ class SpatialWeights:
         definite for every rho inside `rho_bounds`, and S p = s (W (p / s))
         with s = sqrt(d) needs no n x n copy: W (p / s) is one `matvec`, in
         O(nnz) on a sparse pattern. CG stops when its residual falls to
-        `_CG_TOL` of |D^{1/2} b|, and its solution is kept when the
-        residual recomputed from it does too. When that check fails (A is
-        near singular, close to a bound), CG reaches `_CG_ITER_CAP` steps,
-        or it meets a direction of nonpositive curvature (rho outside the
-        interval), the dense LU solve takes over and, when `events` is
-        given, a line is added to it. A W with no symmetrizer always takes
-        the dense LU solve.
+        `_CG_TOL` of |D^{1/2} b|, and its solution is kept only when the
+        residual recomputed from it in W does too, so any positive d gives a
+        certified x.
+
+        CG runs on the d of the pattern search (`_forest`) whenever that d
+        is finite and positive, before anything checks that it symmetrizes
+        W. When CG fails (the recomputed residual is too large, A is near
+        singular close to a bound, CG reaches `_CG_ITER_CAP` steps, or it
+        meets a direction of nonpositive curvature), the dense LU solve
+        takes over, and the first failure on an object decides the route
+        (`_scaling`, whose value check then runs once): a W with a
+        symmetrizer keeps trying CG and, when `events` is given, adds a line
+        to it on each LU solve; a W without one takes LU from then on, as
+        does a W whose search gives no d. On a W without a symmetrizer a CG
+        answer that passes the residual test is kept, and it can differ
+        from LU's within that tolerance.
         """
-        if self._scaling is not None:
-            x = _cg(self.matvec, np.sqrt(self._scaling[0]), rho, b)
+        scaling = self.__dict__.get("_scaling", self._forest)
+        if scaling is not None:
+            x = _cg(self.matvec, np.sqrt(scaling[0]), rho, b)
             if x is not None:
                 return x
-            if events is not None:
+            if self._scaling is not None and events is not None:
                 events.append(f"dense solve at rho={rho:.6g}")
         return np.linalg.solve(np.eye(self.n) - rho * self.w, b)
 

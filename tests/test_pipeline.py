@@ -16,6 +16,7 @@ from ssofr import (
     ValidationError,
     fit,
     from_matrix,
+    from_triplets,
     grid_contiguity,
     inner_product,
     model_from_json,
@@ -403,6 +404,28 @@ class TestSelectK:
             else:
                 assert np.array_equal(fold.w, block)
                 assert fold.w.sum(axis=1).max() == 5.0
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_cv_folds_of_a_csr_w_build_no_dense_w(self, normalize, dense_builds):
+        # the folds of a W held in CSR form are cut from its entries: the
+        # same bits as the dense block of a grid W, and no n x n W on the way
+        ds, w, _ = sim(seed=7, n=144, shape=(12, 12))
+        if not normalize:
+            i, j = np.nonzero(w.w > 0.0)
+            w = from_triplets(w.n, i, j, np.ones(i.size), w.scheme, normalize=False)
+        assert w._csr is not None
+        ref = w.w
+        dense_builds.clear()
+        for f in range(3):
+            units = np.arange(w.n) % 3 != f
+            part, fold = _subset(ds, w, units)
+            assert fold._csr is not None and part.n == fold.n == 96
+            expected = from_matrix(ref[np.ix_(units, units)], w.scheme, normalize)
+            assert np.array_equal(fold.isolated, expected.isolated)
+            assert np.array_equal(fold.w, expected.w)
+        dense_builds.clear()
+        assert select_K(ds, w, BasisSpec(), "fpc", "cv:3", K_max=3) >= 1
+        assert dense_builds == []
 
     def test_select_k_builds_one_basis(self, monkeypatch):
         # machine-independent work guard: the candidate fits of every K and

@@ -15,6 +15,7 @@ from ssofr import (
     grid_contiguity,
     haversine_distance,
     inverse_distance_weights,
+    m_fit,
     ml_fit,
     row_normalize,
     simulate,
@@ -408,6 +409,8 @@ def assert_bipartite_route(raw, normalize, seed):
         w = from_matrix(raw[np.ix_(order, order)], normalize=normalize)
         d, classes = w._scaling
         assert classes is not None
+        ref_d, ref_classes = reference_symmetrizer(w.w)
+        assert _same_bits(d, ref_d) and all(map(_same_bits, classes, ref_classes))
         p, q = classes
         assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n))
         assert not w.w[np.ix_(p, p)].any() and not w.w[np.ix_(q, q)].any()
@@ -491,6 +494,105 @@ class TestSolve:
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _uniform_w(n):
+    """Row-normalized uniform random weights: a full, so symmetric, pattern
+    and no symmetrizer."""
+    return row_normalize(np.random.default_rng(n).uniform(0.0, 1.0, (n, n)))
+
+
+def _skewed_cycle():
+    """A 4-cycle among 16 units (12 of them isolated), held in CSR form,
+    whose weight ratios W_ij / W_ji multiply to 2 around the cycle: a
+    symmetric pattern and no symmetrizer."""
+    i = [0, 1, 1, 2, 2, 3, 3, 0]
+    j = [1, 0, 2, 1, 3, 2, 0, 3]
+    return from_triplets(16, i, j, [1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0], normalize=False)
+
+
+class TestSolveRoute:
+    """`solve` runs CG on the d of the pattern search before anything
+    checks that d: its recomputed residual certifies each answer. The
+    value check runs on the first spectrum read, or once after the first
+    CG failure on an object, and then decides the object's route."""
+
+    @pytest.fixture()
+    def mismatches(self, monkeypatch):
+        """Sizes of the blocks that the value check compares."""
+        calls = []
+
+        def counted(entry, mirror, _real=ssofr.weights._mismatch):
+            calls.append(entry.size)
+            return _real(entry, mirror)
+
+        monkeypatch.setattr(ssofr.weights, "_mismatch", counted)
+        return calls
+
+    @pytest.fixture()
+    def cg_failures(self, monkeypatch):
+        """The failed CG solves of each weights object, by its id."""
+        failures = {}
+
+        def counted(matvec, s, rho, b, _real=ssofr.weights._cg):
+            x = _real(matvec, s, rho, b)
+            if x is None:
+                key = id(matvec.__self__)
+                failures[key] = failures.get(key, 0) + 1
+            return x
+
+        monkeypatch.setattr(ssofr.weights, "_cg", counted)
+        return failures
+
+    @pytest.mark.parametrize("build", [
+        lambda: inverse_distance_weights(*np.random.default_rng(8).uniform(-5.0, 5.0, (2, 400))),
+        lambda: row_normalize(_uniform_w(400).w + _uniform_w(400).w.T),
+    ], ids=["idw 400", "symmetrized uniform 400"])
+    def test_symmetrizable_dense_w_solves_without_the_value_check(self, build, mismatches):
+        w = build()
+        assert w._csr is None
+        b = np.random.default_rng(9).standard_normal(w.n)
+        check_rho(0.5, w)
+        x = w.solve(0.5, b)
+        assert mismatches == []
+        assert "_scaling" not in w.__dict__ and "eigvals" not in w.__dict__
+        known = build()
+        known.eigvals
+        assert mismatches and known._scaling is not None
+        assert _same_bits(known.solve(0.5, b), x)
+
+    @pytest.mark.parametrize("build", [lambda: _uniform_w(36), lambda: _uniform_w(400),
+                                       _skewed_cycle],
+                             ids=["uniform 36", "uniform 400", "skewed 4-cycle"])
+    def test_w_without_a_symmetrizer(self, build, eig_calls, cg_failures):
+        # CG on the search's d passes its residual test at |rho| <= 0.3 on
+        # these W and fails at rho = 0.4; the first failure runs the value
+        # check, and LU answers from then on
+        w = build()
+        assert w._forest is not None  # a finite, positive d for CG to try
+        assert (w._csr is not None) == (build is _skewed_cycle)
+        rng = np.random.default_rng(w.n)
+        b = rng.standard_normal(w.n)
+        eye = np.eye(w.n)
+        for k, rho in enumerate((0.2, 0.4, -0.3, 0.2, 0.4)):
+            x = w.solve(rho, b)
+            ref = np.linalg.solve(eye - rho * w.w, b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert ("_scaling" in w.__dict__) == (k > 0)
+            if k > 1:
+                assert _same_bits(x, ref)
+        assert w._scaling is None
+        assert list(cg_failures.values()) == [1]
+        eig_calls.clear()
+        w.eigvals
+        assert eig_calls == ["eigvals"]
+        # an M fit on fresh weights fails CG at most once
+        Z = np.column_stack([np.ones(w.n), rng.standard_normal(w.n)])
+        y = np.linalg.solve(eye - 0.2 * w.w, Z @ [1.0, 0.5] + rng.standard_normal(w.n))
+        cg_failures.clear()
+        fit = m_fit(SarDesign(Y=y, Z=Z, weights=build()))
+        assert np.isfinite(fit.rho)
+        assert max(cg_failures.values(), default=0) <= 1
+
+
 class TestBipartiteSpectrum:
     """A bipartite pattern takes the singular values of the off-diagonal
     block of S; any other pattern takes `eigvalsh`."""
@@ -514,6 +616,9 @@ class TestBipartiteSpectrum:
         normalize=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the two unit orders gave ML rho 1.0002e-12 apart while Brent stopped
+    # at 1e-12 of the interval
+    @example(shape="path", size=3, isolated=0, normalize=True, seed=2759)
     def test_random_weights_on_forests_and_even_cycles(
         self, shape, size, isolated, normalize, seed
     ):
@@ -543,6 +648,8 @@ class TestBipartiteSpectrum:
         assert w._scaling is not None
         d, classes = w._scaling
         assert classes is None
+        ref_d, ref_classes = reference_symmetrizer(w.w)
+        assert _same_bits(d, ref_d) and ref_classes is None
         s = np.sqrt(d)
         eig_calls.clear()
         eigs = w.eigvals
