@@ -625,6 +625,7 @@ class SpatialWeights:
         answer that passes the residual test is kept, and it can differ
         from LU's within that tolerance.
         """
+        # the checked route once it is known, the search's d until then
         scaling = self.__dict__.get("_scaling", self._forest)
         if scaling is not None:
             x = _cg(self.matvec, np.sqrt(scaling[0]), rho, b)
