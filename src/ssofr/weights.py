@@ -63,7 +63,7 @@ from .exceptions import NumericalError, ValidationError
 EARTH_RADIUS_KM = 6371.0
 _REAL_EIG_TOL = 1e-9
 _SYM_RTOL = 1e-12
-_SYM_BLOCK = 1 << 15  # entries per row block of the dense symmetry check
+_SYM_BLOCK = 1 << 15  # entries per row block of the dense symmetry check and distances
 # W is kept in CSR form (`_Csr`) when at most this share of its entries is
 # nonzero. On lattice patterns (units within a fixed distance on a square
 # grid), a CSR matvec beat the dense BLAS one up to about 6-7% fill at
@@ -417,20 +417,30 @@ def _cg(matvec, s, rho, b):
 def haversine_distance(lat1, lon1, lat2, lon2, radius_km: float = EARTH_RADIUS_KM):
     """Great-circle distance in km between points given in degrees."""
     lat1, lon1, lat2, lon2 = (np.asarray(v, dtype=float) for v in (lat1, lon1, lat2, lon2))
-    for lat in (lat1, lat2):
-        if np.any(np.abs(lat) > 90.0):
-            raise ValidationError("latitude outside [-90, 90]")
-    for lon in (lon1, lon2):
-        if np.any(np.abs(lon) > 180.0):
-            raise ValidationError("longitude outside [-180, 180]")
+    _check_degrees((lat1, lat2), (lon1, lon2))
+    d = _haversine(lat1, lon1, lat2, lon2, radius_km)
+    return d if d.ndim else float(d)
+
+
+def _check_degrees(lats, lons) -> None:
+    """Raise unless every latitude in `lats` lies in [-90, 90] and every
+    longitude in `lons` in [-180, 180]. The comparisons are written so
+    that NaN fails them: every comparison with NaN is false."""
+    if not all(np.all(np.abs(lat) <= 90.0) for lat in lats):
+        raise ValidationError("latitude outside [-90, 90] or not a number")
+    if not all(np.all(np.abs(lon) <= 180.0) for lon in lons):
+        raise ValidationError("longitude outside [-180, 180] or not a number")
+
+
+def _haversine(lat1, lon1, lat2, lon2, radius_km: float = EARTH_RADIUS_KM):
+    """`haversine_distance` of checked float arrays, as an array."""
     u1, u2 = np.radians(lat1), np.radians(lat2)
     dv = np.radians(lon2) - np.radians(lon1)
     du = u2 - u1
     a = np.sin(du / 2.0) ** 2 + np.cos(u1) * np.cos(u2) * np.sin(dv / 2.0) ** 2
     a = np.clip(a, 0.0, 1.0)
     c = 2.0 * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
-    d = radius_km * c
-    return d if d.ndim else float(d)
+    return radius_km * c
 
 
 class _Lazy:
@@ -722,20 +732,49 @@ def row_normalize(raw: np.ndarray, scheme: str = "custom") -> SpatialWeights:
 
 
 def inverse_distance_weights(lat, lon) -> SpatialWeights:
-    """Row-normalized inverse great-circle-distance weights."""
+    """Row-normalized inverse great-circle-distance weights.
+
+    Two units at one place are an error, also when the place is written
+    two ways: longitude -180 is 180, and every longitude is one place at a
+    pole. The distances fill one n x n array in row blocks over the upper
+    triangle: block i0:i1 takes rows i0:i1 against units i0 onward and is
+    written to d[i0:i1, i0:] and, transposed, to d[i0:, i0:i1], so each
+    block's temporaries stay about `_SYM_BLOCK` entries and each distance
+    is computed once. Every entry is the same elementwise expression as in
+    one broadcast over all n^2 pairs, and that broadcast is exactly
+    symmetric (swapping i and j only negates the differences of latitude
+    and longitude, whose sines are squared, and cos(u_i) cos(u_j)
+    commutes), so W keeps the broadcast's bits.
+    """
     lat = np.asarray(lat, dtype=float).ravel()
     lon = np.asarray(lon, dtype=float).ravel()
     if lat.size != lon.size:
         raise ValidationError("lat and lon must have equal length")
-    if lat.size < 2:
+    n = lat.size
+    if n < 2:
         raise ValidationError("need at least 2 coordinates")
-    d = haversine_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+    _check_degrees((lat,), (lon,))
+    canon_lon = np.where(np.abs(lat) == 90.0, 0.0, np.where(lon == -180.0, 180.0, lon))
+    order = np.lexsort((canon_lon, lat))  # stable: equal places in unit order
+    same = ((lat[order[1:]] == lat[order[:-1]])
+            & (canon_lon[order[1:]] == canon_lon[order[:-1]]))
+    if same.any():
+        # each unit starts at most one adjacent pair, so the smallest first
+        # unit names the first duplicate pair in row-major order
+        k = np.flatnonzero(same)[np.argmin(order[:-1][same])]
+        raise ValidationError(f"duplicate coordinates for units {order[k]} and {order[k + 1]}")
+    d = np.empty((n, n))
+    rows = max(1, _SYM_BLOCK // n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        block = _haversine(lat[i0:i1, None], lon[i0:i1, None], lat[None, i0:], lon[None, i0:])
+        d[i0:i1, i0:] = block
+        d[i0:, i0:i1] = block.T
     np.fill_diagonal(d, np.inf)  # 1 / inf = 0 on the diagonal
-    duplicate = d == 0.0
-    if duplicate.any():
-        i, j = np.argwhere(duplicate)[0]
+    if not d.all():
+        i, j = np.argwhere(d == 0.0)[0]
         raise ValidationError(f"duplicate coordinates for units {i} and {j}")
-    return row_normalize(1.0 / d, scheme="inverse_distance")
+    return row_normalize(np.divide(1.0, d, out=d), scheme="inverse_distance")
 
 
 def grid_contiguity(rows: int, cols: int, kind: str = "rook") -> SpatialWeights:

@@ -525,6 +525,16 @@ class TestWeightsCommand:
         ids, wm = sio.read_weights_matrix(str(out / "weights_matrix.csv"))
         assert wm[0, 1] == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("lat, lon, what", [
+        ([0.0, float("nan"), 0.0], [0.0, 1.0, 3.0], "latitude"),
+        ([0.0, 0.0, 0.0], [0.0, 1.0, float("nan")], "longitude"),
+    ])
+    def test_nan_coordinate_exits_2(self, tmp_path, capsys, lat, lon, what):
+        coords = tmp_path / "coords.csv"
+        sio.write_coords(str(coords), ["a", "b", "c"], lat, lon)
+        assert run_cli("weights", "--coords", coords, "--out", tmp_path / "w") == 2
+        assert f"error: {what} outside" in capsys.readouterr().err
+
 
     def test_negative_weight_exit_2(self, tmp_path, capsys):
         wmat = tmp_path / "w.csv"

@@ -595,3 +595,41 @@ class TestUnitPermutation:
                              (base.beta_coeffs, other.beta_coeffs)):
                     a, b = np.atleast_1d(a), np.atleast_1d(b)
                     assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max(), (method, estimator)
+
+
+class TestScaleEquivariance:
+    """Units are arbitrary: Y -> cY gives the same rho and sigma, beta
+    times c, and X -> cX the same rho and sigma, beta over c, for every
+    method and estimator, to rounding."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["vertical", "leverage"]),
+        log_c=st.floats(-3.0, 3.0),
+    )
+    @example(seed=0, kind="vertical", log_c=3.0)
+    @example(seed=1, kind="leverage", log_c=-3.0)
+    def test_fit_is_equivariant(self, seed, kind, log_c):
+        ds, w, _ = simulate(SimSpec(
+            n=144, weights_scheme="queen", grid_shape=(12, 12), seed=seed,
+            contamination_fraction=0.1, contamination_kind=kind,
+        ))
+        c = 10.0 ** log_c
+        scaled_y = FunctionalDataset(grid=ds.grid, curves=ds.curves, response=c * ds.response)
+        scaled_x = FunctionalDataset(grid=ds.grid, curves=c * ds.curves, response=ds.response)
+
+        def rel(a, b):
+            a, b = np.atleast_1d(a), np.atleast_1d(b)
+            return np.abs(a - b).max() / np.abs(a).max()
+
+        for method in ("fpc", "rfpc", "fpls", "rfpls"):
+            for estimator in ("ml", "m"):
+                base, y, x = (fit(data, w, BasisSpec(), method, K=3, estimator=estimator)
+                              for data in (ds, scaled_y, scaled_x))
+                assert rel(base.rho, y.rho) <= 1e-12, (method, estimator)
+                assert rel(base.sigma, y.sigma / c) <= 1e-12, (method, estimator)
+                assert rel(base.beta_coeffs, y.beta_coeffs / c) <= 1e-12, (method, estimator)
+                assert rel(base.rho, x.rho) <= 1e-11, (method, estimator)
+                assert rel(base.sigma, x.sigma) <= 1e-11, (method, estimator)
+                assert rel(base.beta_coeffs, c * x.beta_coeffs) <= 1e-11, (method, estimator)

@@ -81,12 +81,22 @@ class TestHaversine:
             d10 = haversine_distance(lat[1], lon[1], lat[0], lon[0])
             d02 = haversine_distance(lat[0], lon[0], lat[2], lon[2])
             d12 = haversine_distance(lat[1], lon[1], lat[2], lon[2])
-            assert d01 == pytest.approx(d10, abs=1e-9)
+            assert d01 == d10
             assert d01 <= d02 + d12 + 1e-9
 
     def test_latitude_validation(self):
         with pytest.raises(ValidationError):
             haversine_distance(95.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("args, what", [
+        ((np.nan, 0.0, 0.0, 0.0), "latitude"),
+        ((0.0, 0.0, [0.0, np.nan], 0.0), "latitude"),
+        ((0.0, np.nan, 0.0, 0.0), "longitude"),
+        ((0.0, 0.0, 0.0, [np.nan, 1.0]), "longitude"),
+    ])
+    def test_nan_is_rejected(self, args, what):
+        with pytest.raises(ValidationError, match=f"^{what} outside .* or not a number$"):
+            haversine_distance(*args)
 
 
 class TestInverseDistanceWeights:
@@ -117,6 +127,80 @@ class TestInverseDistanceWeights:
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValidationError):
             inverse_distance_weights([1.0, 1.0], [2.0, 2.0])
+
+    @pytest.mark.parametrize("lat, lon, pair", [
+        ([10.0, 10.0, 20.0], [180.0, -180.0, 0.0], (0, 1)),
+        ([20.0, 10.0, 10.0], [0.0, -180.0, 180.0], (1, 2)),
+        ([90.0, 0.0, 90.0], [10.0, 0.0, -30.0], (0, 2)),
+        ([0.0, -90.0, 5.0, -90.0], [0.0, 180.0, 5.0, -180.0], (1, 3)),
+        # the first pair in row-major order, as the d == 0 test names it
+        ([5.0, 1.0, 5.0, 1.0, 1.0], [0.0, 2.0, 0.0, 2.0, 2.0], (0, 2)),
+        ([1.0, 5.0, 3.0, 5.0, 1.0], [2.0, 0.0, 7.0, 0.0, 2.0], (0, 4)),
+    ])
+    def test_one_place_written_two_ways_is_a_duplicate(self, lat, lon, pair):
+        with pytest.raises(ValidationError,
+                           match=f"^duplicate coordinates for units {pair[0]} and {pair[1]}$"):
+            inverse_distance_weights(lat, lon)
+
+    def test_underflowing_distance_is_a_duplicate(self):
+        # distinct longitudes whose difference underflows in sin(dv / 2)^2
+        with pytest.raises(ValidationError, match="^duplicate coordinates for units 0 and 2$"):
+            inverse_distance_weights([0.0, 1.0, 0.0], [0.0, 1.0, 1e-300])
+
+    @pytest.mark.parametrize("lat, lon, what", [
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], "latitude"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, np.nan], "longitude"),
+    ])
+    def test_nan_coordinate_is_rejected(self, lat, lon, what):
+        with pytest.raises(ValidationError, match=f"^{what} outside .* or not a number$"):
+            inverse_distance_weights(lat, lon)
+
+
+def broadcast_idw(lat, lon):
+    """Reference for `inverse_distance_weights`: d from one broadcast
+    `haversine_distance` over all n^2 pairs, which must be exactly
+    symmetric, with an infinite diagonal, and W = row_normalize(1 / d)."""
+    lat, lon = np.asarray(lat, dtype=float), np.asarray(lon, dtype=float)
+    d = haversine_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+    assert np.array_equal(d, d.T)
+    np.fill_diagonal(d, np.inf)
+    return row_normalize(1.0 / d).w
+
+
+def one_place(point):
+    """(lat, lon) with longitude -180 written 180 and any longitude at a
+    pole written 0: equal for one place written two ways."""
+    lat, lon = point
+    return lat, 0.0 if abs(lat) == 90.0 else 180.0 if lon == -180.0 else lon
+
+
+class TestRowBlockedDistances:
+    """The row blocks over the upper triangle give the broadcast's W bit
+    for bit: one block (n = 181 at 32768 entries a block), two blocks whose
+    last has two rows (n = 182), and many."""
+
+    @pytest.mark.parametrize("n", [2, 3, 181, 182, 400, 901])
+    def test_bits_match_the_broadcast(self, n):
+        rng = np.random.default_rng(n)
+        lat, lon = rng.uniform(-5.0, 5.0, (2, n))
+        got = inverse_distance_weights(lat, lon).w
+        np.testing.assert_array_equal(got.view(np.int64), broadcast_idw(lat, lon).view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, -89.999999, 89.5, 90.0])),
+            st.one_of(st.floats(-180.0, 180.0),
+                      st.sampled_from([-180.0, -179.999999, 179.999999, 180.0])),
+        ),
+        min_size=2, max_size=40, unique_by=one_place,
+    ))
+    def test_bits_match_the_broadcast_on_any_globe(self, points):
+        lat, lon = np.array(points).T
+        d = haversine_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+        assume(np.count_nonzero(d == 0.0) == lat.size)
+        got = inverse_distance_weights(lat, lon).w
+        np.testing.assert_array_equal(got.view(np.int64), broadcast_idw(lat, lon).view(np.int64))
 
 
 class TestGridContiguity:
