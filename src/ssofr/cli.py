@@ -150,22 +150,23 @@ def cmd_predict(args) -> int:
         # a grid/basis mismatch at prediction time is a numerical-stage
         # failure of this command, not a malformed input file
         raise NumericalError(str(exc)) from exc
+    # the metrics come before any file, so a bad trim fraction writes none
+    trim_grid = tuple(args.trim) if args.trim else DEFAULT_TRIM_GRID
+    report = None if y is None else {
+        "metrics": {
+            sio._fmt(t): (lambda m: {"mspe": m.mse, "r2_p": m.r2, "n_used": m.n_used})(
+                fit_metrics(y, yhat, t)
+            )
+            for t in trim_grid
+        }
+    }
 
     os.makedirs(args.out, exist_ok=True)
     sio.write_csv(
         os.path.join(args.out, "predictions.csv"), ("id", "y_hat"),
         zip(ids, sio._fmt_all(yhat)),
     )
-    if y is not None:
-        trim_grid = tuple(args.trim) if args.trim else DEFAULT_TRIM_GRID
-        report = {
-            "metrics": {
-                sio._fmt(t): (lambda m: {"mspe": m.mse, "r2_p": m.r2, "n_used": m.n_used})(
-                    fit_metrics(y, yhat, t)
-                )
-                for t in trim_grid
-            }
-        }
+    if report is not None:
         sio.atomic_write_text(
             os.path.join(args.out, "predict_report.json"), _json_dump(report)
         )

@@ -5,9 +5,9 @@ of the spatially lagged deviation (High-High, Low-Low, High-Low, Low-High);
 a unit with no neighbours has no lag to classify and is labelled
 Neighborless, as in GeoDa's LISA maps. The per-unit statistics I_i sum to
 S0 times the global Moran's I, sum_i I_i = S0 * I, where S0 is the total
-weight of W, summed over the entries of its CSR form when it has one. Fit
-metrics support trimming of the largest squared residuals; the mean squared
-error is reported per retained observation.
+weight of W (`SpatialWeights.total`). Fit metrics support trimming of the
+largest squared residuals; the mean squared error is reported per retained
+observation.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ def local_morans_i(Y, weights: SpatialWeights) -> MoranReport:
     ss = float(dev @ dev)
     if ss <= 0:
         raise DegenerateDataError("response is constant; Moran's I undefined")
-    csr = weights._csr
-    s0 = float(weights.w.sum() if csr is None else csr.data.sum())
+    s0 = weights.total()
     if s0 <= 0:
         raise ValidationError("weight matrix has zero total weight")
     n = y.size

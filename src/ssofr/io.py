@@ -5,17 +5,19 @@ written with repr so values round-trip exactly. Curves travel in long format
 (id, t, value) by default; wide format has one row per curve with the grid
 in the header. Writes are atomic (temp file + rename).
 
-Each input file is read once and handled as columns. The body is split on
-commas and newlines in one call when the file has a header line and a body,
-its text holds no quote, carriage return or NUL, no blank line and no field
-longer than the csv module's field limit, and every body line holds the
-number of commas its reader expects (counted in numpy on the bytes): on such
-text these are exactly the fields `csv.reader` returns. Any other file
-(quoted fields, CRLF line ends, blank lines, extra columns or short rows)
-goes through `csv.reader`, which parses quoting and gives the same values
-and the same errors. Writers join the repr tokens into one text; each id is
-quoted as `csv.writer` quotes it, and one holding a carriage return is
-quoted too, so that every id reads back.
+Each input file is read once and decoded once as UTF-8; a file that cannot
+be read or decoded is a `ValidationError` naming its path. It is then
+handled as columns. The body is split on commas and newlines in one call
+when the file has a header line and a body, its text holds no quote,
+carriage return or NUL, no blank line and no field longer than the csv
+module's field limit, and every body line holds the number of commas its
+reader expects (counted in numpy on the bytes): on such text these are
+exactly the fields `csv.reader` returns. Any other file (quoted fields, CRLF
+line ends, blank lines, extra columns or short rows) goes through
+`csv.reader` on the decoded text, which parses quoting and gives the same
+values and the same errors. Writers join the repr tokens into one text;
+each id is quoted as `csv.writer` quotes it, and one holding a carriage
+return is quoted too, so that every id reads back.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import os
 from collections import Counter
+from io import StringIO
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -50,11 +53,9 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_rows(path: str):
-    if not os.path.exists(path):
-        raise ValidationError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(filter(None, csv.reader(fh)))
+def _read_rows(text: str, path: str):
+    """The non-empty rows of a file's decoded text, parsed by `csv.reader`."""
+    rows = list(filter(None, csv.reader(StringIO(text, newline=""))))
     if not rows:
         raise ValidationError(f"empty file: {path}")
     return rows
@@ -124,8 +125,12 @@ class _Table:
     def __init__(self, path: str):
         if not os.path.exists(path):
             raise ValidationError(f"file not found: {path}")
-        with open(path, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            self._text = data.decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from None
         self.path = path
         self._rows = None
         head = data.find(b"\n")
@@ -139,10 +144,9 @@ class _Table:
                 self._seps = seps[np.argmax(seps == _NEWLINE) + 1:]
                 if data[-1] != _NEWLINE:
                     self._seps = np.append(self._seps, _NEWLINE)
-                self._text = data.decode("utf-8")
                 self.header = self._text[:self._text.index("\n")].split(",")
                 return
-        self._rows = _read_rows(path)
+        self._rows = _read_rows(self._text, path)
         self.header = self._rows[0]
 
     def fields(self, width=None, mismatch=None) -> list:
@@ -159,7 +163,7 @@ class _Table:
             if np.array_equal(ends, np.arange(ends.size) % width == width - 1):
                 body = self._text[self._text.index("\n") + 1:].removesuffix("\n")
                 return body.replace("\n", ",").split(",")
-            self._rows = _read_rows(self.path)
+            self._rows = _read_rows(self._text, self.path)
         body = _body(self._rows, width, self.path, mismatch)
         return [field for row in body for field in row[:width]]
 

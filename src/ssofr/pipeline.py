@@ -26,7 +26,7 @@ from .functional import (
 )
 from .mscale import DEFAULT_MSCALE, MScaleConfig
 from .sar import MTuning, SarDesign, SarFit, SarParams, m_fit, ml_fit
-from .weights import SpatialWeights, _row_sums, check_rho, from_matrix, from_triplets
+from .weights import SpatialWeights, check_rho
 
 SCHEMA_VERSION = 1
 DECOMPOSITION_METHODS = ("fpc", "fpls", "rfpc", "rfpls")
@@ -196,29 +196,11 @@ def _parse_rule(rule):
     )
 
 
-def _subset(dataset, weights, units):
-    """The dataset restricted to a boolean mask of units, and the weights
-    among them: row-normalized when every non-isolated row of W sums to 1
-    (to 1e-12), as it does for a row-normalized W, and the raw block of W
-    otherwise, so a fold is weighted as the whole sample is.
-
-    A W held in CSR form gives its row sums and the fold's entries from
-    that form (`from_triplets`), with no dense n x n W; a renormalized fold
-    then sums each row over its nonzero entries in column order, and can
-    differ in the last bits from the dense block's pairwise sums."""
-    part = FunctionalDataset(
+def _subset(dataset, units):
+    """The dataset restricted to a boolean mask of units; the weights among
+    them are `SpatialWeights.among`."""
+    return FunctionalDataset(
         grid=dataset.grid, curves=dataset.curves[units], response=dataset.response[units],
-    )
-    csr = weights._csr
-    sums = weights.w.sum(axis=1) if csr is None else _row_sums(csr, csr.data, weights.n)
-    normalized = bool(np.all(np.abs(sums[sums != 0.0] - 1.0) <= 1e-12))
-    if csr is None:
-        return part, from_matrix(weights.w[np.ix_(units, units)], weights.scheme, normalized)
-    at = np.cumsum(units) - 1
-    keep = units[csr.rows] & units[csr.cols]
-    return part, from_triplets(
-        np.count_nonzero(units), at[csr.rows[keep]], at[csr.cols[keep]], csr.data[keep],
-        weights.scheme, normalized,
     )
 
 
@@ -303,7 +285,8 @@ def select_K(
         )
     assignment = np.arange(dataset.n) % folds
     splits = [
-        (_subset(dataset, weights, assignment != f), _subset(dataset, weights, assignment == f))
+        [(_subset(dataset, units), weights.among(units))
+         for units in (assignment != f, assignment == f)]
         for f in range(folds) if np.any(assignment == f)
     ]
     best_k, best_mspe = 1, np.inf

@@ -12,8 +12,10 @@ sparse enough. The dense `SpatialWeights.w` of a W built sparse is filled
 in on its first read (`_densify`), and only the general nonsymmetric
 `eigvals`, the dense LU fallback of `solve`, the writers and explicit reads
 of `w` make one. The row sums of `check_rho`, the search for a
-symmetrizer, the spectrum of a symmetrizable W and `matvec` read the CSR
-form, in O(nnz), when there is one.
+symmetrizer, the spectrum of a symmetrizable W, `matvec`, the total weight
+(`total`, Moran's S0) and the block of W among some units (`among`, the cv
+folds) read the CSR form, in O(nnz), when there is one. Only this module
+knows which form a W has.
 
 `SpatialWeights` owns the spectrum of its matrix. The eigenvalues are
 computed on their first read and then kept; `dataclasses.replace` reads
@@ -31,11 +33,11 @@ candidate diagonal d and the parity of each unit's level, and `solve` runs
 conjugate gradients on I - rho S with that d at once: CG keeps an answer
 only when its residual, recomputed in W, is small, so the solve needs no
 proof that d symmetrizes W. That proof is for the spectrum
-(`_symmetrizer`): D W must match its transpose to 1e-12 relative, and one
-pass over the edges for two ends of one parity tells whether the levels
-2-colour the pattern. When they do, as for rook contiguity on a
-rectangular grid and any tree, ordering the units by colour gives
-S = [[0, B], [B^T, 0]], whose eigenvalues are +-sigma_i(B) and
+(`_symmetrizer`), in one read of W: D W must match its transpose to 1e-12
+relative, and the same read looks for an edge with two ends of one parity,
+which tells whether the levels 2-colour the pattern. When they do, as for
+rook contiguity on a rectangular grid and any tree, ordering the units by
+colour gives S = [[0, B], [B^T, 0]], whose eigenvalues are +-sigma_i(B) and
 ||P| - |Q|| zeros (Golub & Kahan 1965): one SVD of the half-size block B.
 Any other pattern takes one symmetric `eigvalsh(S)`. A W with no
 symmetrizer takes the general nonsymmetric `eigvals`; its solves take the
@@ -271,71 +273,55 @@ def _search(weights: SpatialWeights):
     return _Forest(d, in_q, mirror)
 
 
-def _symmetric_values(weights: SpatialWeights, forest: _Forest) -> bool:
-    """Whether every entry of D W matches its mirror to `_SYM_RTOL`
-    relative (`_mismatch`), which every entry whose mirror is 0 fails:
-    whether the d of the search symmetrizes W. With a CSR form each nonzero
-    d_i W_ij is compared with d_j W_ji in O(nnz), and the entries it skips
-    are 0 on both sides; a dense W is checked in row blocks of D W against
-    column blocks."""
-    d = forest.d
-    csr = weights._csr
-    if csr is not None:
-        return not _mismatch(d[csr.rows] * csr.data, d[csr.cols] * forest.mirror)
-    w, n = weights.w, weights.n
-    block = max(1, _SYM_BLOCK // n)
-    for i0 in range(0, n, block):
-        mirror = np.multiply(w[:, i0:i0 + block].T, d, order="C")
-        if _mismatch(d[i0:i0 + block, None] * w[i0:i0 + block], mirror):
-            return False
-    return True
-
-
-def _colour_classes(weights: SpatialWeights, in_q: np.ndarray):
-    """(P, Q), the units on the even and the odd levels of the search, or
-    None when a nonzero entry of W joins two units of one parity.
-
-    For a W with a symmetric pattern every edge joins two units on one
-    level or on adjacent ones, so the parity is a proper 2-colouring
-    exactly when no edge joins two units on one level, and the pattern
-    then has no odd cycle. The edges are read once: the CSR entries, or the
-    dense rows in blocks. A W with no edges has every unit in P."""
-    csr = weights._csr
-    if csr is not None:
-        odd = bool(np.any(in_q[csr.rows] == in_q[csr.cols]))
-    else:
-        w, n = weights.w, weights.n
-        block = max(1, _SYM_BLOCK // n)
-        odd = any(
-            np.any((w[i0:i0 + block] != 0.0) & (in_q[i0:i0 + block, None] == in_q))
-            for i0 in range(0, n, block)
-        )
-    return None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
-
-
 def _symmetrizer(weights: SpatialWeights):
-    """(d, classes) for W, or None when W has no symmetrizer.
+    """(d, classes) for W, or None when W has no symmetrizer; W is read
+    once.
 
     d is positive with D^{1/2} W D^{-1/2} symmetric. Such a d exists exactly
     when d_i W_ij = d_j W_ji for every i, j; for W = D^{-1} A with symmetric
     A, d is the row sums of A up to one factor per connected component. It
     is the d of the breadth-first search of W's pattern
     (`SpatialWeights._forest`, `_search`), accepted only when every entry
-    of D W matches its mirror to 1e-12 relative (`_symmetric_values`).
+    of D W matches its mirror to `_SYM_RTOL` relative (`_mismatch`), which
+    every entry whose mirror is 0 fails.
 
-    classes is (P, Q), the units of each colour of a 2-colouring of the
-    pattern, or None when the pattern has an odd cycle: the units on the
-    even and on the odd levels of the search, when no edge joins two of
-    one parity (`_colour_classes`).
+    classes is (P, Q), the units on the even and on the odd levels of the
+    search, or None when a nonzero entry of W joins two units of one
+    parity. For a W with a symmetric pattern every edge joins two units on
+    one level or on adjacent ones, so the parity is a proper 2-colouring
+    exactly when no edge joins two units on one level, and the pattern then
+    has no odd cycle. A W with no edges has every unit in P.
+
+    With a CSR form each nonzero d_i W_ij is compared with d_j W_ji in
+    O(nnz), the entries it skips being 0 on both sides, and then the parity
+    of the ends of each entry. A dense W is read in row blocks, each
+    compared with the column block of D W and, until an edge within one
+    parity is found, tested for such an edge.
 
     `solve` needs only the search: its CG certifies each answer by the
     residual recomputed in W, and the checks here run on the first spectrum
     read, or once on an object whose first CG solve fails.
     """
     forest = weights._forest
-    if forest is None or not _symmetric_values(weights, forest):
+    if forest is None:
         return None
-    return forest.d, _colour_classes(weights, forest.in_q)
+    d, in_q = forest.d, forest.in_q
+    csr = weights._csr
+    if csr is not None:
+        if _mismatch(d[csr.rows] * csr.data, d[csr.cols] * forest.mirror):
+            return None
+        odd = bool(np.any(in_q[csr.rows] == in_q[csr.cols]))
+    else:
+        w, n = weights.w, weights.n
+        block = max(1, _SYM_BLOCK // n)
+        odd = False
+        for i0 in range(0, n, block):
+            rows = w[i0:i0 + block]
+            mirror = np.multiply(w[:, i0:i0 + block].T, d, order="C")
+            if _mismatch(d[i0:i0 + block, None] * rows, mirror):
+                return None
+            odd = odd or bool(np.any((rows != 0.0) & (in_q[i0:i0 + block, None] == in_q)))
+    return d, None if odd else (np.flatnonzero(~in_q), np.flatnonzero(in_q))
 
 
 def _symmetric_spectrum(weights: SpatialWeights, d: np.ndarray, classes) -> np.ndarray:
@@ -479,7 +465,9 @@ class SpatialWeights:
     `w` is the dense W. A W built sparse (`grid_contiguity`,
     `from_triplets`) holds its CSR form instead and fills `w` in on its
     first read; one given dense derives its CSR form (`_csr`) on first use
-    when at most `_CSR_FILL` of it is nonzero.
+    when at most `_CSR_FILL` of it is nonzero. `matvec`, `total` (the sum
+    of W's entries) and `among` (W among a subset of the units) read the
+    CSR form when there is one, so callers never ask which form W has.
 
     `eigvals` is computed on its first read unless it is given; so are
     `lambda_min` and `rho_bounds`, which are derived from it (at once when
@@ -489,13 +477,14 @@ class SpatialWeights:
     W x from the CSR form when there is one, and with the dense product
     otherwise. `solve` runs CG on the d of that search; the checks that
     the search's d symmetrizes W and that its levels 2-colour the pattern
-    (`_scaling`, `_symmetrizer`) run on the first spectrum read, or once
-    after the first failed CG solve. When W has a symmetrizer, `eigvals`
-    is real and sorted: +-sigma(B) from one SVD of the off-diagonal block
-    B of S when the pattern of W is bipartite, one symmetric `eigvalsh`
-    otherwise (`_symmetric_spectrum`). Without a symmetrizer it is the
-    complex array of the general `eigvals`. The search, its checks and the
-    CSR form are derived state, which `dataclasses.replace` does not carry.
+    (`_scaling`, `_symmetrizer`, in one read of W) run on the first
+    spectrum read, or once after the first failed CG solve. When W has a
+    symmetrizer, `eigvals` is real and sorted: +-sigma(B) from one SVD of
+    the off-diagonal block B of S when the pattern of W is bipartite, one
+    symmetric `eigvalsh` otherwise (`_symmetric_spectrum`). Without a
+    symmetrizer it is the complex array of the general `eigvals`. The
+    search, its checks and the CSR form are derived state, which
+    `dataclasses.replace` does not carry.
     """
 
     w: np.ndarray = _Lazy("_read_dense", required=True)
@@ -596,6 +585,35 @@ class SpatialWeights:
         from BLAS's in the last bits."""
         csr = self._csr
         return self.w @ x if csr is None else _matvec(csr, x)
+
+    def total(self) -> float:
+        """S0, the sum of the entries of W: of its CSR entries when it has a
+        CSR form, else of the dense W."""
+        csr = self._csr
+        return float(self.w.sum() if csr is None else csr.data.sum())
+
+    def among(self, units: np.ndarray) -> SpatialWeights:
+        """W among the units of a boolean mask: row-normalized when every
+        non-isolated row of W sums to 1 (to 1e-12), as it does for a
+        row-normalized W, and the raw block of W otherwise, so a subset of
+        the units is weighted as the whole sample is.
+
+        A W with a CSR form gives its row sums and the block's entries from
+        that form (`from_triplets`), with no dense n x n W; a renormalized
+        block then sums each row over its nonzero entries in column order,
+        and can differ in the last bits from the dense block's pairwise sums
+        (`from_matrix`)."""
+        csr = self._csr
+        sums = self.w.sum(axis=1) if csr is None else _row_sums(csr, csr.data, self.n)
+        normalized = bool(np.all(np.abs(sums[sums != 0.0] - 1.0) <= 1e-12))
+        if csr is None:
+            return from_matrix(self.w[np.ix_(units, units)], self.scheme, normalized)
+        at = np.cumsum(units) - 1
+        keep = units[csr.rows] & units[csr.cols]
+        return from_triplets(
+            np.count_nonzero(units), at[csr.rows[keep]], at[csr.cols[keep]], csr.data[keep],
+            self.scheme, normalized,
+        )
 
     def logdet(self, rho):
         """log |det(I - rho W)| at rho, or at each rho of a 1-D array."""

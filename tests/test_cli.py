@@ -148,7 +148,7 @@ class TestFitCommand:
         assert "rfpc component 2 stopped at the 1-sweep cap" in report["events"]
         assert b"sweep" not in read_bytes(out / "model.json")
 
-    def test_missing_file_exit_2(self, tmp_path, capsys):
+    def test_missing_file_exit_2(self, simulated_dir, tmp_path, capsys):
         code = run_cli(
             "fit", "--curves", tmp_path / "nope.csv",
             "--response", tmp_path / "nope2.csv",
@@ -157,6 +157,22 @@ class TestFitCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "nope.csv" in err
+        # a file that is not UTF-8, and a directory, are named as unreadable
+        # before anything is written
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"id,y\nu0000,\xff\n")
+        response = simulated_dir / "response.csv"
+        matrix = ("--weights-matrix", simulated_dir / "weights_matrix.csv")
+        for path, args in [
+            (bad, ("--response", bad, *matrix)),
+            (tmp_path, ("--response", tmp_path, *matrix)),
+            (tmp_path, ("--response", response, "--coords", tmp_path)),
+        ]:
+            code = run_cli("fit", "--curves", simulated_dir / "curves.csv", *args,
+                           "--out", tmp_path / "o")
+            assert code == 2
+            assert f"error: cannot read {path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_deterministic_model_json(self, simulated_dir, tmp_path):
         outs = []
@@ -337,6 +353,17 @@ class TestPredictCommand:
         m = fit_metrics(y, yhat, 0.05)
         assert rep["metrics"]["0.05"]["mspe"] == m.mse
         assert rep["metrics"]["0.05"]["r2_p"] == m.r2
+        # a trim fraction outside [0, 0.5) exits 2 and writes no file
+        bad_out = tmp_path / "pred_bad_trim"
+        code = run_cli(
+            "predict", "--model", fit_out / "model.json",
+            "--curves", simulated_dir / "curves.csv",
+            "--response", simulated_dir / "response.csv",
+            "--weights-matrix", simulated_dir / "weights_matrix.csv",
+            "--no-normalize", "--trim", "0.7", "--out", bad_out,
+        )
+        assert code == 2
+        assert not (bad_out / "predictions.csv").exists()
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read model file"),

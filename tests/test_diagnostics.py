@@ -8,6 +8,7 @@ from ssofr import (
     ValidationError,
     fit_metrics,
     from_matrix,
+    from_triplets,
     global_moran,
     grid_contiguity,
     local_morans_i,
@@ -89,17 +90,26 @@ class TestGlobalMoran:
     """`local_morans_i` and `global_moran` report one value, (n / S0) times
     sum_ij w_ij d_i d_j / sum_i d_i^2, whatever W's total weight S0."""
 
-    @pytest.mark.parametrize("kind", ["binary", "row-normalized", "isolated unit"])
+    @pytest.mark.parametrize("kind", ["binary", "row-normalized", "isolated unit", "csr"])
     def test_one_value_with_s0(self, kind):
-        raw = grid_contiguity(4, 4, "rook").w > 0
+        # "csr": a binary 8 x 8 rook W, sparse enough to be held in CSR form,
+        # whose S0 is summed over its entries with no dense W
+        side = 8 if kind == "csr" else 4
+        n = side * side
+        raw = grid_contiguity(side, side, "rook").w > 0
         if kind == "isolated unit":
             raw[15, :] = raw[:, 15] = False
-        w = from_matrix(raw, normalize=kind != "binary")
-        y = np.random.default_rng(5).standard_normal(16)
+        if kind == "csr":
+            w = from_triplets(n, *np.nonzero(raw), np.ones(np.count_nonzero(raw)),
+                              normalize=False)
+        else:
+            w = from_matrix(raw, normalize=kind != "binary")
+        y = np.random.default_rng(5).standard_normal(n)
         rep = local_morans_i(y, w)
+        assert ("held='csr'" in repr(w)) == (kind == "csr")
         dev = y - y.mean()
         s0 = w.w.sum()
-        textbook = 16 / s0 * (dev @ w.w @ dev) / (dev @ dev)
+        textbook = n / s0 * (dev @ w.w @ dev) / (dev @ dev)
         assert rep.global_moran == global_moran(y, w)
         assert rep.global_moran == pytest.approx(textbook, rel=1e-12)
         assert rep.local_i.sum() == pytest.approx(s0 * rep.global_moran, rel=1e-12)

@@ -387,17 +387,28 @@ class TestSelectK:
         ds, w, _ = simulate(SimSpec(n=144, weights_scheme="queen", grid_shape=(12, 12), seed=7))
         assert 1 <= select_K(ds, w, BasisSpec(), method, "ev:0.95") <= 5
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_cv_folds_keep_the_scaling_of_w(self, normalize):
+    @pytest.mark.parametrize("normalize, held", [
+        (False, "dense"), (True, "dense"), (False, "csr"), (True, "csr"),
+    ], ids=["False", "True", "False-csr", "True-csr"])
+    def test_cv_folds_keep_the_scaling_of_w(self, normalize, held):
         # a binary W stays binary in every fold, as in the final fit; a
-        # row-normalized W is normalized again among each fold's units
-        ds, w, _ = sim(seed=16, n=36, shape=(6, 6))
-        w = from_matrix(w.w > 0, w.scheme, normalize=normalize)
+        # row-normalized W is normalized again among each fold's units; the
+        # same holds for a W held in CSR form (a 12 x 12 queen grid given as
+        # triplets), whose folds are cut from its entries
+        side = 6 if held == "dense" else 12
+        n = side * side
+        ds, w, _ = sim(seed=16, n=n, shape=(side, side))
+        if held == "dense":
+            w = from_matrix(w.w > 0, w.scheme, normalize=normalize)
+        else:
+            rows, cols = np.nonzero(w.w)
+            w = from_triplets(n, rows, cols, np.ones(rows.size), w.scheme, normalize=normalize)
+        assert repr(w).endswith(f"held={held!r})")
         for f in range(3):
-            units = np.arange(36) % 3 != f
-            part, fold = _subset(ds, w, units)
+            units = np.arange(n) % 3 != f
+            part, fold = _subset(ds, units), w.among(units)
             block = w.w[np.ix_(units, units)]
-            assert part.n == fold.n == 24
+            assert part.n == fold.n == 2 * n // 3
             if normalize:
                 sums = fold.w.sum(axis=1)
                 assert np.all(np.abs(sums[sums != 0] - 1.0) <= 1e-15)
@@ -422,7 +433,7 @@ class TestSelectK:
         w = build()
         for f in range(3):
             units = np.arange(w.n) % 3 != f
-            part, fold = _subset(ds, w, units)
+            part, fold = _subset(ds, units), w.among(units)
             assert fold._csr is not None and part.n == fold.n == 96
             expected = from_matrix(ref[np.ix_(units, units)], w.scheme, normalize)
             assert np.array_equal(fold.isolated, expected.isolated)
