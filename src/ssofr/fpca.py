@@ -12,10 +12,11 @@ rotates it, plane by plane, towards the principal axes of the deflated data
 (the eigenvectors of its classical scatter, one eigendecomposition per
 component), then along the sweep's net displacement, a pattern move in the
 manner of Hooke and Jeeves. In each plane a zoomed angle grid picks the
-rotation; it reuses the values it already has, so no angle is scored twice,
-and it solves the M-scale only of the angles that can beat the best value so
-far: a cheap exact test of the M-scale equation at that value
-(`m_scale_columns_below`) rules the others out.
+rotation; it reuses the values it already has, so no angle is scored twice.
+Each batch of angles, and each component's batch of candidate starts, needs
+only its first maximum, so it goes to `m_scale_columns` with a floor (the
+best value so far, or -inf), and the M-scale kernel solves only the columns
+that may reach that maximum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, ValidationError
 from .functional import BasisSystem, CoefficientMatrix
-from .mscale import DEFAULT_MSCALE, MScaleConfig, m_scale_columns, m_scale_columns_below
+from .mscale import DEFAULT_MSCALE, MScaleConfig, m_scale_columns
 
 _REFINE_TOL = 1e-8
 _REFINE_SWEEPS = 100
@@ -148,16 +149,13 @@ def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
     at that point's neighbours on the grid before, which did not beat it.
     So a plane considers 11 + 5 x 10 = 61 angles. The first maximum of the
     scored angles, in grid order, moves u only if it strictly improves on
-    crit. Each batch first goes to `m_scale_columns_below` with the best
-    value so far: a column certified below it can be neither that maximum
-    nor an improvement, and enters the argmax as -inf. Only the other
-    columns are solved, by `m_scale_columns`; a column's M-scale does not
-    depend on the columns that share its call, so every value the search
-    compares keeps its bits. A batch is built in row layout, one candidate
-    direction per row, so its projections (candidates x units) reach both
-    functions as the transpose of a C-contiguous array, a view in their
-    row layout. Returns (u, crit); a plane where |v_perp| < 1e-12 is
-    skipped.
+    crit, so each batch goes to `m_scale_columns` with the best value so
+    far as its floor: a column that cannot beat it comes back -inf,
+    unsolved, and the maximum and the values it is compared with keep their
+    bits. A batch is built in row layout, one candidate direction per row,
+    so its projections (candidates x units) reach `m_scale_columns` as the
+    transpose of a C-contiguous array, a view in its row layout. Returns
+    (u, crit); a plane where |v_perp| < 1e-12 is skipped.
     """
     v = v - (u @ v) * u
     norm = np.linalg.norm(v)
@@ -170,11 +168,7 @@ def _rotate(b: np.ndarray, u: np.ndarray, v: np.ndarray, crit: float,
     for _zoom in range(_ZOOMS):
         t = thetas[scored]
         cand = np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
-        proj = cand @ b.T
-        vals = np.full(t.size, -np.inf)
-        contenders = ~m_scale_columns_below(proj.T, best_val, config)
-        if contenders.any():
-            vals[contenders] = m_scale_columns(proj[contenders].T, config)
+        vals = m_scale_columns((cand @ b.T).T, config, best_val)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_theta, best_val = float(t[i]), float(vals[i])
@@ -224,7 +218,9 @@ def rfpc(
     the orthogonal complement of the components already found. Candidates are
     the normalized centered observations (deflated); the best one, with ties
     broken toward the lowest observation index, is refined by
-    `_sphere_refine`, whose sweep count is kept per component in `sweeps`;
+    `_sphere_refine`. The candidates are scored by one `m_scale_columns`
+    call with floor -inf, which solves only those that may be the first
+    maximum. Each component's sweep count is kept in `sweeps`;
     `events` names each component that stopped at the sweep cap.
     """
     a = coeff_matrix.coeffs
@@ -233,21 +229,17 @@ def rfpc(
     if n < 4:
         raise ValidationError("robust components need n >= 4")
     center = np.median(a, axis=0)
-    b_full = (a - center) @ basis.gram_sqrt
-
-    b = b_full.copy()
-    us = []
-    lambdas = []
-    sweeps = []
+    b = (a - center) @ basis.gram_sqrt
+    us, lambdas, sweeps = [], [], []
     for _k in range(K):
         norms = np.linalg.norm(b, axis=1)
-        keep = norms > 1e-12 * max(norms.max(), 1.0)
+        keep = norms > 1e-12 * norms.max()
         if not keep.any():
             raise DegenerateDataError(
                 "all candidate directions vanish after deflation"
             )
         cand = b[keep] / norms[keep, None]  # n_cand x M
-        crit = m_scale_columns((cand @ b.T).T, m_scale_config)
+        crit = m_scale_columns((cand @ b.T).T, m_scale_config, -np.inf)
         best = int(np.argmax(crit))  # first max wins: lowest index tie-break
         u = cand[best]
         u, _, n_sweeps = _sphere_refine(b, u, m_scale_config)

@@ -75,22 +75,26 @@ def _nipals(d: np.ndarray, y: np.ndarray, K: int):
 
     Returns directions, components, response loadings, and the per-step
     covariance with the working response. Stops early if the working
-    covariance vanishes before K components.
+    covariance vanishes before K components. The covariance |d^T y| is
+    tested against |d| |y| at the start, and the component t = d w
+    (|w| = 1) against |d|, so the stop does not depend on the units of the
+    curves or of the response.
     """
     n = d.shape[0]
-    scale0 = np.linalg.norm(d) * np.linalg.norm(y)
+    d_norm = np.linalg.norm(d)
+    scale0 = d_norm * np.linalg.norm(y)
     ws, ts, qs, covs = [], [], [], []
     truncated = False
     for _h in range(K):
         v = d.T @ y
         nv = np.linalg.norm(v)
-        if nv <= _ZERO_COV_RTOL * max(scale0, 1.0):
+        if nv <= _ZERO_COV_RTOL * scale0:
             truncated = True
             break
         w = v / nv
         t = d @ w
         tt = float(t @ t)
-        if tt <= (_ZERO_COV_RTOL * max(scale0, 1.0)) ** 2:
+        if tt <= (_ZERO_COV_RTOL * d_norm) ** 2:
             truncated = True
             break
         covs.append(float(y @ t) / max(n - 1, 1))

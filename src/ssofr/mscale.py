@@ -33,11 +33,13 @@ any iterate.
 
 Every step works row by row, so a sample's M-scale does not depend on the
 samples that share its call, bit for bit. `m_scale_columns` therefore solves
-a wide batch in fixed blocks of rows, and a caller that needs only the
-samples whose M-scale may exceed a bound can rule the others out first:
-`m_scale_columns_below` evaluates the estimating equation once at that
-bound, which the mean loss, non-increasing in sigma, turns into an exact
-test up to stated margins.
+a wide batch in fixed blocks of rows, and sorts each block once: the sort
+gives every row's median and, through `_start`, its MAD start. A caller that
+needs only a batch's first maximum, and whether it beats a floor, passes
+that floor: the same sort then gives an exact test that rules a row out
+unsolved. `_below` evaluates the estimating equation once at the larger of
+the floor and the best value solved so far, which the mean loss,
+non-increasing in sigma, turns into a certificate up to stated margins.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ def _middle(s: np.ndarray) -> np.ndarray:
     return (s[:, n // 2 - 1] + s[:, n // 2]) / 2.0
 
 
-# margins of `m_scale_columns_below`, which certifies f(s) < 0 at
-# s = bound (1 - _BELOW_MARGIN) by a computed f below -_BELOW_SLACK.
+# margins of `_below`, which certifies f(s) < 0 at s = bound (1 -
+# _BELOW_MARGIN) by a computed f below -_BELOW_SLACK.
 # _BELOW_MARGIN is relative in sigma and must exceed the solver's worst
 # stopping error: a row stops within 5e-13 of the root by the Newton error
 # model, or after a relative step of at most 1e-10 (_TOL), and the rounding
@@ -148,24 +150,20 @@ _BELOW_MARGIN = 1e-8
 _BELOW_SLACK = 1e-9
 
 
-def m_scale_columns_below(x: np.ndarray, bound: float,
-                          config: MScaleConfig = DEFAULT_MSCALE) -> np.ndarray:
-    """Mask of the columns of x whose `m_scale_columns` value is certainly
-    below bound, decided without solving; all False when bound <= 0.
+def _below(s: np.ndarray, bound: float, config: MScaleConfig) -> np.ndarray:
+    """Mask of the rows of the row-sorted s whose M-scale is certainly below
+    bound, decided without solving; all False when bound <= 0 or NaN.
 
     The mean biweight loss of a sample is non-increasing in sigma, so the
-    M-scale of a column lies below s when f(s) = mean rho_norm((x - mu) /
-    (c s)) - delta < 0, mu the median as `_start` computes it (one sort
-    of each column, `_middle`'s bits). A column is certified where the
-    computed f at s = bound (1 - _BELOW_MARGIN) is below -_BELOW_SLACK: the
-    slack covers the rounding of f, and the margin the solver's stopping
-    error, so the value the solver would return is below bound. Like
-    `m_scale_columns`, each column's answer depends on that column alone.
+    M-scale of a row lies below s when f(s) = mean rho_norm((x - mu) /
+    (c s)) - delta < 0, mu the row's median as `_start` takes it. A row is
+    certified where the computed f at s = bound (1 - _BELOW_MARGIN) is below
+    -_BELOW_SLACK: the slack covers the rounding of f, and the margin the
+    solver's stopping error, so the value the solver would return is below
+    bound. Each row's answer depends on that row alone.
     """
-    x = np.asarray(x, dtype=float)
     if not bound > 0.0:
-        return np.zeros(x.shape[1], dtype=bool)
-    s = np.sort(x.T, axis=1)
+        return np.zeros(s.shape[0], dtype=bool)
     t = np.abs(s - _middle(s)[:, None])
     t /= config.c * (bound * (1.0 - _BELOW_MARGIN))
     np.minimum(t, 1.0, out=t)
@@ -173,17 +171,17 @@ def m_scale_columns_below(x: np.ndarray, bound: float,
     return _biweight(t).sum(axis=1) < (config.delta - _BELOW_SLACK) * t.shape[1]
 
 
-def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
+def _start(s: np.ndarray, cfg: MScaleConfig) -> tuple:
     """Location, sorted squared scaled residuals, degenerate flags and start
-    scales of the rows of x, one sample per row.
+    scales of the rows of s, one sample per row, each sorted.
 
-    Each sample is sorted once for its median and once more, as absolute
-    residuals, for its MAD. A row is degenerate when more than (1 - delta) n
-    of its values coincide with the location estimate, that is when the
-    sorted absolute residual at index floor((1 - delta) n) is still 0. The
-    start scale is the normalized MAD, or the root mean square where the MAD
-    collapses on a row that is not degenerate, whose equation is still
-    solvable.
+    The sorted row gives the sample's median; its absolute residuals are
+    sorted once more for its MAD. A row is degenerate when more than
+    (1 - delta) n of its values coincide with the location estimate, that
+    is when the sorted absolute residual at index floor((1 - delta) n) is
+    still 0. The start scale is the normalized MAD, or the root mean square
+    where the MAD collapses on a row that is not degenerate, whose equation
+    is still solvable.
 
     A row with exactly delta n nonzero residuals, k = (1 - delta) n zeros
     and (n - k) / n == delta in floating point, is not degenerate, but its
@@ -194,13 +192,13 @@ def _start(x: np.ndarray, cfg: MScaleConfig) -> tuple:
     (sigma*^2 rounds to q[k]), the mean loss is delta to the bit, and the
     solver's first step returns sigma* unchanged.
 
-    The returned q = (|x - mu| / c)^2 is sorted along each row, so
+    The returned q = (|s - mu| / c)^2 is sorted along each row, so
     everything computed from it depends on the order of the units only
     through mu, and the median does not.
     """
-    n = x.shape[1]
-    mu = _middle(np.sort(x, axis=1))
-    a = np.sort(np.abs(x - mu[:, None]), axis=1)
+    n = s.shape[1]
+    mu = _middle(s)
+    a = np.sort(np.abs(s - mu[:, None]), axis=1)
     # floor((1 - delta) n) <= n - 1 for delta > 0, but (1 - delta) n rounds
     # to n once delta is below about 1e-16
     k = min(int(np.floor((1.0 - cfg.delta) * n)), n - 1)
@@ -306,7 +304,7 @@ def m_scale_info(x, config: MScaleConfig = DEFAULT_MSCALE) -> MScaleResult:
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValidationError("m_scale needs at least 2 observations")
-    mu, q, degenerate, sigma = _start(x[None, :], config)
+    mu, q, degenerate, sigma = _start(np.sort(x)[None, :], config)
     mu = float(mu[0])
     if degenerate[0]:
         return MScaleResult(0.0, mu, True, True, 0, [0.0])
@@ -322,7 +320,8 @@ def m_scale(x, config: MScaleConfig = DEFAULT_MSCALE) -> float:
     return m_scale_info(x, config).sigma
 
 
-def m_scale_columns(x: np.ndarray, config: MScaleConfig = DEFAULT_MSCALE) -> np.ndarray:
+def m_scale_columns(x: np.ndarray, config: MScaleConfig = DEFAULT_MSCALE,
+                    floor: float | None = None) -> np.ndarray:
     """Column-wise M-scales of a 2-D array.
 
     Same estimator and solver as m_scale applied to each column; used where
@@ -331,26 +330,39 @@ def m_scale_columns(x: np.ndarray, config: MScaleConfig = DEFAULT_MSCALE) -> np.
     C-contiguous (m x n) array makes that a view. Degenerate columns get 0.
     Each column's value depends on that column alone, bit for bit: every
     step of `_start` and `_solve` works row by row. So the columns are
-    solved in blocks of `_BLOCK`, which bounds the temporaries of a wide
-    batch and changes no value.
+    solved in blocks of `_BLOCK`, each sorted once, which bounds the
+    temporaries of a wide batch and changes no value.
+
+    With floor=None every column is solved. A caller that needs only the
+    first maximum, and whether it beats floor, passes floor (-inf if it has
+    none): a column that `_below` certifies below the larger of floor and
+    the largest value solved in the blocks before it then returns -inf
+    unsolved. Such a column can be neither the first maximum nor above
+    floor, and every other column keeps its bits.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValidationError("m_scale_columns needs an (n >= 2) x m array")
     rows = x.T
-    # one block at least, so that an array with no columns returns an empty one
-    return np.concatenate([
-        _row_scales(rows[i:i + _BLOCK], config)
-        for i in range(0, max(rows.shape[0], 1), _BLOCK)
-    ])
+    out = np.full(rows.shape[0], -np.inf)
+    bound = -np.inf if floor is None else floor
+    for i in range(0, rows.shape[0], _BLOCK):
+        s = np.sort(rows[i:i + _BLOCK], axis=1)
+        keep = ~_below(s, bound, config)
+        if keep.any():
+            out[i:i + _BLOCK][keep] = _row_scales(s[keep], config)
+        if floor is not None:
+            bound = max(bound, float(out[i:i + _BLOCK].max()))
+    return out
 
 
-def _row_scales(x: np.ndarray, config: MScaleConfig) -> np.ndarray:
-    """M-scales of the rows of x, one sample per row; degenerate rows get 0."""
-    _, q, degenerate, sigma = _start(x, config)
+def _row_scales(s: np.ndarray, config: MScaleConfig) -> np.ndarray:
+    """M-scales of the rows of the row-sorted s, one sample per row;
+    degenerate rows get 0."""
+    _, q, degenerate, sigma = _start(s, config)
     if not degenerate.any():
         return _solve(q, sigma, config)[0]
-    out = np.zeros(x.shape[0])
+    out = np.zeros(s.shape[0])
     keep = ~degenerate
     if keep.any():
         out[keep], _ = _solve(q[keep], sigma[keep], config)

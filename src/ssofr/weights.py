@@ -676,7 +676,12 @@ def from_matrix(raw: np.ndarray, scheme: str = "custom", normalize: bool = True)
     The diagonal is zeroed; with normalize=True each nonzero row is scaled to
     sum 1 and all-zero rows are kept and flagged as isolated units.
     """
-    w = np.array(raw, dtype=float, order="C")
+    return _from_array(np.array(raw, dtype=float, order="C"), scheme, normalize)
+
+
+def _from_array(w: np.ndarray, scheme: str, normalize: bool) -> SpatialWeights:
+    """`from_matrix` on a C-contiguous float array that it may overwrite
+    and keep as W."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("weight matrix must be square")
     if w.shape[0] < 2:
@@ -792,7 +797,8 @@ def inverse_distance_weights(lat, lon) -> SpatialWeights:
     if not d.all():
         i, j = np.argwhere(d == 0.0)[0]
         raise ValidationError(f"duplicate coordinates for units {i} and {j}")
-    return row_normalize(np.divide(1.0, d, out=d), scheme="inverse_distance")
+    # normalized in place: W is the one n x n array of the build
+    return _from_array(np.divide(1.0, d, out=d), "inverse_distance", normalize=True)
 
 
 def grid_contiguity(rows: int, cols: int, kind: str = "rook") -> SpatialWeights:

@@ -9,7 +9,7 @@ from ssofr import (
     rfpls, scores_for, simulate,
 )
 from ssofr.functional import CoefficientMatrix, project_curves
-from ssofr.mscale import DEFAULT_MSCALE, tukey_loss_norm
+from ssofr.mscale import _BLOCK, DEFAULT_MSCALE, m_scale_columns, tukey_loss_norm
 
 from conftest import oracle_m_scale_columns, subspace_angle_deg
 
@@ -157,7 +157,8 @@ class TestRfpc:
         def run(m_scale_columns):
             calls = []
 
-            def counted(x, config):
+            # without the floor both score every column of every batch
+            def counted(x, config, floor=None):
                 calls.append(x.shape)
                 return m_scale_columns(x, config)
 
@@ -208,32 +209,32 @@ def plane_search_oracle(b, u, v, config=DEFAULT_MSCALE):
     return best_theta, best_val
 
 
-def spy(monkeypatch, name):
-    """A list that receives a copy of the array passed to `ssofr.fpca.<name>`
+def spy(monkeypatch, module, name):
+    """A list that receives a copy of the array passed to `module.<name>`
     on every call during the test."""
     calls = []
-    real = getattr(ssofr.fpca, name)
+    real = getattr(module, name)
 
     def counted(x, *args):
         calls.append(np.array(x))
         return real(x, *args)
 
-    monkeypatch.setattr(ssofr.fpca, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.fixture()
-def scored(monkeypatch):
-    """Every array passed to `m_scale_columns` during the test: the columns
-    solved."""
-    return spy(monkeypatch, "m_scale_columns")
+def offered(monkeypatch):
+    """Every array that `ssofr.fpca` passes to `m_scale_columns` during the
+    test: each batch in full, before the kernel rules any column out."""
+    return spy(monkeypatch, ssofr.fpca, "m_scale_columns")
 
 
 @pytest.fixture()
-def screened(monkeypatch):
-    """Every array passed to `m_scale_columns_below` during the test: each
-    zoom batch of `_rotate` in full, before any column is solved."""
-    return spy(monkeypatch, "m_scale_columns_below")
+def solved(monkeypatch):
+    """Every block of samples that the M-scale kernel solves during the
+    test (`ssofr.mscale._row_scales`), one row-sorted sample per row."""
+    return spy(monkeypatch, ssofr.mscale, "_row_scales")
 
 
 class TestProjectionPursuit:
@@ -256,31 +257,31 @@ class TestProjectionPursuit:
         expect = np.linspace(lo, hi, ssofr.fpca._GRID)
         np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64))
 
-    def test_each_plane_scores_61_distinct_angles(self, screened, scored):
-        # every angle reaches the pre-check; only the columns it cannot place
-        # below the incumbent are solved, each once
+    def test_each_plane_scores_61_distinct_angles(self, offered, solved):
+        # every angle reaches the M-scale kernel; only the columns it cannot
+        # place below the incumbent are solved, each once
         b, u, axes = self.planes()
-        solved = []
+        rows = []
         for v in axes + [np.ones(7)]:
             crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
-            del screened[:], scored[:]
+            del offered[:], solved[:]
             ssofr.fpca._rotate(b, u, v, crit, DEFAULT_MSCALE)
-            assert [x.shape[1] for x in screened] == [11, 10, 10, 10, 10, 10]
+            assert [x.shape[1] for x in offered] == [11, 10, 10, 10, 10, 10]
             v_perp = v - (u @ v) * u
             plane = np.column_stack([b @ u, b @ v_perp])
-            coords = np.linalg.lstsq(plane, np.hstack(screened), rcond=None)[0]
+            coords = np.linalg.lstsq(plane, np.hstack(offered), rcond=None)[0]
             # directions up to sign, u itself (theta = 0) included
             thetas = np.sort(np.r_[0.0, np.arctan2(coords[1], coords[0]) % np.pi])
             gaps = np.diff(np.r_[thetas, thetas[0] + np.pi])
             assert gaps.min() > 1e-6
-            plane_solved = [col.tobytes() for x in scored for col in x.T]
-            assert set(plane_solved) <= {col.tobytes() for x in screened for col in x.T}
-            solved += plane_solved
-        assert len(solved) == len(set(solved))
-        # 8 planes x 61 angles screened; all 488 were solved before the pre-check
-        assert len(solved) == 181
+            plane_solved = [row.tobytes() for x in solved for row in x]
+            assert set(plane_solved) <= {np.sort(col).tobytes() for x in offered for col in x.T}
+            rows += plane_solved
+        assert len(rows) == len(set(rows))
+        # 8 planes x 61 angles offered; all 488 were solved before the pre-check
+        assert len(rows) == 181
 
-    def test_plane_search_matches_rescoring_oracle(self, scored):
+    def test_plane_search_matches_rescoring_oracle(self):
         b, u, axes = self.planes()
         for v in axes + [np.ones(7)]:
             crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
@@ -295,7 +296,7 @@ class TestProjectionPursuit:
             assert np.abs(got_u - np.sign(got_u @ expect) * expect).max() < 1e-12
 
     @pytest.mark.parametrize("deflated", [0, 1, 2])
-    def test_sweeps_search_kept_axes_then_a_pattern_move(self, screened, deflated):
+    def test_sweeps_search_kept_axes_then_a_pattern_move(self, offered, solved, deflated):
         # a deflated direction leaves b^T b an eigenvalue of rounding size,
         # and its axis is not searched
         b, u, axes = self.planes()
@@ -304,27 +305,37 @@ class TestProjectionPursuit:
             u = u - (u @ w) * w
         u /= np.linalg.norm(u)
         _, _, sweeps = ssofr.fpca._sphere_refine(b, u, DEFAULT_MSCALE)
-        planes = sum(x.shape[1] == 11 for x in screened)
+        planes = sum(x.shape[1] == 11 for x in offered)
         per_sweep = 7 - deflated + 1
         # every sweep but the last moves u, so it has a displacement to search
         assert per_sweep * sweeps - 1 <= planes <= per_sweep * sweeps
+        # the solves: the start's value, then the zoom rows that the
+        # pre-check left (as many as when `_rotate` ran it itself)
+        calls, rows = {0: (57, 241), 1: (46, 232), 2: (40, 173)}[deflated]
+        assert len(solved) == calls
+        assert sum(x.shape[0] for x in solved) == rows
 
-    def test_rfpc_planes_score_61_columns(self, basis, screened, scored):
+    def test_rfpc_planes_score_61_columns(self, basis, offered, solved):
         cm = CoefficientMatrix(gaussian_coeffs(22))
         dec = rfpc(cm, basis, 3)
-        # every zoom batch of every plane reaches the pre-check in full
-        widths = [x.shape[1] for x in screened]
-        assert len(widths) == 540  # 90 planes
-        assert widths == [11, 10, 10, 10, 10, 10] * (len(widths) // 6)
-        assert len(dec.sweeps) == 3
-        # the solves: per component the candidate batch of n columns, the
-        # start's value and lambda, then the zoom columns that the pre-check
-        # left (all 5,490 columns of the 90 planes, in 540 calls, without it)
         n = cm.coeffs.shape[0]
-        assert len(scored) == 9 + 167
-        assert sum(x.shape[1] for x in scored) == 3 * n + 6 + 750
+        # every zoom batch of every plane reaches the M-scale kernel in full,
+        # and so do, per component, the n candidate starts, the start's
+        # value and lambda
+        widths = [x.shape[1] for x in offered]
+        zooms = [w for w in widths if w in (10, 11)]
+        assert len(zooms) == 540  # 90 planes
+        assert zooms == [11, 10, 10, 10, 10, 10] * (len(zooms) // 6)
+        assert sorted(w for w in widths if w not in (10, 11)) == [1] * 6 + [n] * 3
+        assert len(dec.sweeps) == 3
+        # the solves: the candidate rows that the pre-check left of each
+        # component's n (4 blocks, 12 calls and 3 n rows without it), the
+        # start's value and lambda, then the zoom rows that it left (all
+        # 5,490 rows of the 90 planes, in 540 calls, without it)
+        assert len(solved) == 6 + 6 + 167
+        assert sum(x.shape[0] for x in solved) == 195 + 6 + 750
 
-    def test_cost_does_not_depend_on_the_draw(self, scored):
+    def test_cost_does_not_depend_on_the_draw(self, solved):
         calls = []
         for seed in range(6):
             design, _, _ = simulate(SimSpec(
@@ -332,9 +343,9 @@ class TestProjectionPursuit:
                 contamination_kind="leverage", seed=seed,
             ))
             lev_basis = build_basis("bspline", 15, design.grid)
-            del scored[:]
+            del solved[:]
             rfpc(project_curves(design, lev_basis), lev_basis, 3)
-            calls.append(len(scored))
+            calls.append(len(solved))
         assert max(calls) <= 1000
         assert max(calls) <= 2 * min(calls)
 
@@ -351,10 +362,10 @@ class TestProjectionPursuit:
 
 
 def solve_every_row(monkeypatch):
-    """Turn the pre-check of `_rotate` off: every zoom column is solved."""
+    """Turn the M-scale kernel's pre-check off: every column is solved, the
+    zoom columns of `_rotate` and rfpc's candidate starts alike."""
     monkeypatch.setattr(
-        ssofr.fpca, "m_scale_columns_below",
-        lambda x, bound, config: np.zeros(x.shape[1], dtype=bool),
+        ssofr.mscale, "_below", lambda s, bound, config: np.zeros(s.shape[0], dtype=bool),
     )
 
 
@@ -363,9 +374,9 @@ def bits(*arrays):
 
 
 class TestPreCheckIsExact:
-    """The pre-check only drops zoom columns whose M-scale lies below the
-    incumbent, so the search takes the same path as one that solves every
-    column, to the bit."""
+    """The pre-check only drops columns whose M-scale lies below the floor or
+    a value solved before them, so the search and the candidate stage take
+    the same path as ones that solve every column, to the bit."""
 
     def rotate_both(self, monkeypatch, b, u, v, crit):
         pruned = ssofr.fpca._rotate(b, u, v, crit, DEFAULT_MSCALE)
@@ -382,7 +393,7 @@ class TestPreCheckIsExact:
             got_u, got_val = self.rotate_both(monkeypatch, b, u, v, crit)
             assert got_val >= crit
 
-    def test_planes_where_no_angle_beats_the_start(self, monkeypatch, scored):
+    def test_planes_where_no_angle_beats_the_start(self, monkeypatch, solved):
         # spread 1 along u and 1e-7 across it: a rotation by theta shrinks
         # the projections by cos(theta) and adds at most 1e-7 |sin(theta)|,
         # so no scored angle beats u; the finest zooms still have to be
@@ -392,11 +403,11 @@ class TestPreCheckIsExact:
         u = np.eye(7)[0]
         crit = float(ssofr.fpca.m_scale_columns((b @ u)[:, None], DEFAULT_MSCALE)[0])
         for v in np.eye(7)[1:]:
-            del scored[:]
+            del solved[:]
             got_u, got_val = self.rotate_both(monkeypatch, b, u, v, crit)
             assert got_val == crit and got_u is u
             # both runs: the full one solves all 61 columns
-            assert 61 < sum(x.shape[1] for x in scored) < 2 * 61
+            assert 61 < sum(x.shape[0] for x in solved) < 2 * 61
 
     def test_a_start_whose_value_is_zero(self, monkeypatch):
         # 120 of 200 rows orthogonal to u: the start's projections are
@@ -426,6 +437,35 @@ class TestPreCheckIsExact:
                     full = rfpc(coeffs, basis, 4)
                 assert bits(pruned.phi, pruned.lambdas) == bits(full.phi, full.lambdas)
                 assert pruned.sweeps == full.sweeps
+
+    @pytest.mark.parametrize("block", [0, 2])
+    def test_candidate_stage_over_three_blocks(self, monkeypatch, basis, block):
+        # 150 > 2 _BLOCK candidate starts, the best one of the first
+        # component moved into the first or the last of their three blocks
+        def candidate_batch(a):
+            b = (a - np.median(a, axis=0)) @ basis.gram_sqrt
+            cand = b / np.linalg.norm(b, axis=1)[:, None]
+            return (cand @ b.T).T
+
+        a = gaussian_coeffs(23, n=150)
+        order = np.arange(150)
+        best = int(np.argmax(m_scale_columns(candidate_batch(a))))
+        target = {0: 5, 2: 140}[block]
+        order[[best, target]] = order[[target, best]]
+        a = a[order]
+        batch = candidate_batch(a)
+        full = m_scale_columns(batch)
+        pruned = m_scale_columns(batch, DEFAULT_MSCALE, -np.inf)
+        best = int(np.argmax(full))
+        assert best // _BLOCK == block and int(np.argmax(pruned)) == best
+        assert pruned[best] == full[best]
+        assert np.isinf(pruned).sum() == {0: 86, 2: 85}[block]
+        got = rfpc(CoefficientMatrix(a), basis, 3)
+        with monkeypatch.context() as patch:
+            solve_every_row(patch)
+            expect = rfpc(CoefficientMatrix(a), basis, 3)
+        assert bits(got.phi, got.lambdas) == bits(expect.phi, expect.lambdas)
+        assert got.sweeps == expect.sweeps
 
 
 class TestScoresFor:

@@ -10,7 +10,7 @@ from ssofr import (
     project_curves, rfpc, simulate, tukey_loss, tukey_loss_norm,
 )
 from ssofr.mscale import (
-    _BLOCK, DEFAULT_MSCALE, _solve, _start, m_scale_columns, m_scale_columns_below,
+    _BLOCK, DEFAULT_MSCALE, _below, _solve, _start, m_scale_columns,
 )
 
 from conftest import (
@@ -169,7 +169,7 @@ class TestTinyDelta:
         spread = np.arange(1.0, n + 1.0) * np.where(np.arange(n) % 2, 1.0, -1.0)
         x = np.column_stack([np.r_[np.zeros(ties), spread[ties:]] for ties in range(n + 1)])
         _, degenerate, _ = oracle_start(x, cfg)
-        np.testing.assert_array_equal(_start(x.T, cfg)[2], degenerate)
+        np.testing.assert_array_equal(_start(np.sort(x.T, axis=1), cfg)[2], degenerate)
 
 
 class TestExactlyDeltaNOffTheTies:
@@ -268,7 +268,7 @@ class TestNewtonSolver:
         # every nonzero residual beyond the cutoff: zero derivative, so the
         # first step cannot be a Newton step
         x = heavy_tailed(seed, n, 1.5)
-        _, q, degenerate, _ = _start(x[None, :], DEFAULT_MSCALE)
+        _, q, degenerate, _ = _start(np.sort(x)[None, :], DEFAULT_MSCALE)
         assert not degenerate[0]
         q_nz = q[q != 0.0]  # (|r| / c)^2 at the nonzero residuals r
         start = np.sqrt(q_nz.min()) / 10.0  # min |r| / (10 c)
@@ -361,10 +361,16 @@ def candidate_rows(seed, n, m, df, delta):
     return np.ascontiguousarray(cols[:, :m].T)
 
 
+def below(x, bound, cfg=DEFAULT_MSCALE):
+    """The pre-check's mask of the columns of x, each sorted as
+    `m_scale_columns` sorts it."""
+    return _below(np.sort(x.T, axis=1), bound, cfg)
+
+
 class TestBatchIndependence:
     """A row's M-scale has the same bits whatever rows share its call: the
-    blocks of `m_scale_columns` and the pre-check of rfpc's zoom batches,
-    which solves only some rows of a batch, both rest on this."""
+    blocks of `m_scale_columns` and its pre-check under a floor, which
+    solves only some rows of a batch, both rest on this."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -393,14 +399,26 @@ class TestBatchIndependence:
         np.testing.assert_array_equal(got.view(np.int64), whole[picked].view(np.int64))
         bound = float(np.median(whole))
         np.testing.assert_array_equal(
-            m_scale_columns_below(rows[picked].T, bound, cfg),
-            m_scale_columns_below(rows.T, bound, cfg)[picked],
-        )
+            below(rows[picked].T, bound, cfg), below(rows.T, bound, cfg)[picked])
+        # under a floor, a solved column keeps its bits, a column left
+        # unsolved lies below the floor or a value solved before it, and
+        # the first maximum is found wherever it beats the floor
+        kept = whole[picked]
+        for floor in (-np.inf, bound):
+            pruned = m_scale_columns(rows[picked].T, cfg, floor)
+            solved = pruned > -np.inf
+            np.testing.assert_array_equal(
+                pruned[solved].view(np.int64), kept[solved].view(np.int64))
+            running = np.maximum.accumulate(np.r_[floor, pruned])[:-1]
+            assert (kept[~solved] < running[~solved]).all()
+            if kept.max() >= floor:
+                assert np.argmax(pruned) == np.argmax(kept)
 
 
 class TestBelowCheck:
-    """`m_scale_columns_below` certifies a column only where the value that
-    `m_scale_columns` returns lies below the bound."""
+    """The pre-check `_below` certifies a column only where the value that
+    `m_scale_columns` returns lies below the bound, and `m_scale_columns`
+    under a floor leaves exactly those columns unsolved."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -418,19 +436,27 @@ class TestBelowCheck:
         vals = m_scale_columns(x, cfg)
         for j, val in enumerate(vals):
             bound = val * (1.0 + rel) if val > 0.0 else 1e-300 + rel
-            if m_scale_columns_below(x[:, [j]], bound, cfg)[0]:
+            certified = below(x[:, [j]], bound, cfg)[0]
+            if certified:
                 assert val < bound
+            floored = m_scale_columns(x[:, [j]], cfg, bound)[0]
+            assert floored == (-np.inf if certified else val)
         # never at the value itself; always, off the ties, at twice it
         for j in range(3):  # the heavy-tailed samples, continuous
-            assert not m_scale_columns_below(x[:, [j]], vals[j], cfg)[0]
-            assert m_scale_columns_below(x[:, [j]], 2.0 * vals[j], cfg)[0]
+            assert not below(x[:, [j]], vals[j], cfg)[0]
+            assert below(x[:, [j]], 2.0 * vals[j], cfg)[0]
+            assert m_scale_columns(x[:, [j]], cfg, vals[j])[0] == vals[j]
+            assert m_scale_columns(x[:, [j]], cfg, 2.0 * vals[j])[0] == -np.inf
 
     def test_nothing_below_a_bound_of_zero_or_less(self):
         x = kernel_sample(7, 40, 3.0, 0.5)
+        vals = m_scale_columns(x)
         for bound in (0.0, -1.0, float("nan")):
-            assert not m_scale_columns_below(x, bound).any()
+            assert not below(x, bound).any()
+            np.testing.assert_array_equal(m_scale_columns(x, floor=bound), vals)
         # a degenerate column's value is 0, below every positive bound
-        assert m_scale_columns_below(x, 1e-300)[-1]
+        assert below(x, 1e-300)[-1]
+        assert m_scale_columns(x, floor=1e-300)[-1] == -np.inf
 
 
 def solve_outcome(solve, q, sigma, cfg):
@@ -465,7 +491,7 @@ class TestScalarStep:
         x = np.column_stack([
             kernel_sample(seed + k, n, df, delta)[:, :4] for k in range(-(-rows // 4))
         ])[:, :rows]
-        _, q, degenerate, sigma = _start(x.T, cfg)
+        _, q, degenerate, sigma = _start(np.sort(x.T, axis=1), cfg)
         q, sigma = q[~degenerate], start * sigma[~degenerate]
         assert solve_outcome(_solve, q, sigma, cfg) == solve_outcome(
             vectorized_solve, q, sigma, cfg)
@@ -515,26 +541,32 @@ class TestStopRule:
     def test_rfpc_takes_fewer_newton_steps(self, monkeypatch):
         # machine-independent work guard: on this draw a solver that took a
         # last step only to confirm convergence made 2,846 Newton steps over
-        # rfpc's 711 calls, the stop rule 2,280. With the pre-check of the
-        # zoom batches (`m_scale_columns_below`) 235 calls remain: the
-        # 100-column candidate batches in blocks of 64 and 36, the start
-        # values and lambdas, and the zoom rows that can beat the incumbent
+        # rfpc's 711 calls, the stop rule 2,280. The pre-check of the zoom
+        # batches left 235 solve calls over 1,129 rows; ruling out candidate
+        # starts as well leaves 233 calls (`_row_scales`) over 1,022 rows:
+        # the first 64-row block of each 100-candidate batch and the rows of
+        # its last 36 that can beat it, the start values and lambdas, and
+        # the zoom rows that can beat the incumbent
         calls, steps = [], []
-        solve = ssofr.mscale._solve
+        row_scales, solve = ssofr.mscale._row_scales, ssofr.mscale._solve
 
-        def counted(*args, **kwargs):
+        def counted_rows(s, config):
+            calls.append(s.shape[0])
+            return row_scales(s, config)
+
+        def counted_steps(*args, **kwargs):
             sigma, iterations = solve(*args, **kwargs)
-            calls.append(sigma.size)
             steps.append(iterations)
             return sigma, iterations
 
-        monkeypatch.setattr(ssofr.mscale, "_solve", counted)
+        monkeypatch.setattr(ssofr.mscale, "_row_scales", counted_rows)
+        monkeypatch.setattr(ssofr.mscale, "_solve", counted_steps)
         ds, _, _ = simulate(SimSpec(
             n=100, weights_scheme="inverse_distance", contamination_fraction=0.1,
             contamination_kind="leverage", seed=0,
         ))
         basis = BasisSpec().build(ds.grid)
         rfpc(project_curves(ds, basis), basis, 3)
-        assert len(calls) == 235
-        assert sum(calls) == 1129
+        assert len(calls) == 233
+        assert sum(calls) == 1022
         assert sum(steps) <= 0.32 * 2280
